@@ -10,7 +10,10 @@
 #                         must emit a parseable BENCH_dp.json whose
 #                         headline ratio stays under the checked-in
 #                         results/ratchet.json ceiling)
-#   6. profile smoke     (profile_stat --json: the per-phase attribution
+#   6. cts capacity      (64k-sink varbuf cts under --budget-mem 512; its
+#                         peak RSS must stay under the results/ratchet.json
+#                         ceiling)
+#   7. profile smoke     (profile_stat --json: the per-phase attribution
 #                         report must be well-formed — finite phase
 #                         timers that fit inside the wall clock)
 # No network access is required; the workspace has no external
@@ -170,9 +173,30 @@ else
   echo "(python3 unavailable; skipped BENCH_dp.json schema check)"
 fi
 
-echo "==> cts capacity gate (64k-sink H-tree, hierarchical, governed memory budget)"
+echo "==> cts capacity gate (64k-sink H-tree, hierarchical, governed memory budget, peak-RSS ratchet)"
 cargo build --release --bin varbuf
-CTS_OUT=$(./target/release/varbuf cts --levels 16 --budget-mem 512)
+CTS_CMD=(./target/release/varbuf cts --levels 16 --budget-mem 512)
+if command -v python3 >/dev/null 2>&1; then
+  # The pipeline runs as python3's child, so its peak RSS comes back from
+  # getrusage(RUSAGE_CHILDREN) without any CLI support.
+  CTS_OUT=$(python3 - "${CTS_CMD[@]}" <<'EOF'
+import json, resource, subprocess, sys
+run = subprocess.run(sys.argv[1:], stdout=subprocess.PIPE, text=True)
+sys.stdout.write(run.stdout)
+if run.returncode != 0:
+    sys.exit(f'cts gate: the 64k run exited {run.returncode}')
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024  # KiB on Linux
+ceiling = json.load(open('results/ratchet.json'))['cts_64k_peak_rss_mb_max']
+print(f'peak RSS {peak_mb:.0f} MB (ratchet ceiling {ceiling} MB)')
+if peak_mb > ceiling:
+    sys.exit(f'cts gate: peak RSS {peak_mb:.0f} MB exceeds the results/ratchet.json '
+             f'ceiling cts_64k_peak_rss_mb_max = {ceiling} MB')
+EOF
+)
+else
+  CTS_OUT=$("${CTS_CMD[@]}")
+  echo "(python3 unavailable; skipped the cts peak-RSS ratchet)"
+fi
 echo "$CTS_OUT" | sed 's/^/    /'
 echo "$CTS_OUT" | grep -q '^htree16: 65536 sinks' || { echo "cts gate: 64k run did not complete" >&2; exit 1; }
 echo "$CTS_OUT" | grep -q 'peak chunk bytes'      || { echo "cts gate: frontier ledger peak missing" >&2; exit 1; }

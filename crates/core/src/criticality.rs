@@ -15,7 +15,8 @@
 use crate::skew::SkewAnalyzer;
 use varbuf_rctree::tree::NodeKind;
 use varbuf_rctree::{NodeId, RoutingTree};
-use varbuf_stats::{stat_min, CanonicalForm};
+use varbuf_stats::clark::stat_min_assign;
+use varbuf_stats::CanonicalForm;
 use varbuf_variation::{BufferTypeId, ProcessModel, VariationMode};
 
 /// Per-sink criticality report.
@@ -86,20 +87,20 @@ pub fn sink_criticalities(
         .collect();
     assert!(!slacks.is_empty(), "tree must have at least one sink");
 
-    // Tightness cascade: fold slacks through Clark minimums. At each
-    // step, `t = P(running-min < next)` keeps the accumulated mass and
-    // `1 − t` goes to the newcomer.
+    // Tightness cascade: fold slacks through Clark minimums into a
+    // recycled destination. At each step, `t = P(running-min < next)`
+    // keeps the accumulated mass and `1 − t` goes to the newcomer.
     let (first_id, first_slack) = slacks.remove(0);
     let mut min_slack = first_slack.clone();
+    let mut scratch = CanonicalForm::default();
     let mut report: Vec<(NodeId, CanonicalForm, f64)> = vec![(first_id, first_slack, 1.0)];
     for (id, slack) in slacks {
-        let folded = stat_min(&min_slack, &slack);
-        let t = folded.tightness; // P(running-min is the min)
+        let t = stat_min_assign(&mut scratch, &min_slack, &slack); // P(running-min is the min)
+        std::mem::swap(&mut min_slack, &mut scratch);
         for entry in &mut report {
             entry.2 *= t;
         }
         report.push((id, slack, 1.0 - t));
-        min_slack = folded.form;
     }
     report.sort_by(|a, b| b.2.total_cmp(&a.2));
 
@@ -114,6 +115,7 @@ mod tests {
     use super::*;
     use crate::driver::{optimize_statistical, Options};
     use varbuf_rctree::generate::{generate_benchmark, generate_htree, BenchmarkSpec, HTreeSpec};
+    use varbuf_stats::stat_min;
     use varbuf_variation::SpatialKind;
 
     #[test]
@@ -171,6 +173,44 @@ mod tests {
         // min_slack mean is at most the most-critical sink's slack mean.
         let best = report.sinks[0].1.mean();
         assert!(report.min_slack.mean() <= best + 1e-9);
+    }
+
+    #[test]
+    fn in_place_fold_matches_stat_min_fold_bitwise() {
+        let tree = generate_benchmark(&BenchmarkSpec::random("crit3", 48, 7));
+        let model = ProcessModel::paper_defaults(tree.bounding_box(), SpatialKind::Heterogeneous);
+        let wid =
+            optimize_statistical(&tree, &model, VariationMode::WithinDie, &Options::default())
+                .expect("optimize");
+        let report = sink_criticalities(&tree, &model, VariationMode::WithinDie, &wid.assignment);
+        // Replay the fold this function ran before the in-place kernel,
+        // `stat_min(..)`, over the report's slacks in node-id order.
+        let mut slacks: Vec<_> = report.sinks.iter().map(|(id, s, _)| (*id, s)).collect();
+        slacks.sort_by_key(|&(id, _)| id);
+        let mut min_slack = slacks[0].1.clone();
+        let mut crit = vec![(slacks[0].0, 1.0f64)];
+        for &(id, slack) in &slacks[1..] {
+            let folded = stat_min(&min_slack, slack);
+            for entry in &mut crit {
+                entry.1 *= folded.tightness;
+            }
+            crit.push((id, 1.0 - folded.tightness));
+            min_slack = folded.form;
+        }
+        crit.sort_by(|a, b| b.1.total_cmp(&a.1));
+        let bits = |f: &CanonicalForm| {
+            let mut v = vec![f.mean().to_bits()];
+            v.extend(f.terms().flat_map(|(id, c)| [u64::from(id.0), c.to_bits()]));
+            v
+        };
+        assert_eq!(bits(&report.min_slack), bits(&min_slack));
+        let got: Vec<_> = report
+            .sinks
+            .iter()
+            .map(|(id, _, c)| (*id, c.to_bits()))
+            .collect();
+        let want: Vec<_> = crit.iter().map(|&(id, c)| (id, c.to_bits())).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

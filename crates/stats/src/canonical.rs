@@ -28,7 +28,7 @@
 //! identical order, so every result is bit-for-bit what the
 //! array-of-pairs layout produced.
 
-use crate::gaussian::{norm_cdf, norm_quantile};
+use crate::gaussian::{norm_cdf, norm_quantile, prob_at_least_normal};
 use std::cell::RefCell;
 use std::fmt;
 
@@ -218,6 +218,11 @@ impl CanonicalForm {
     /// Adds a constant in place.
     pub fn add_constant(&mut self, c: f64) {
         self.nominal += c;
+    }
+
+    /// Overwrites the nominal, keeping the terms.
+    pub(crate) fn set_mean(&mut self, nominal: f64) {
+        self.nominal = nominal;
     }
 
     /// Returns `self + c` without mutating.
@@ -436,11 +441,7 @@ impl CanonicalForm {
     /// when `self` is the RAT at the root and `x` is the required RAT.
     #[must_use]
     pub fn prob_at_least(&self, x: f64) -> f64 {
-        let sigma = self.std_dev();
-        if sigma == 0.0 {
-            return if self.nominal >= x { 1.0 } else { 0.0 };
-        }
-        norm_cdf((self.nominal - x) / sigma)
+        prob_at_least_normal(self.nominal, self.std_dev(), x)
     }
 
     /// Whether a term list already satisfies the representation

@@ -151,6 +151,45 @@ pub fn stat_max(a: &CanonicalForm, b: &CanonicalForm) -> MinMaxResult {
     }
 }
 
+/// In-place [`stat_max`]: overwrites `dest` with the blended form of
+/// `max(a, b)` and returns the tightness probability `P(a > b)`.
+///
+/// Bitwise identical to `stat_max(a, b).form` without the negated
+/// operand copies or the residual bookkeeping. Negation is exact and
+/// round-to-nearest is sign-symmetric, so the moments of `a − b` equal
+/// those of `(−b) − (−a)`, and each blended coefficient
+/// `t·aᵢ + (1−t)·bᵢ` is the exact negation of `t·(−aᵢ) + (1−t)·(−bᵢ)`
+/// (an exact zero is dropped either way). The nominal is the exception:
+/// `x + (−x)` rounds to `+0.0`, so an exactly-zero sum negated back
+/// would come out `−0.0`. It replays the negate–min–negate sequence
+/// literally. `dest` must be distinct from both operands.
+#[allow(clippy::neg_multiply)] // `x * -1.0` is what `scaled(-1.0)` computes
+pub fn stat_max_assign(dest: &mut CanonicalForm, a: &CanonicalForm, b: &CanonicalForm) -> f64 {
+    let (dmu, dvar) = a.sub_stats(b);
+    let sigma = dvar.sqrt();
+
+    if sigma <= f64::EPSILON * (a.mean().abs() + b.mean().abs() + 1.0) {
+        return if dmu > 0.0 {
+            dest.copy_from(a);
+            1.0
+        } else if dmu < 0.0 {
+            dest.copy_from(b);
+            0.0
+        } else {
+            dest.copy_from(a);
+            0.5
+        };
+    }
+
+    let z = dmu / sigma;
+    let t = norm_cdf(z); // P(a > b)
+    dest.lin_comb_into(a, t, b, 1.0 - t);
+    let mut nominal = t * (a.mean() * -1.0) + (1.0 - t) * (b.mean() * -1.0);
+    nominal += -sigma * norm_pdf(z);
+    dest.set_mean(nominal * -1.0);
+    t
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,6 +313,60 @@ mod tests {
                 assert_eq!(x.1.to_bits(), y.1.to_bits());
             }
         }
+    }
+
+    #[test]
+    fn stat_max_assign_matches_stat_max_bitwise() {
+        // Equal means over disjoint unit terms: z = 0, t = ½, and a
+        // nominal of −σ·φ(0) puts the max exactly on zero. stat_max's
+        // negated path yields −0.0 there; a direct blend would give +0.0.
+        let zero_max = -(2f64.sqrt() * norm_pdf(0.0));
+        let cases = [
+            // Disjoint terms, distinct means.
+            (form(3.0, &[(0, 1.0)]), form(5.0, &[(1, 1.0)])),
+            // Tie: equal means, t = ½.
+            (form(3.0, &[(0, 1.0)]), form(3.0, &[(1, 1.0)])),
+            // Deterministic orderings (shared source, shifted means), both ways.
+            (form(1.0, &[(0, 2.0)]), form(4.0, &[(0, 2.0)])),
+            (form(4.0, &[(0, 2.0)]), form(1.0, &[(0, 2.0)])),
+            // Deterministic tie.
+            (form(2.0, &[(0, 1.0)]), form(2.0, &[(0, 1.0)])),
+            // Constants, alone and against a random form.
+            (CanonicalForm::constant(2.0), CanonicalForm::constant(-1.0)),
+            (CanonicalForm::constant(1.0), CanonicalForm::constant(1.0)),
+            (form(0.0, &[(0, 1.0)]), CanonicalForm::constant(-5.0)),
+            (CanonicalForm::constant(0.5), form(0.0, &[(3, 2.0)])),
+            // Shared terms; the second pair's id 0 blends to an exact zero.
+            (
+                form(0.0, &[(0, 3.0), (2, 1.0)]),
+                form(0.5, &[(1, 2.5), (2, 1.0)]),
+            ),
+            (
+                form(3.0, &[(0, 1.0), (1, 1.0)]),
+                form(3.0, &[(0, -1.0), (2, 1.0)]),
+            ),
+            (form(zero_max, &[(0, 1.0)]), form(zero_max, &[(1, 1.0)])),
+        ];
+        for (a, b) in &cases {
+            let r = stat_max(a, b);
+            let mut dest = form(99.0, &[(42, 7.0)]);
+            let t = stat_max_assign(&mut dest, a, b);
+            assert_eq!(t.to_bits(), r.tightness.to_bits(), "{a} vs {b}");
+            assert_eq!(dest.mean().to_bits(), r.form.mean().to_bits(), "{a} vs {b}");
+            assert_eq!(dest.term_count(), r.form.term_count(), "{a} vs {b}");
+            for (x, y) in dest.terms().zip(r.form.terms()) {
+                assert_eq!(x.0, y.0);
+                assert_eq!(x.1.to_bits(), y.1.to_bits());
+            }
+        }
+        let mut dest = CanonicalForm::default();
+        let (a, b) = &cases[cases.len() - 1];
+        stat_max_assign(&mut dest, a, b);
+        assert_eq!(dest.mean().to_bits(), (-0.0f64).to_bits());
+        let (a, b) = &cases[cases.len() - 2];
+        stat_max_assign(&mut dest, a, b);
+        assert_eq!(dest.coeff(SourceId(0)), 0.0);
+        assert_eq!(dest.term_count(), 2);
     }
 
     #[test]

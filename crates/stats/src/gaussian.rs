@@ -207,6 +207,22 @@ pub fn prob_greater_normal(mu1: f64, mu2: f64, sigma1: f64, sigma2: f64, rho: f6
     norm_cdf(dmu / sigma_diff)
 }
 
+/// `P(X >= x)` for `X ~ N(mean, sigma²)`; a deterministic `X`
+/// (`sigma == 0`) gives `1` or `0`.
+///
+/// ```
+/// let p = varbuf_stats::gaussian::prob_at_least_normal(10.0, 2.0, 10.0);
+/// assert!((p - 0.5).abs() < 1e-15);
+/// assert_eq!(varbuf_stats::gaussian::prob_at_least_normal(1.0, 0.0, 1.0), 1.0);
+/// ```
+#[must_use]
+pub fn prob_at_least_normal(mean: f64, sigma: f64, x: f64) -> f64 {
+    if sigma == 0.0 {
+        return if mean >= x { 1.0 } else { 0.0 };
+    }
+    norm_cdf((mean - x) / sigma)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

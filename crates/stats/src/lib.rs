@@ -54,7 +54,7 @@ pub mod rng;
 
 pub use canonical::{CanonicalForm, SourceId};
 pub use clark::{stat_max, stat_min, MinMaxResult};
-pub use gaussian::{norm_cdf, norm_pdf, norm_quantile, prob_greater_normal};
+pub use gaussian::{norm_cdf, norm_pdf, norm_quantile, prob_at_least_normal, prob_greater_normal};
 pub use histogram::Histogram;
 pub use interner::{
     lane_axpy_var_ref, lane_dot_ref, lane_lin_comb_dot_ref, lane_variance_ref, ColumnForm,
