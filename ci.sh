@@ -7,9 +7,10 @@
 #                         an injected panic: the service must contain the
 #                         crash and shut down cleanly)
 #   5. smoke bench       (scaling bench, shrunk via VARBUF_BENCH_SMOKE,
-#                         must emit a parseable BENCH_dp.json whose
-#                         headline ratio stays under the checked-in
-#                         results/ratchet.json ceiling)
+#                         must emit a parseable target/BENCH_dp.smoke.json
+#                         whose headline ratio stays under the checked-in
+#                         results/ratchet.json ceiling; the committed
+#                         full-size BENCH_dp.json is never touched)
 #   6. cts capacity      (64k-sink varbuf cts under --budget-mem 512; its
 #                         peak RSS must stay under the results/ratchet.json
 #                         ceiling)
@@ -46,44 +47,42 @@ echo "$SERVE_OUT" | grep -q 'panics=1'           || { echo "serve smoke: stats m
 echo "$SERVE_OUT" | tail -1 | grep -q '^ok bye$' || { echo "serve smoke: no clean shutdown" >&2; exit 1; }
 
 echo "==> smoke bench (VARBUF_BENCH_SMOKE=1 cargo bench --bench scaling)"
+SMOKE_JSON=target/BENCH_dp.smoke.json
+rm -f "$SMOKE_JSON"
 VARBUF_BENCH_SMOKE=1 cargo bench --bench scaling -- --jobs 2
-test -s BENCH_dp.json || { echo "BENCH_dp.json missing or empty" >&2; exit 1; }
+test -s "$SMOKE_JSON" || { echo "$SMOKE_JSON missing or empty" >&2; exit 1; }
 if command -v python3 >/dev/null 2>&1; then
-  python3 - <<'EOF'
+  python3 - "$SMOKE_JSON" <<'EOF'
 import json, math, sys
-r = json.load(open('BENCH_dp.json'))
+path = sys.argv[1]
+r = json.load(open(path))
 ratio = r.get('stat_vs_det_ratio')
 if not isinstance(ratio, (int, float)) or not math.isfinite(ratio) or ratio <= 0:
-    sys.exit('BENCH_dp.json: stat_vs_det_ratio missing or not a finite positive number')
-# Bound-guided pruning telemetry: the counters must be present, and the
-# derived ratios/timers must be finite numbers (counts may be zero — the
-# provable bound fires rarely — but never missing or NaN).
-for key in ('pruned_by_bound', 'pruned_by_dominance'):
-    v = r.get(key)
-    if not isinstance(v, int) or v < 0:
-        sys.exit(f'BENCH_dp.json: {key} missing or not a non-negative integer')
-for key in ('pruned_by_bound_ratio', 'pruned_by_dominance_ratio',
-            'bound_pass_ns', 'bound_guided_speedup'):
-    v = r.get(key)
-    if not isinstance(v, (int, float)) or not math.isfinite(v) or v < 0:
-        sys.exit(f'BENCH_dp.json: {key} missing or not a finite non-negative number')
+    sys.exit(f'{path}: stat_vs_det_ratio missing or not a finite positive number')
+# Dominance-pruning telemetry: the counter must be present and its
+# ratio to generated solutions finite.
+if not isinstance(r.get('pruned_by_dominance'), int) or r['pruned_by_dominance'] < 0:
+    sys.exit(f'{path}: pruned_by_dominance missing or not a non-negative integer')
+v = r.get('pruned_by_dominance_ratio')
+if not isinstance(v, (int, float)) or not math.isfinite(v) or v < 0:
+    sys.exit(f'{path}: pruned_by_dominance_ratio missing or not a finite non-negative number')
 # The headline ratio must say which size produced it, and the engine
 # must report both the requested and the effective worker count (the
 # thread clamp is invisible in the request otherwise).
 for key in ('stat_vs_det_ratio_sinks', 'jobs_requested', 'jobs_effective'):
     v = r.get(key)
     if not isinstance(v, (int, float)) or not math.isfinite(v) or v < 1:
-        sys.exit(f'BENCH_dp.json: {key} missing or not a finite positive number')
+        sys.exit(f'{path}: {key} missing or not a finite positive number')
 # Li-Shi and lane-kernel telemetry: counters non-negative, speedups
 # finite and positive (they may dip below 1.0 on a noisy host — the
 # ratchet below is the regression gate, these are schema checks).
 if not isinstance(r.get('lishi_skipped'), int) or r['lishi_skipped'] < 0:
-    sys.exit('BENCH_dp.json: lishi_skipped missing or negative')
+    sys.exit(f'{path}: lishi_skipped missing or negative')
 for key in ('lishi_speedup_stat', 'lishi_speedup_det',
             'lane_variance_speedup', 'lane_covariance_speedup'):
     v = r.get(key)
     if not isinstance(v, (int, float)) or not math.isfinite(v) or v <= 0:
-        sys.exit(f'BENCH_dp.json: {key} missing or not a finite positive number')
+        sys.exit(f'{path}: {key} missing or not a finite positive number')
 # Ratchet: the statistical/deterministic gap must not regress past the
 # checked-in ceiling. The smoke ratio is noisy and measured at a small
 # N, so the ceiling carries deliberate headroom — it catches collapses,
@@ -91,7 +90,7 @@ for key in ('lishi_speedup_stat', 'lishi_speedup_det',
 ratchet = json.load(open('results/ratchet.json'))
 ceiling = ratchet['stat_vs_det_ratio_max']
 if ratio > ceiling:
-    sys.exit(f'BENCH_dp.json: stat_vs_det_ratio {ratio:.2f} exceeds the '
+    sys.exit(f'{path}: stat_vs_det_ratio {ratio:.2f} exceeds the '
              f'results/ratchet.json ceiling {ceiling} — the statistical DP '
              f'regressed (or the deterministic baseline got faster; re-ratchet '
              f'deliberately if so)')
@@ -102,10 +101,10 @@ if ratio > ceiling:
 # engaging (or its materialization points multiplied), not a tradeoff.
 lazy = r.get('lazy_wire_speedup')
 if not isinstance(lazy, (int, float)) or not math.isfinite(lazy) or lazy <= 0:
-    sys.exit('BENCH_dp.json: lazy_wire_speedup missing or not a finite positive number')
+    sys.exit(f'{path}: lazy_wire_speedup missing or not a finite positive number')
 lazy_floor = ratchet.get('lazy_wire_speedup_min', 1.0)
 if lazy < lazy_floor:
-    sys.exit(f'BENCH_dp.json: lazy_wire_speedup {lazy:.2f} below the '
+    sys.exit(f'{path}: lazy_wire_speedup {lazy:.2f} below the '
              f'results/ratchet.json floor {lazy_floor} — deferred wire '
              f'transforms stopped paying for themselves')
 # Resident-service telemetry: latency percentiles and throughput must be
@@ -114,12 +113,12 @@ if lazy < lazy_floor:
 for key in ('service_p50_ns', 'service_p99_ns', 'service_throughput_rps'):
     v = r.get(key)
     if not isinstance(v, (int, float)) or not math.isfinite(v) or v <= 0:
-        sys.exit(f'BENCH_dp.json: {key} missing or not a finite positive number')
+        sys.exit(f'{path}: {key} missing or not a finite positive number')
 if r['service_p99_ns'] < r['service_p50_ns']:
-    sys.exit('BENCH_dp.json: service p99 below p50')
+    sys.exit(f'{path}: service p99 below p50')
 shed = r.get('service_shed')
 if not isinstance(shed, (int, float)) or shed < 1:
-    sys.exit('BENCH_dp.json: service_shed missing or zero')
+    sys.exit(f'{path}: service_shed missing or zero')
 # Incremental re-optimization: the cached edit→opt loop must beat the
 # cold rerun by at least the ratchet floor (smoke sizes are small, so
 # the floor is far below the full-size target), the warm side must have
@@ -127,50 +126,49 @@ if not isinstance(shed, (int, float)) or shed < 1:
 # counters must be present.
 speedup = r.get('incremental_speedup')
 if not isinstance(speedup, (int, float)) or not math.isfinite(speedup) or speedup <= 0:
-    sys.exit('BENCH_dp.json: incremental_speedup missing or not a finite positive number')
+    sys.exit(f'{path}: incremental_speedup missing or not a finite positive number')
 floor = ratchet.get('incremental_speedup_min', 1.0)
 if speedup < floor:
-    sys.exit(f'BENCH_dp.json: incremental_speedup {speedup:.2f} below the '
+    sys.exit(f'{path}: incremental_speedup {speedup:.2f} below the '
              f'results/ratchet.json floor {floor} — the session cache stopped '
              f'paying for itself')
 hit_rate = r.get('cache_hit_rate')
 if not isinstance(hit_rate, (int, float)) or not math.isfinite(hit_rate) \
         or hit_rate <= 0 or hit_rate > 1:
-    sys.exit('BENCH_dp.json: cache_hit_rate missing or outside (0, 1]')
+    sys.exit(f'{path}: cache_hit_rate missing or outside (0, 1]')
 for key in ('scatter_plan_hits', 'scatter_plan_misses'):
     v = r.get(key)
     if not isinstance(v, (int, float)) or not math.isfinite(v) or v < 0:
-        sys.exit(f'BENCH_dp.json: {key} missing or not a finite non-negative number')
+        sys.exit(f'{path}: {key} missing or not a finite non-negative number')
 # Clock-tree pipeline: both hierarchical wall-clock points must be
 # present and positive, and the parked-frontier byte peak the governor
 # observed must fit inside the budget the run was governed under.
 for key in ('cts_16k_wall_ms', 'cts_64k_wall_ms'):
     v = r.get(key)
     if not isinstance(v, (int, float)) or not math.isfinite(v) or v <= 0:
-        sys.exit(f'BENCH_dp.json: {key} missing or not a finite positive number')
+        sys.exit(f'{path}: {key} missing or not a finite positive number')
 for key in ('peak_chunk_bytes', 'cts_budget_bytes'):
     v = r.get(key)
     if not isinstance(v, (int, float)) or not math.isfinite(v) or v < 0:
-        sys.exit(f'BENCH_dp.json: {key} missing or not a finite non-negative number')
+        sys.exit(f'{path}: {key} missing or not a finite non-negative number')
 if r['peak_chunk_bytes'] > r['cts_budget_bytes']:
-    sys.exit(f'BENCH_dp.json: peak_chunk_bytes {r["peak_chunk_bytes"]:.0f} exceeds '
+    sys.exit(f'{path}: peak_chunk_bytes {r["peak_chunk_bytes"]:.0f} exceeds '
              f'the governed cts_budget_bytes {r["cts_budget_bytes"]:.0f}')
 if r['peak_chunk_bytes'] <= 0:
-    sys.exit('BENCH_dp.json: peak_chunk_bytes is zero — the decomposition '
+    sys.exit(f'{path}: peak_chunk_bytes is zero — the decomposition '
              'never parked a frontier, so the streaming path went unexercised')
 groups = {b.get('group') for b in r.get('benches', [])}
-for required in ('canonical_kernels', 'dp_scaling', 'bound_guided', 'service',
-                 'lishi', 'lane_kernels', 'incremental', 'clock_cts',
-                 'wire_heavy'):
+for required in ('canonical_kernels', 'dp_scaling', 'service', 'lishi',
+                 'lane_kernels', 'incremental', 'clock_cts', 'wire_heavy'):
     if required not in groups:
-        sys.exit(f'BENCH_dp.json: {required} bench group missing')
-print(f'BENCH_dp.json ok: stat_vs_det_ratio={ratio:.2f}, '
+        sys.exit(f'{path}: {required} bench group missing')
+print(f'{path} ok: stat_vs_det_ratio={ratio:.2f}, '
       f'incremental_speedup={speedup:.2f} (hit rate {hit_rate:.3f}), '
-      f'bound/dominance pruned={r["pruned_by_bound"]}/{r["pruned_by_dominance"]}, '
+      f'dominance pruned={r["pruned_by_dominance"]}, '
       f'groups={sorted(g for g in groups if g)}')
 EOF
 else
-  echo "(python3 unavailable; skipped BENCH_dp.json schema check)"
+  echo "(python3 unavailable; skipped the smoke bench schema check)"
 fi
 
 echo "==> cts capacity gate (64k-sink H-tree, hierarchical, governed memory budget, peak-RSS ratchet)"
@@ -212,18 +210,18 @@ r = json.load(open(sys.argv[1]))
 # Every phase timer and counter the attribution tables are built from
 # must be present and finite; the phases must fit inside the wall clock
 # (generous slack: Instant overhead inflates fine-grained intervals).
-for key in ('wall_ns', 'wire_ns', 'merge_ns', 'prune_ns', 'buffer_ns', 'bound_ns'):
+for key in ('wall_ns', 'wire_ns', 'merge_ns', 'prune_ns', 'buffer_ns'):
     v = r.get(key)
     if not isinstance(v, (int, float)) or not math.isfinite(v) or v < 0:
         sys.exit(f'profile_stat: {key} missing or not a finite non-negative number')
 if r['wall_ns'] <= 0:
     sys.exit('profile_stat: wall_ns must be positive')
-phase_sum = r['wire_ns'] + r['merge_ns'] + r['prune_ns'] + r['buffer_ns'] + r['bound_ns']
+phase_sum = r['wire_ns'] + r['merge_ns'] + r['prune_ns'] + r['buffer_ns']
 if phase_sum > 1.5 * r['wall_ns']:
     sys.exit(f'profile_stat: phase timers ({phase_sum:.0f} ns) wildly exceed '
              f'the wall clock ({r["wall_ns"]:.0f} ns) — attribution is broken')
 for key in ('sinks', 'nodes_processed', 'solutions_generated',
-            'solutions_pruned', 'pruned_by_bound', 'pruned_by_dominance',
+            'solutions_pruned', 'pruned_by_dominance',
             'lishi_skipped', 'max_solutions_per_node',
             'jobs_requested', 'jobs_effective'):
     v = r.get(key)

@@ -6,8 +6,8 @@
 //! `cargo run --release -p varbuf-bench --example profile_stat [N] [--json FILE]`
 //!
 //! This is the tool behind the phase tables in EXPERIMENTS.md: it prints
-//! the `phase_summary` split (merge/prune/buffering/bounds) plus the
-//! generated/pruned/retired counters for one warm run, which the
+//! the `phase_summary` split (wire/merge/prune/buffering) plus the
+//! generated/pruned/skipped counters for one warm run, which the
 //! aggregate medians in BENCH_dp.json deliberately hide. With `--json`
 //! the same attribution is written as a machine-readable report
 //! (ci.sh's smoke gate validates it).
@@ -34,8 +34,8 @@ fn main() {
     let model = ProcessModel::paper_defaults(tree.bounding_box(), SpatialKind::Heterogeneous);
     let rule = TwoParam::default();
     let opts = DpOptions::default();
-    // One warm-up run so the bound memo and allocator are primed, then
-    // the measured run.
+    // One warm-up run so the device-form memo and allocator are primed,
+    // then the measured run.
     let _ = optimize_with_rule(&tree, &model, VariationMode::WithinDie, &rule, &opts)
         .expect("warm-up run");
     let t = std::time::Instant::now();
@@ -45,10 +45,9 @@ fn main() {
     println!("N={n}: wall {:.2} ms", wall.as_secs_f64() * 1e3);
     println!("phases: {}", r.stats.phase_summary());
     println!(
-        "generated {}, pruned {} (bound {}, dominance {}), lishi-skipped {}, peak list {}",
+        "generated {}, pruned {} (dominance {}), lishi-skipped {}, peak list {}",
         r.stats.solutions_generated,
         r.stats.solutions_pruned,
-        r.stats.pruned_by_bound,
         r.stats.pruned_by_dominance,
         r.stats.lishi_skipped,
         r.stats.max_solutions_per_node,
@@ -69,11 +68,9 @@ fn main() {
         report.meta_num("merge_ns", r.stats.merge_time.as_nanos() as f64);
         report.meta_num("prune_ns", r.stats.prune_time.as_nanos() as f64);
         report.meta_num("buffer_ns", r.stats.buffer_time.as_nanos() as f64);
-        report.meta_num("bound_ns", r.stats.bound_time.as_nanos() as f64);
         report.meta_num("nodes_processed", r.stats.nodes_processed as f64);
         report.meta_num("solutions_generated", r.stats.solutions_generated as f64);
         report.meta_num("solutions_pruned", r.stats.solutions_pruned as f64);
-        report.meta_num("pruned_by_bound", r.stats.pruned_by_bound as f64);
         report.meta_num("pruned_by_dominance", r.stats.pruned_by_dominance as f64);
         report.meta_num("lishi_skipped", r.stats.lishi_skipped as f64);
         report.meta_num(

@@ -97,21 +97,6 @@ pub struct DpOptions {
     /// determinism contract and when the engine falls back to one
     /// thread).
     pub jobs: usize,
-    /// Bound-guided predictive pruning: run the deterministic engine at
-    /// the process mean and a conservative corner before the statistical
-    /// DP, and retire candidates whose optimistic `±bound_k·σ` envelope
-    /// provably cannot reach the root winner's selection key. Pure
-    /// speedup — the result is bit-identical either way (asserted by the
-    /// bounds oracle). Automatically disarmed under a governed run with
-    /// finite budgets, where shrinking lists would shift *when*
-    /// degradation triggers.
-    pub use_bounds: bool,
-    /// Envelope half-width, in σ, for the bound test. The retirement
-    /// chain is sound on the means alone (the anchor is a reachable
-    /// candidate's key, the per-node charges lower-bound every upstream
-    /// completion), so this is a pure guard band: larger keeps more
-    /// candidates, the result never depends on it.
-    pub bound_k: f64,
     /// Li–Shi candidate pruning (arXiv:0710.4691): skip generating a
     /// buffered candidate whose keys are already dominated by a list
     /// entry — the keyed dominance sweep would remove it in the same
@@ -119,8 +104,8 @@ pub struct DpOptions {
     /// only the generated/pruned counters differ. Armed only for rules
     /// whose keys are plain means ([`PruningRule::mean_keys`], where the
     /// skipped candidate's keys are computable without building its
-    /// forms) and, like bounding, disarmed under a governed run with
-    /// finite budgets (list sizes feed the degradation schedule).
+    /// forms) and disarmed under a governed run with finite budgets
+    /// (list sizes feed the degradation schedule).
     /// `--no-lishi` on the CLI.
     pub use_lishi: bool,
     /// Lazy list-level wire propagation: the wire lift updates only the
@@ -129,7 +114,7 @@ pub struct DpOptions {
     /// `rat ← rat − r·load` by accumulating the segment resistances in
     /// [`StatSolution::wire_pending`]; the whole deferred chain is paid
     /// off with one term update at the points that read RAT
-    /// sensitivities (merges, buffering, σ envelopes, winner selection).
+    /// sensitivities (merges, buffering, winner selection).
     /// Mean-keyed pruning runs pre-materialization — dominance order is
     /// preserved under the shared transform (see DESIGN.md) — while
     /// non-mean-keyed rules materialize before every prune, which
@@ -186,8 +171,6 @@ impl Default for DpOptions {
             sparsify_epsilon: 0.0,
             root_selection: RootSelection::YieldRat(0.95),
             jobs: 1,
-            use_bounds: true,
-            bound_k: 1.0,
             use_lishi: true,
             use_lazy_wire: true,
             jobs_force: false,
@@ -550,16 +533,12 @@ pub fn optimize_governed_detailed(
 /// visited; only dirty nodes — the root path of the session's edits —
 /// run the DP. Fresh lists are stored back under the node's signature.
 ///
-/// Two soundness rules keep cached replay byte-identical to a cold run:
-///
-/// * the incremental path never arms the deterministic bound pass —
-///   cached lists are the bounds-off fixpoint, and the bounds oracle
-///   guarantees the *final* result matches a bounds-on cold run;
-/// * the cache only feeds (and is only fed by) full-fidelity runs. A
-///   constraining budget or a fault injector falls back to the plain
-///   governed engine without touching the cache, and a run that
-///   degraded, was cancelled, or errored flushes the cache — its lists
-///   may be truncated best-so-far artifacts.
+/// Cached replay stays byte-identical to a cold run because the cache
+/// only feeds (and is only fed by) full-fidelity runs. A constraining
+/// budget or a fault injector falls back to the plain governed engine
+/// without touching the cache, and a run that degraded, was cancelled,
+/// or errored flushes the cache — its lists may be truncated
+/// best-so-far artifacts.
 ///
 /// `sigs` must be current for `tree` (see [`NodeSigs::update_path`]);
 /// `run_sig` is the [`crate::cache::run_signature`] of the run-wide
@@ -621,10 +600,10 @@ pub fn optimize_incremental(
         governor = governor.with_clock(c);
     }
 
-    // Bounds stay off (see the soundness rules above); Li–Shi is list-
-    // neutral and arms exactly as it would on this run's cold path, and
-    // so does lazy wire propagation (this path already excludes faults
-    // and constraining budgets — the cold path's disarm conditions).
+    // Li–Shi is list-neutral and arms exactly as it would on this run's
+    // cold path, and so does lazy wire propagation (this path already
+    // excludes faults and constraining budgets — the cold path's disarm
+    // conditions).
     let mut ctx = RunCtx::new(tree, model, mode, sizing);
     ctx.lishi = options.use_lishi;
     ctx.lazy = options.use_lazy_wire;
@@ -884,11 +863,6 @@ pub(crate) struct RunCtx<'a> {
     /// `node.index() * widths + wi` → the edge segment above `node`
     /// scaled to width `wi`.
     segments: Vec<WireSegment>,
-    /// Deterministic upstream bounds for predictive pruning; `None` when
-    /// bounding is disabled or disarmed for this run. Shared read-only by
-    /// the parallel workers, so every engine path applies the same
-    /// filter.
-    pub(crate) bounds: Option<std::sync::Arc<crate::bounds::DetBounds>>,
     /// Whether the Li–Shi generation skip is armed for this run (see
     /// [`DpOptions::use_lishi`] for the arming conditions). Shared by the
     /// parallel workers and the sequential engine.
@@ -897,27 +871,7 @@ pub(crate) struct RunCtx<'a> {
     /// [`DpOptions::use_lazy_wire`] for the arming conditions). Shared by
     /// the parallel workers and the sequential engine.
     pub(crate) lazy: bool,
-    /// Per-node bound-pass probe aggregates, packed as
-    /// `invocations << 32 | retired` over the node's whole subtree.
-    /// Sized `tree.len()` only when bounds arm; the aggregates drive the
-    /// auto-disarm gate in `process_node` (see `BOUND_PROBE_ANCHOR`).
-    /// A node's value is a pure function of its subtree, and children
-    /// complete before their parent in both engines, so the disarm
-    /// decision is identical sequentially and in parallel — and the
-    /// stores are idempotent, so a pressure-abort rerun is safe.
-    bound_probe: Vec<std::sync::atomic::AtomicU64>,
 }
-
-/// Subtree probe invocations (lists of at least [`BOUND_PROBE_MIN`]
-/// candidates offered to `bound_filter`) after which, if *nothing* was
-/// retired anywhere below, the bound pass disarms for the rest of the
-/// node's ancestors: the anchor is evidently too loose on this net to
-/// ever fire, and the per-candidate envelope scans are pure overhead.
-const BOUND_PROBE_ANCHOR: u64 = 48;
-
-/// Minimum list length for a `bound_filter` call to count as a probe
-/// invocation — tiny lists say nothing about whether the bound can fire.
-const BOUND_PROBE_MIN: usize = 4;
 
 impl<'a> RunCtx<'a> {
     pub(crate) fn new(
@@ -956,47 +910,9 @@ impl<'a> RunCtx<'a> {
             device_rows,
             device_forms,
             segments,
-            bounds: None,
             lishi: false,
             lazy: false,
-            bound_probe: Vec::new(),
         }
-    }
-
-    /// Sizes the bound-probe table for an armed bound pass. Must be
-    /// called before the first `process_node` when `bounds` is set.
-    pub(crate) fn arm_bound_probe(&mut self) {
-        self.bound_probe = std::iter::repeat_with(|| std::sync::atomic::AtomicU64::new(0))
-            .take(self.tree.len())
-            .collect();
-    }
-
-    /// Sum of the children's probe aggregates as `(invocations, retired)`.
-    /// An unsized table (bounds armed without [`Self::arm_bound_probe`],
-    /// e.g. driving `process_node` directly) reads as "no evidence yet",
-    /// which keeps the filter armed — the pre-gate behavior.
-    fn probe_children(&self, id: NodeId) -> (u64, u64) {
-        if self.bound_probe.is_empty() {
-            return (0, 0);
-        }
-        let mut inv = 0u64;
-        let mut ret = 0u64;
-        for &c in &self.tree.node(id).children {
-            let packed = self.bound_probe[c.index()].load(std::sync::atomic::Ordering::Acquire);
-            inv = inv.saturating_add(packed >> 32);
-            ret = ret.saturating_add(packed & 0xffff_ffff);
-        }
-        (inv.min(u64::from(u32::MAX)), ret.min(u64::from(u32::MAX)))
-    }
-
-    /// Publishes a node's subtree aggregate (clamped into the packing).
-    /// No-op when the table is unsized (see [`Self::probe_children`]).
-    fn store_probe(&self, id: NodeId, inv: u64, ret: u64) {
-        if self.bound_probe.is_empty() {
-            return;
-        }
-        let packed = (inv.min(u64::from(u32::MAX)) << 32) | ret.min(u64::from(u32::MAX));
-        self.bound_probe[id.index()].store(packed, std::sync::atomic::Ordering::Release);
     }
 
     /// The pre-scaled RC segment of the edge above `node` at width `wi`.
@@ -1105,25 +1021,10 @@ fn run_engine(
     // and the sequential fallback read the exact same cached values.
     let mut ctx = RunCtx::new(tree, model, mode, sizing);
 
-    // Bound-guided pruning arms only when the run cannot degrade:
-    // retiring candidates early changes list sizes, and a governed run
-    // with finite budgets keys its degradation schedule off exactly
-    // those sizes. (Strict runs abort rather than adapt, so the filter
-    // cannot change their output — see the bounds-oracle suite.)
-    let mut bound_setup = Duration::ZERO;
-    let degradable = governor.is_governed() && governor.budget().constrains_run();
-    if options.use_bounds && !degradable {
-        let t = Instant::now();
-        let bounds = crate::bounds::det_bounds(&ctx, mode, options.bound_k, options.root_selection);
-        ctx.bounds = bounds;
-        if ctx.bounds.is_some() {
-            ctx.arm_bound_probe();
-        }
-        bound_setup = t.elapsed();
-    }
-    // The Li–Shi generation skip shares the bounding arm condition: it
-    // never changes the post-prune list, but it does shrink the
+    // The Li–Shi generation skip arms only when the run cannot degrade:
+    // it never changes the post-prune list, but it does shrink the
     // *pre*-prune list a governed degradation schedule keys off.
+    let degradable = governor.is_governed() && governor.budget().constrains_run();
     ctx.lishi = options.use_lishi && !degradable;
     // Lazy wire propagation shares it too (pending-aware footprints
     // would shift the degradation schedule's memory estimates), and
@@ -1140,7 +1041,6 @@ fn run_engine(
             return match outcome {
                 Ok((mut root_list, mut stats)) => {
                     stats.runtime = governor.elapsed();
-                    stats.bound_time += bound_setup;
                     stats.jobs_requested = options.jobs.max(1);
                     stats.jobs_effective = options.effective_jobs();
                     Ok(select_winner(tree, options, &mut root_list, stats))
@@ -1179,7 +1079,6 @@ fn run_engine(
     }
 
     stats.runtime = governor.elapsed();
-    stats.bound_time += bound_setup;
     stats.jobs_requested = options.jobs.max(1);
     stats.jobs_effective = 1;
     Ok(select_winner(
@@ -1454,38 +1353,6 @@ pub(crate) fn process_node<'r, S: Supervisor<'r>>(
     }
     if sup.panicking() {
         keep_best(sup.rule().get(), &mut sols);
-    }
-
-    // 4. Predictive retirement: candidates whose optimistic envelope
-    // cannot reach the deterministic anchor leave the DP here, before
-    // the parent's lift, merge and dominance sweeps ever see them.
-    // The subtree probe disarms the pass once the anchor has evidently
-    // gone cold: enough meaningful invocations below this node with zero
-    // retirements anywhere means the envelope test is pure overhead.
-    // Both the decision and the published aggregate depend only on the
-    // node's subtree, so sequential and parallel runs agree bit for bit.
-    if let Some(bounds) = ctx.bounds.as_deref() {
-        let (sub_inv, sub_ret) = ctx.probe_children(id);
-        if sub_ret == 0 && sub_inv >= BOUND_PROBE_ANCHOR {
-            stats.bound_skipped += 1;
-            ctx.store_probe(id, sub_inv, sub_ret);
-        } else {
-            let own_inv = u64::from(sols.len() >= BOUND_PROBE_MIN);
-            // Clock the pass only on lists big enough for the filter to
-            // cost anything; on tiny lists the two `Instant::now` calls
-            // would outweigh the work they measure.
-            let retired = if sols.len() >= 16 {
-                let t_bound = Instant::now();
-                let retired = bound_filter(bounds, id, &mut sols, pool);
-                stats.bound_time += t_bound.elapsed();
-                retired
-            } else {
-                bound_filter(bounds, id, &mut sols, pool)
-            };
-            stats.pruned_by_bound += retired;
-            stats.solutions_pruned += retired;
-            ctx.store_probe(id, sub_inv + own_inv, sub_ret + retired as u64);
-        }
     }
 
     sup.note_memory(&sols, 0);
@@ -1804,66 +1671,6 @@ fn prune_full<'r, S: Supervisor<'r>>(
     sols.sort_by(|a, b| rule.load_key(a).total_cmp(&rule.load_key(b)));
     stats.prune_time += t.elapsed();
     Ok(())
-}
-
-/// Retires every candidate whose optimistic `±k·σ` envelope provably
-/// cannot reach the deterministic anchor (see the `bounds` module for
-/// the soundness argument). Order-preserving in-place compaction;
-/// retired carcasses feed the pool's recycler. Returns how many were
-/// retired.
-///
-/// Never empties a list: if the bound would reject everything (the
-/// anchor heuristic can only be beaten collectively, e.g. after fault
-/// injection poisons the whole list), the sweep backs off and keeps the
-/// list untouched so downstream invariants ("at least one candidate
-/// survives") hold unconditionally.
-fn bound_filter(
-    bounds: &crate::bounds::DetBounds,
-    node: NodeId,
-    sols: &mut Vec<StatSolution>,
-    pool: &mut SolPool,
-) -> usize {
-    let k = bounds.k();
-    pool.flags.clear();
-    let mut kept = 0usize;
-    for s in sols.iter() {
-        // The mean test implies the envelope test (lower load and higher
-        // RAT both widen the margin), so the O(terms) σ scans are only
-        // paid by candidates already failing on their means.
-        let keep = bounds.keeps_envelope(node, s.load.mean(), s.rat.mean()) || {
-            let (load_lo, _) = s.load.envelope(k);
-            // A pending lazy-wire transform changes the RAT's σ, so the
-            // envelope is taken on a scratch materialization. The stored
-            // solution is left untouched: mutating it here would make
-            // the downstream materialize-and-sparsify points see
-            // different inputs with bounding on vs. off, breaking the
-            // bounds oracle's bit-identity contract.
-            let rat_hi = if s.wire_pending != 0.0 {
-                let mut rat = s.rat.clone();
-                rat.add_scaled_terms_assign(&s.load, -s.wire_pending);
-                rat.envelope(k).1
-            } else {
-                s.rat.envelope(k).1
-            };
-            bounds.keeps_envelope(node, load_lo, rat_hi)
-        };
-        kept += usize::from(keep);
-        pool.flags.push(keep);
-    }
-    if kept == sols.len() || kept == 0 {
-        return 0;
-    }
-    let mut write = 0;
-    for read in 0..sols.len() {
-        if pool.flags[read] {
-            sols.swap(write, read);
-            write += 1;
-        }
-    }
-    let retired = sols.len() - write;
-    let room = SolPool::KEEP_SOLS.saturating_sub(pool.sols.len());
-    pool.sols.extend(sols.drain(write..).take(room));
-    retired
 }
 
 #[cfg(test)]
@@ -2229,11 +2036,10 @@ mod tests {
 
     /// The invariant the presorted fast path in `prune_solutions_keyed`
     /// banks on: under the 2P rule every list `process_node` emits —
-    /// sink bases, merged branches, buffered candidate nodes, with and
-    /// without the bound filter — is mean-ordered: load means
-    /// non-decreasing and RAT means non-decreasing (the pruned
-    /// staircase). Property-tested over 3 seeds × 64 random trees by
-    /// driving the engine loop node by node.
+    /// sink bases, merged branches, buffered candidate nodes — is
+    /// mean-ordered: load means non-decreasing and RAT means
+    /// non-decreasing (the pruned staircase). Property-tested over 3
+    /// seeds × 64 random trees by driving the engine loop node by node.
     #[test]
     fn two_param_node_lists_stay_mean_ordered() {
         let rule = TwoParam::default();
@@ -2248,14 +2054,7 @@ mod tests {
                 ));
                 let model = model_for(&tree);
                 let mode = VariationMode::WithinDie;
-                let mut ctx = RunCtx::new(&tree, &model, mode, &sizing);
-                if t % 2 == 1 {
-                    // Half the trees run with the bound filter armed, so
-                    // the property also covers its order preservation.
-                    let bounds =
-                        crate::bounds::det_bounds(&ctx, mode, 3.0, RootSelection::YieldRat(0.95));
-                    ctx.bounds = bounds;
-                }
+                let ctx = RunCtx::new(&tree, &model, mode, &sizing);
                 let mut governor =
                     Governor::strict(Budget::strict(2_000_000, Duration::from_secs(3600)), 0.0);
                 let mut sup = GovSupervisor {
@@ -2291,69 +2090,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Diagnostic for tuning the bound layer (run with `--ignored`,
-    /// `BOUND_K=<k>` to vary the envelope): prints the margin
-    /// distribution of the bench workload's candidates against the
-    /// bound cutoff — how far the typical candidate sits from being
-    /// retired, and how many actually are.
-    #[test]
-    #[ignore]
-    fn bound_margin_diagnostic() {
-        let rule = TwoParam::default();
-        let sizing = WireSizing::single();
-        let tree = generate_benchmark(&BenchmarkSpec::random("scale", 64, 77)).subdivided(500.0);
-        let model = ProcessModel::paper_defaults(
-            tree.bounding_box(),
-            varbuf_variation::SpatialKind::Heterogeneous,
-        );
-        let mode = VariationMode::WithinDie;
-        let k_env: f64 = std::env::var("BOUND_K")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(3.0);
-        let mut ctx = RunCtx::new(&tree, &model, mode, &sizing);
-        let bounds =
-            crate::bounds::det_bounds(&ctx, mode, k_env, RootSelection::YieldRat(0.95)).unwrap();
-        ctx.bounds = Some(std::sync::Arc::clone(&bounds));
-        let mut governor =
-            Governor::strict(Budget::strict(2_000_000, Duration::from_secs(3600)), 0.0);
-        let mut sup = GovSupervisor {
-            static_rule: Some(&rule),
-            governor: &mut governor,
-        };
-        let mut lists: Vec<Vec<StatSolution>> = vec![Vec::new(); tree.len()];
-        let mut pool = SolPool::default();
-        let mut stats = DpStats::default();
-        let mut margins: Vec<f64> = Vec::new();
-        for id in tree.postorder() {
-            let children: Vec<Vec<StatSolution>> = tree
-                .node(id)
-                .children
-                .iter()
-                .map(|c| std::mem::take(&mut lists[c.index()]))
-                .collect();
-            let sols = process_node(&ctx, &mut sup, id, children, None, &mut pool, &mut stats)
-                .unwrap_or_else(|_| panic!("strict node interrupted"));
-            for s in &sols {
-                let (lo, _) = s.load.envelope(k_env);
-                let (_, hi) = s.rat.envelope(k_env);
-                margins.push(bounds.margin(id, lo, hi));
-            }
-            lists[id.index()] = sols;
-        }
-        margins.sort_by(f64::total_cmp);
-        let pct = |p: f64| margins[((margins.len() - 1) as f64 * p) as usize];
-        eprintln!(
-            "candidates={} retired={} min={:.3} p10={:.3} p50={:.3} p90={:.3} max={:.3}",
-            margins.len(),
-            stats.pruned_by_bound,
-            pct(0.0),
-            pct(0.1),
-            pct(0.5),
-            pct(0.9),
-            pct(1.0)
-        );
     }
 }

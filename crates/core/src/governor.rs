@@ -165,10 +165,11 @@ impl Budget {
     }
 
     /// Whether any axis of this budget is finite — i.e. resource
-    /// pressure can actually trigger degradation. Bound-guided pruning
-    /// disarms itself on governed runs where this is `true`: shrinking
-    /// candidate lists would shift *when* the governor degrades, and a
-    /// degraded run's output legitimately depends on that timing.
+    /// pressure can actually trigger degradation. The Li–Shi skip and
+    /// lazy wire propagation disarm themselves on governed runs where
+    /// this is `true`: changing list sizes or footprints would shift
+    /// *when* the governor degrades, and a degraded run's output
+    /// legitimately depends on that timing.
     #[must_use]
     pub fn constrains_run(&self) -> bool {
         self.soft_solutions != usize::MAX

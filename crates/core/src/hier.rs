@@ -26,8 +26,7 @@
 //! delegates to [`optimize_governed_detailed`] and is byte-identical to
 //! it; with decomposition on, the root objective is within an epsilon
 //! bounded by the splice parameters (pinned by the `hier_oracle`
-//! suite). Bound-guided pruning stays off on the decomposed path — its
-//! deterministic anchor presumes the flat fixpoint.
+//! suite).
 
 use crate::dp::{
     guard_cascade, materialize_list, optimize_governed_detailed, process_node, select_winner,
@@ -282,9 +281,8 @@ pub fn optimize_hier(
         governor = governor.with_clock(c);
     }
 
-    // Bounds stay off (flat-fixpoint anchor; see module docs). Li–Shi
-    // is list-neutral and arms under the same condition as the flat
-    // engine: only when the run cannot degrade.
+    // Li–Shi is list-neutral and arms under the same condition as the
+    // flat engine: only when the run cannot degrade.
     let mut ctx = RunCtx::new(tree, model, mode, sizing);
     ctx.lishi = options.use_lishi && !budget.constrains_run();
     // Lazy wire propagation arms under the same no-degradation condition

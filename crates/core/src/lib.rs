@@ -60,7 +60,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub(crate) mod bounds;
 pub mod cache;
 pub mod criticality;
 pub mod design;

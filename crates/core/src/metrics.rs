@@ -33,16 +33,13 @@ pub struct DpStats {
     /// Time spent offering buffers at candidate nodes. Summed across
     /// workers in parallel runs.
     pub buffer_time: Duration,
-    /// Solutions retired by the deterministic upstream bound before any
-    /// dominance sweep saw them (0 when bounding is off or disarmed).
+    /// Always 0: the engine has no bound-guided pruning (see DESIGN.md).
+    /// Kept only because the end-to-end benchmark reads it.
     pub pruned_by_bound: usize,
-    /// Solutions removed by dominance pruning (the keyed 2P/4P sweeps) —
-    /// together with `pruned_by_bound` this partitions the predictive
-    /// share of `solutions_pruned` from the comparative share.
+    /// Solutions removed by dominance pruning (the keyed 2P/4P sweeps).
     pub pruned_by_dominance: usize,
-    /// Time spent testing candidates against the deterministic bounds,
-    /// including the preorder bound construction. Summed across workers
-    /// in parallel runs.
+    /// Always zero, like [`pruned_by_bound`](Self::pruned_by_bound), and
+    /// kept for the same reason.
     pub bound_time: Duration,
     /// Buffered-candidate generations the Li–Shi precheck skipped: the
     /// candidate's predicted keys were already shadowed by a listed
@@ -76,10 +73,6 @@ pub struct DpStats {
     /// Nodes the incremental engine had to recompute — the dirty set.
     /// Equals `nodes_processed` on the incremental path; 0 elsewhere.
     pub cache_misses: usize,
-    /// Candidate nodes where the deterministic bound pass was skipped
-    /// because the subtree probe had already disarmed it (the anchor
-    /// invocations retired nothing).
-    pub bound_skipped: usize,
 }
 
 impl DpStats {
@@ -107,17 +100,15 @@ impl DpStats {
     #[must_use]
     pub fn phase_summary(&self) -> String {
         format!(
-            "wire {:.1}ms, merge {:.1}ms, prune {:.1}ms, buffering {:.1}ms, bounds {:.1}ms \
-             (of {:.1}ms total; cache {}/{} hit/miss, {} bound-skipped)",
+            "wire {:.1}ms, merge {:.1}ms, prune {:.1}ms, buffering {:.1}ms \
+             (of {:.1}ms total; cache {}/{} hit/miss)",
             self.wire_time.as_secs_f64() * 1e3,
             self.merge_time.as_secs_f64() * 1e3,
             self.prune_time.as_secs_f64() * 1e3,
             self.buffer_time.as_secs_f64() * 1e3,
-            self.bound_time.as_secs_f64() * 1e3,
             self.runtime.as_secs_f64() * 1e3,
             self.cache_hits,
             self.cache_misses,
-            self.bound_skipped,
         )
     }
 
@@ -132,7 +123,6 @@ impl DpStats {
         self.wire_time = Duration::ZERO;
         self.prune_time = Duration::ZERO;
         self.buffer_time = Duration::ZERO;
-        self.bound_time = Duration::ZERO;
         self.jobs_requested = 0;
         self.jobs_effective = 0;
         self
@@ -154,9 +144,7 @@ impl DpStats {
         self.wire_time += other.wire_time;
         self.prune_time += other.prune_time;
         self.buffer_time += other.buffer_time;
-        self.pruned_by_bound += other.pruned_by_bound;
         self.pruned_by_dominance += other.pruned_by_dominance;
-        self.bound_time += other.bound_time;
         self.lishi_skipped += other.lishi_skipped;
         self.jobs_requested = self.jobs_requested.max(other.jobs_requested);
         self.jobs_effective = self.jobs_effective.max(other.jobs_effective);
@@ -167,7 +155,6 @@ impl DpStats {
         self.panic_completion |= other.panic_completion;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
-        self.bound_skipped += other.bound_skipped;
     }
 }
 

@@ -2006,9 +2006,8 @@ mod tests {
                 tree.sinks().nth(2).unwrap()
             };
             let mut out = Vec::new();
-            // 2P/1P only: unconstrained 4P is intractable at this size
-            // (the bounds oracle caps it at 6 sinks); the fuzz oracle
-            // covers 4P replay identity on small nets.
+            // 2P/1P only: unconstrained 4P is intractable at this size;
+            // the fuzz oracle covers 4P replay identity on small nets.
             for (rule, rat) in [
                 (RuleChoice::TwoP, 100.0),
                 (RuleChoice::OneP, 250.0),

@@ -47,8 +47,8 @@ pub struct StatSolution {
     /// into `rat` eagerly but whose term coupling
     /// `rat ← rat − (Σrᵢ)·load` (terms only) is still pending. `0.0`
     /// means the solution is fully materialized; every consumer of the
-    /// RAT's *sensitivities* (merge, buffer, σ envelopes, winner
-    /// selection) must materialize first. Load terms are invariant under
+    /// RAT's *sensitivities* (merge, buffer, winner selection) must
+    /// materialize first. Load terms are invariant under
     /// wire extension, so one scalar captures the whole deferred chain
     /// exactly.
     pub wire_pending: f64,

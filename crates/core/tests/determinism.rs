@@ -8,7 +8,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 use varbuf_core::dp::{
-    optimize_governed, optimize_with_rule, DpOptions, GovernedResult, StatResult,
+    fallback_cascade, optimize_governed, optimize_governed_detailed, optimize_with_rule,
+    optimize_with_sizing, DpOptions, GovernedResult, RunControls, StatResult, WireSizing,
 };
 use varbuf_core::governor::Budget;
 use varbuf_core::pool::{optimize_batch, BatchRequest};
@@ -436,4 +437,162 @@ fn batch_is_bit_identical_to_serial_loop_and_order_preserving() {
         serial.last().expect("non-empty").is_err(),
         "failing request must error in both"
     );
+}
+
+/// A root-RAT result pinned bit for bit on one oracle tree.
+struct Pin {
+    rule: &'static str,
+    sinks: usize,
+    seed: u64,
+    kind: SpatialKind,
+    mode: VariationMode,
+    sized: bool,
+    mean_bits: u64,
+    variance_bits: u64,
+    assignment: &'static [(u32, usize)],
+    /// Non-default wire widths, as `(node, width index)`.
+    widened: &'static [(u32, u8)],
+}
+
+/// Results recorded while the engine still ran bound-guided pruning by
+/// default: deterministic upstream bounds that retired candidates
+/// before the dominance sweep (removed because on every benchmark
+/// workload it retired nothing, at a quarter of the run time on
+/// wire-heavy nets; see DESIGN.md). These are the shallow oracle trees
+/// where the filter did fire (23–345 retirements per run). That the
+/// pins still hold without it shows the removal changed no result
+/// even where the filter used to act.
+#[rustfmt::skip]
+const BOUND_ERA_PINS: [Pin; 6] = [
+    Pin {
+        rule: "1P", sinks: 40, seed: 0x9E37_79B9, sized: false,
+        kind: SpatialKind::Heterogeneous, mode: VariationMode::WithinDie,
+        mean_bits: 0xc07f_a1be_e9f6_aba2, variance_bits: 0x406a_656c_344d_cfcd,
+        assignment: &[
+            (1, 2), (41, 2), (61, 2), (75, 2), (72, 1), (62, 2), (42, 2), (52, 2), (43, 2),
+            (2, 2), (22, 2), (32, 2), (36, 2), (33, 2), (23, 2), (3, 2), (17, 2), (14, 1),
+            (4, 2),
+        ],
+        widened: &[],
+    },
+    Pin {
+        rule: "2P", sinks: 40, seed: 0x85EB_CA6B, sized: false,
+        kind: SpatialKind::Homogeneous, mode: VariationMode::WithinDie,
+        mean_bits: 0xc082_b926_e86c_d8a3, variance_bits: 0x4069_628b_b82e_6312,
+        assignment: &[
+            (1, 2), (41, 2), (61, 0), (71, 2), (62, 1), (42, 2), (52, 0), (56, 2), (53, 1),
+            (43, 2), (49, 2), (48, 0), (44, 1), (2, 1), (22, 1), (32, 2), (23, 2), (3, 2),
+            (17, 2), (14, 0), (4, 2),
+        ],
+        widened: &[],
+    },
+    Pin {
+        rule: "2P9", sinks: 40, seed: 0xC2B2_AE35, sized: false,
+        kind: SpatialKind::Heterogeneous, mode: VariationMode::WithinDie,
+        mean_bits: 0xc080_6e75_f4de_d2b1, variance_bits: 0x406c_0c65_65a0_1fe4,
+        assignment: &[
+            (1, 2), (41, 2), (61, 2), (75, 2), (72, 1), (62, 2), (66, 2), (63, 2), (42, 2),
+            (56, 2), (53, 2), (43, 2), (2, 1), (22, 1), (32, 2), (23, 2), (3, 2), (13, 2),
+            (4, 2),
+        ],
+        widened: &[],
+    },
+    Pin {
+        rule: "2P9", sinks: 40, seed: 0x85EB_CA6B, sized: false,
+        kind: SpatialKind::Homogeneous, mode: VariationMode::DieToDie,
+        mean_bits: 0xc082_ea51_4f2c_2ba6, variance_bits: 0x4063_a687_e945_b41a,
+        assignment: &[
+            (1, 2), (41, 2), (61, 0), (71, 2), (62, 1), (42, 2), (52, 0), (56, 2), (53, 1),
+            (43, 2), (49, 2), (48, 0), (44, 1), (2, 1), (22, 1), (32, 2), (23, 2), (3, 2),
+            (17, 2), (14, 0), (4, 2),
+        ],
+        widened: &[],
+    },
+    Pin {
+        rule: "4P", sinks: 6, seed: 0x85EB_CA6B, sized: false,
+        kind: SpatialKind::Homogeneous, mode: VariationMode::WithinDie,
+        mean_bits: 0xc064_9a9e_cd9b_3b27, variance_bits: 0x4034_3af9_2f35_052e,
+        assignment: &[(7, 2), (2, 2)],
+        widened: &[],
+    },
+    Pin {
+        rule: "2P", sinks: 40, seed: 0x85EB_CA6B, sized: true,
+        kind: SpatialKind::Heterogeneous, mode: VariationMode::WithinDie,
+        mean_bits: 0xc082_e02c_9d4c_fe44, variance_bits: 0x4064_399e_7a4b_0b60,
+        assignment: &[
+            (1, 2), (41, 2), (61, 0), (71, 2), (62, 1), (42, 2), (52, 1), (56, 2), (53, 1),
+            (47, 2), (44, 0), (2, 1), (22, 1), (32, 2), (23, 2), (3, 2), (17, 2), (14, 0),
+            (4, 2),
+        ],
+        widened: &[(75, 1), (43, 1), (49, 1)],
+    },
+];
+
+#[test]
+fn results_where_bound_pruning_fired_are_pinned() {
+    for pin in &BOUND_ERA_PINS {
+        let rule: Arc<dyn PruningRule> = match pin.rule {
+            "1P" => Arc::new(OneParam::default()),
+            "2P" => Arc::new(TwoParam::default()),
+            "2P9" => Arc::new(TwoParam::new(0.9, 0.9)),
+            "4P" => Arc::new(FourParam::default()),
+            other => unreachable!("no rule {other}"),
+        };
+        let (name, sizing) = if pin.sized {
+            ("oracle-sized", WireSizing::default_three())
+        } else {
+            ("oracle", WireSizing::single())
+        };
+        let tree = generate_benchmark(&BenchmarkSpec::random(name, pin.sinks, pin.seed));
+        let model = ProcessModel::paper_defaults(tree.bounding_box(), pin.kind);
+        let strict = optimize_with_sizing(
+            &tree,
+            &model,
+            pin.mode,
+            rule.as_ref(),
+            &sizing,
+            &DpOptions::default(),
+        )
+        .expect("strict run");
+        // The governed engine with the parallel fan-out forced: the same
+        // pin must hold on every path the filter used to arm on.
+        let governed = optimize_governed_detailed(
+            &tree,
+            &model,
+            pin.mode,
+            fallback_cascade(Arc::clone(&rule)),
+            &sizing,
+            &DpOptions {
+                jobs: 4,
+                jobs_force: true,
+                ..DpOptions::default()
+            },
+            &Budget::unlimited(),
+            RunControls::default(),
+        )
+        .expect("governed run")
+        .result;
+        for (path, r) in [("strict", &strict), ("governed", &governed)] {
+            let label = format!(
+                "{}/{}/seed{:x}/{:?}/{:?}/{path}",
+                pin.rule, name, pin.seed, pin.kind, pin.mode
+            );
+            assert_eq!(r.root_rat.mean().to_bits(), pin.mean_bits, "{label}: mean");
+            assert_eq!(
+                r.root_rat.variance().to_bits(),
+                pin.variance_bits,
+                "{label}: variance"
+            );
+            let assignment: Vec<(u32, usize)> =
+                r.assignment.iter().map(|&(n, b)| (n.0, b.0)).collect();
+            assert_eq!(assignment, pin.assignment, "{label}: assignment");
+            let widened: Vec<(u32, u8)> = r
+                .wire_widths
+                .iter()
+                .filter(|&&(_, w)| w != 0)
+                .map(|&(n, w)| (n.0, w))
+                .collect();
+            assert_eq!(widened, pin.widened, "{label}: wire widths");
+        }
+    }
 }

@@ -141,7 +141,7 @@ fn assert_equal_objective(label: &str, on: &StatResult, off: &StatResult) {
     );
 
     // Solution-count identity: bit-identical means drive every keyed
-    // prune, Li–Shi prediction, and bound test, so the survivor sets —
+    // prune and Li–Shi prediction, so the survivor sets —
     // not just the winner — must agree exactly.
     let (a, b) = (&on.stats, &off.stats);
     assert_eq!(a.nodes_processed, b.nodes_processed, "{label}: nodes");
@@ -156,10 +156,6 @@ fn assert_equal_objective(label: &str, on: &StatResult, off: &StatResult) {
     assert_eq!(
         a.max_solutions_per_node, b.max_solutions_per_node,
         "{label}: peak list size"
-    );
-    assert_eq!(
-        a.pruned_by_bound, b.pruned_by_bound,
-        "{label}: bound retirements"
     );
     assert_eq!(
         a.pruned_by_dominance, b.pruned_by_dominance,

@@ -2,8 +2,8 @@
 //!
 //! The skip (see `DpOptions::use_lishi`) predicts a buffered candidate's
 //! scalar keys before building its canonical forms and drops it when a
-//! listed solution already shadows it under the keyed prune sweep. Like
-//! bounding, it is sold as a *pure speedup*: toggling it must never
+//! listed solution already shadows it under the keyed prune sweep. It
+//! is sold as a *pure speedup*: toggling it must never
 //! change what the engine returns — not the winning assignment, not the
 //! wire widths, not one bit of the root RAT's canonical form. This
 //! suite replays the repo's 336-case verification matrix (rules ×
@@ -12,7 +12,7 @@
 //! byte-for-byte identity, then checks the skip actually fired
 //! somewhere (a vacuous pass would prove nothing).
 //!
-//! Arming is narrower than bounding's: besides disarming under a
+//! Arming is narrow: besides disarming under a
 //! degradable (pressured) governor, the skip only runs for rules whose
 //! scalar keys are plain means — in this matrix, the default 2P rule.
 //! Percentile-keyed rules (1P, 2P9) and the 4P partial order must

@@ -170,16 +170,6 @@ impl CanonicalForm {
         self.variance().sqrt()
     }
 
-    /// The `±k·σ` envelope `(mean − k·σ, mean + k·σ)` — the optimistic
-    /// and pessimistic excursions a bound-guided pruner tests against a
-    /// deterministic cutoff. With `k = 0` both ends are the mean.
-    #[inline]
-    #[must_use]
-    pub fn envelope(&self, k: f64) -> (f64, f64) {
-        let spread = k * self.std_dev();
-        (self.nominal - spread, self.nominal + spread)
-    }
-
     /// Covariance with another form: `Σ aᵢ·bᵢ` over shared sources.
     #[must_use]
     pub fn covariance(&self, other: &Self) -> f64 {
@@ -734,17 +724,6 @@ mod tests {
         assert_eq!(c.mean(), 4.2);
         assert_eq!(c.variance(), 0.0);
         assert_eq!(c.term_count(), 0);
-    }
-
-    #[test]
-    fn envelope_brackets_the_mean() {
-        let f = form(10.0, &[(0, 3.0), (1, 4.0)]); // σ = 5
-        assert_eq!(f.envelope(0.0), (10.0, 10.0));
-        let (lo, hi) = f.envelope(2.0);
-        assert!((lo - 0.0).abs() < 1e-12);
-        assert!((hi - 20.0).abs() < 1e-12);
-        // A constant's envelope is degenerate at any k.
-        assert_eq!(CanonicalForm::constant(-3.0).envelope(6.0), (-3.0, -3.0));
     }
 
     #[test]

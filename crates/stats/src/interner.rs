@@ -2,8 +2,8 @@
 //!
 //! The DP's sparse canonical forms pay a branchy sorted-merge per binary
 //! operation. For workloads that evaluate moments over *whole solution
-//! lists* — batched covariance, variance sweeps, envelope dominance,
-//! representation cross-checks — a denser layout wins: a per-run
+//! lists* — batched covariance, variance sweeps, representation
+//! cross-checks — a denser layout wins: a per-run
 //! [`TermInterner`] maps every live [`SourceId`] to a dense column index,
 //! so a form becomes a fixed-stride `f64` row ([`ColumnForm`]) and a list
 //! of forms becomes a contiguous row-major matrix ([`FormBatch`]) whose
@@ -47,7 +47,7 @@
 //!
 //! The DP engine itself never consumes lane-kernel moments — its pruning
 //! and merging stay on the sparse forms — so the engine's own bitwise
-//! oracles (`determinism`, `bounds_oracle`, `lishi_oracle`) are
+//! oracles (`determinism`, `lishi_oracle`) are
 //! unaffected by the schedule change.
 //!
 //! # Term-set interning
@@ -432,15 +432,6 @@ impl ColumnForm {
     pub fn columns(&self) -> &[f64] {
         &self.cols
     }
-
-    /// The `±k·σ` envelope `(mean − k·σ, mean + k·σ)` of this row —
-    /// matches [`CanonicalForm::envelope`] bitwise (sparse-parity
-    /// variance).
-    #[must_use]
-    pub fn envelope(&self, k: f64) -> (f64, f64) {
-        let spread = k * self.variance().sqrt();
-        (self.nominal - spread, self.nominal + spread)
-    }
 }
 
 /// Recycles [`ColumnForm`] buffers, the dense analogue of the DP's
@@ -694,8 +685,8 @@ impl FormBatch {
     /// this is the batch form of the lazy-wire materialization
     /// `rat ← rat − p·load` (terms only — the mean was folded eagerly at
     /// deferral time), and one call per solution applies the deferred
-    /// transform *and* yields the σ² the very next consumer (envelope
-    /// test, winner key) would otherwise pay a second traversal for.
+    /// transform *and* yields the σ² the very next consumer (the winner
+    /// key) would otherwise pay a second traversal for.
     /// Bitwise identical to [`lane_axpy_var_ref`] over the padded rows.
     ///
     /// # Panics
@@ -718,55 +709,6 @@ impl FormBatch {
             }
         }
         reduce_lanes(acc)
-    }
-
-    /// Batched `±k·σ` envelopes: `lo[i] = mean[i] − k·σ[i]`,
-    /// `hi[i] = mean[i] + k·σ[i]`, fused with the lane variance sweep.
-    /// The spread arithmetic matches [`ColumnForm::envelope`]'s
-    /// expression with the lane variance in place of the sparse one.
-    pub fn envelopes_into(&self, k: f64, lo: &mut Vec<f64>, hi: &mut Vec<f64>) {
-        lo.clear();
-        hi.clear();
-        for i in 0..self.len() {
-            let mut acc = [0.0f64; LANES];
-            for block in self.row_padded(i).chunks_exact(LANES) {
-                for l in 0..LANES {
-                    acc[l] += block[l] * block[l];
-                }
-            }
-            let spread = k * reduce_lanes(acc).sqrt();
-            lo.push(self.nominals[i] - spread);
-            hi.push(self.nominals[i] + spread);
-        }
-    }
-
-    /// Batched envelope-dominance sweep: `flags[i]` is set when some
-    /// *other* row's pessimistic `k·σ` bound still beats row `i`'s
-    /// optimistic one — `max_{j≠i} lo[j] > hi[i]` (strict, so a row
-    /// never dominates itself through a zero-width envelope). One
-    /// envelope pass plus one max scan: `O(n·width/LANES + n)`, no
-    /// pairwise loop.
-    pub fn envelope_dominated_into(&self, k: f64, flags: &mut Vec<bool>) {
-        let (mut lo, mut hi) = (Vec::new(), Vec::new());
-        self.envelopes_into(k, &mut lo, &mut hi);
-        // Best and runner-up pessimistic bounds, so row `argmax` tests
-        // against the second best instead of itself.
-        let (mut best, mut second, mut arg) = (f64::NEG_INFINITY, f64::NEG_INFINITY, usize::MAX);
-        for (j, &l) in lo.iter().enumerate() {
-            if l > best {
-                second = best;
-                best = l;
-                arg = j;
-            } else if l > second {
-                second = l;
-            }
-        }
-        flags.clear();
-        flags.extend(
-            hi.iter()
-                .enumerate()
-                .map(|(i, &h)| (if i == arg { second } else { best }) > h),
-        );
     }
 }
 
@@ -856,14 +798,6 @@ mod tests {
                     covs[i].to_bits(),
                     lane_dot_ref(batch.row(i), dp.columns()).to_bits()
                 );
-            }
-
-            let (mut lo, mut hi) = (Vec::new(), Vec::new());
-            batch.envelopes_into(1.5, &mut lo, &mut hi);
-            for i in 0..forms.len() {
-                let spread = 1.5 * lane_variance_ref(batch.row(i)).sqrt();
-                assert_eq!(lo[i].to_bits(), (batch.means()[i] - spread).to_bits());
-                assert_eq!(hi[i].to_bits(), (batch.means()[i] + spread).to_bits());
             }
         }
     }
@@ -970,28 +904,6 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn envelope_dominance_flags_strictly_beaten_rows() {
-        let it = TermInterner::new((0..4).map(SourceId));
-        let mut batch = FormBatch::new(&it);
-        // Row 0: mean 10, no spread. Row 1: mean 3, no spread (beaten).
-        // Row 2: mean 9.9, wide spread (not beaten at k=1).
-        batch.push(&it, &CanonicalForm::constant(10.0));
-        batch.push(&it, &CanonicalForm::constant(3.0));
-        batch.push(
-            &it,
-            &CanonicalForm::with_terms(9.9, vec![(SourceId(1), 2.0)]),
-        );
-        let mut flags = Vec::new();
-        batch.envelope_dominated_into(1.0, &mut flags);
-        assert_eq!(flags, vec![false, true, false]);
-        // A solitary row is never dominated (no other row exists).
-        let mut lone = FormBatch::new(&it);
-        lone.push(&it, &CanonicalForm::constant(0.0));
-        lone.envelope_dominated_into(1.0, &mut flags);
-        assert_eq!(flags, vec![false]);
     }
 
     #[test]

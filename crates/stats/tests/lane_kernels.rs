@@ -108,8 +108,6 @@ fn lane_batch_kernels_match_scalar_references_across_seeds() {
             batch.variances_into(&mut vars);
             let mut covs = Vec::new();
             batch.covariances_with_into(&dense_probe, &mut covs);
-            let (mut lo, mut hi) = (Vec::new(), Vec::new());
-            batch.envelopes_into(3.0, &mut lo, &mut hi);
             for i in 0..forms.len() {
                 let label = format!("seed{seed:x}/w{width}/row{i}");
                 let var_ref = lane_variance_ref(batch.row(i));
@@ -118,17 +116,6 @@ fn lane_batch_kernels_match_scalar_references_across_seeds() {
                     covs[i].to_bits(),
                     lane_dot_ref(batch.row(i), dense_probe.columns()).to_bits(),
                     "{label}: covariance"
-                );
-                let spread = 3.0 * var_ref.sqrt();
-                assert_eq!(
-                    lo[i].to_bits(),
-                    (batch.means()[i] - spread).to_bits(),
-                    "{label}: lo"
-                );
-                assert_eq!(
-                    hi[i].to_bits(),
-                    (batch.means()[i] + spread).to_bits(),
-                    "{label}: hi"
                 );
             }
 

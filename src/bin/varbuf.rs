@@ -41,18 +41,17 @@ fn main() -> ExitCode {
             default_hook(info);
         }
     }));
-    let run = std::panic::catch_unwind(|| match args.first().map(String::as_str) {
-        Some("gen") => cmd_gen(&args[1..]),
-        Some("info") => cmd_info(&args[1..]),
-        Some("opt") => cmd_opt(&args[1..]),
-        Some("cts") => cmd_cts(&args[1..]),
-        Some("skew") => cmd_skew(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("help") | None => {
+    let run = std::panic::catch_unwind(|| match args.split_first() {
+        Some((cmd, rest)) if cmd != "help" => {
+            let (run, flags) = subcommand(cmd)
+                .ok_or_else(|| format!("unknown subcommand `{cmd}` (try `varbuf help`)"))?;
+            check_flags(cmd, rest, flags)?;
+            run(rest)
+        }
+        _ => {
             print_usage();
             Ok(Outcome::Clean)
         }
-        Some(other) => Err(format!("unknown subcommand `{other}` (try `varbuf help`)")),
     });
     match run {
         Ok(Ok(Outcome::Clean)) => ExitCode::SUCCESS,
@@ -76,6 +75,97 @@ fn main() -> ExitCode {
     }
 }
 
+/// A subcommand's entry point and the flags it accepts, each as
+/// `(flag, takes_value)`.
+type Subcommand = (
+    fn(&[String]) -> Result<Outcome, String>,
+    &'static [(&'static str, bool)],
+);
+
+fn subcommand(name: &str) -> Option<Subcommand> {
+    Some(match name {
+        "gen" => (cmd_gen, &[("--subdivide", true), ("-o", true)]),
+        "info" => (cmd_info, &[]),
+        "opt" => (
+            cmd_opt,
+            &[
+                ("--mode", true),
+                ("--spatial", true),
+                ("--rule", true),
+                ("--p", true),
+                ("--sizing", false),
+                ("--mc", true),
+                ("--degrade", false),
+                ("--budget-solutions", true),
+                ("--budget-time", true),
+                ("--budget-mem", true),
+                ("--jobs", true),
+                ("--jobs-force", false),
+                ("--no-lishi", false),
+                ("--no-lazy-wire", false),
+            ],
+        ),
+        "skew" => (cmd_skew, &[("--spatial", true)]),
+        "cts" => (
+            cmd_cts,
+            &[
+                ("--levels", true),
+                ("--spatial", true),
+                ("--rule", true),
+                ("--p", true),
+                ("--skew-target", true),
+                ("--flat", false),
+                ("--cut-nodes", true),
+                ("--fanout-cut", true),
+                ("--budget-solutions", true),
+                ("--budget-time", true),
+                ("--budget-mem", true),
+            ],
+        ),
+        "serve" => (
+            cmd_serve,
+            &[
+                ("--jobs", true),
+                ("--watchdog", true),
+                ("--max-sessions", true),
+                ("--queue-soft", true),
+                ("--queue-hard", true),
+                ("--faults", false),
+                ("--no-cache", false),
+                ("--budget-solutions", true),
+                ("--budget-time", true),
+                ("--budget-mem", true),
+            ],
+        ),
+        _ => return None,
+    })
+}
+
+/// Rejects any `-`-prefixed argument `cmd` does not accept, so a typo
+/// (or a retired flag) is an error instead of a silent no-op. The
+/// argument after a flag that takes a value is that value, not a flag:
+/// `--budget-time -3` reaches the budget parser and its own message.
+fn check_flags(cmd: &str, args: &[String], accepted: &[(&str, bool)]) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with('-') {
+            continue;
+        }
+        match accepted.iter().find(|(flag, _)| flag == arg) {
+            Some((_, true)) => {
+                rest.next();
+            }
+            Some((_, false)) => {}
+            None => {
+                return Err(format!(
+                    "unknown flag `{arg}` for `varbuf {cmd}` (try `varbuf help`)"
+                ))
+            }
+        }
+    }
+    Ok(())
+}
+
 fn print_usage() {
     println!(
         "varbuf — variation-aware buffer insertion
@@ -89,13 +179,10 @@ usage:
                   [--rule 2p|4p|1p] [--p THRESH] [--sizing] [--mc SAMPLES]
                   [--degrade] [--budget-solutions N] [--budget-time SECS]
                   [--budget-mem MB] [--jobs N] [--jobs-force]
-                  [--no-bounds] [--no-lishi] [--no-lazy-wire]
+                  [--no-lishi] [--no-lazy-wire]
       --jobs N: worker threads for the DP (0 = all cores); results are
                 bit-identical to --jobs 1. Requests beyond the host's
                 available parallelism are clamped unless --jobs-force.
-      --no-bounds: disable bound-guided predictive pruning (the
-                deterministic preorder bounds that retire hopeless
-                candidates early); results are bit-identical either way
       --no-lishi: disable the Li–Shi generation skip (predicted-key
                 predecessor dominance that avoids building candidates
                 the next sweep would discard); results are bit-identical
@@ -106,8 +193,9 @@ usage:
                 the objective agrees to ~1e-9 relative
   varbuf skew FILE [--spatial homog|hetero]
   varbuf cts [--levels N] [--spatial homog|hetero] [--rule 2p|4p|1p]
-             [--skew-target PS] [--flat] [--cut-nodes N] [--fanout-cut N]
-             [--budget-solutions N] [--budget-time SECS] [--budget-mem MB]
+             [--p THRESH] [--skew-target PS] [--flat] [--cut-nodes N]
+             [--fanout-cut N] [--budget-solutions N] [--budget-time SECS]
+             [--budget-mem MB]
       clock-tree pipeline: generate an H-tree with 2^N sinks
       (default N=10), buffer it variation-aware (WID) through the
       hierarchical engine, and score the result against skew targets.
@@ -337,9 +425,6 @@ fn cmd_opt(args: &[String]) -> Result<Outcome, String> {
             .parse()
             .map_err(|_| "--jobs needs an integer".to_owned())?;
         options.dp.jobs = if n == 0 { default_jobs() } else { n };
-    }
-    if has_flag(args, "--no-bounds") {
-        options.dp.use_bounds = false;
     }
     if has_flag(args, "--no-lishi") {
         options.dp.use_lishi = false;

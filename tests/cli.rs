@@ -378,3 +378,104 @@ fn opt_rejects_bad_p_threshold_gracefully() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn unknown_and_retired_flags_exit_one_naming_the_flag() {
+    let dir = std::env::temp_dir().join(format!("varbuf-cli-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let tree_path = dir.join("net.tree");
+    let tree = tree_path.to_str().expect("utf8 path");
+    let (ok, ..) = run(&["gen", "random:10:1", "-o", tree]);
+    assert!(ok);
+    for (args, flag) in [
+        // Retired with bound-guided pruning: an error, not a no-op.
+        (&["opt", tree, "--no-bounds"][..], "--no-bounds"),
+        // A typo of a real flag must not run with the default.
+        (&["opt", tree, "--no-lazy-wrie"], "--no-lazy-wrie"),
+        // Flags are per subcommand: `--jobs` belongs to opt and serve.
+        (&["skew", tree, "--jobs", "2"], "--jobs"),
+        (&["info", tree, "-x"], "-x"),
+        (&["gen", "r1", "--subdivde", "500"], "--subdivde"),
+        (&["cts", "--levels", "2", "--degrade"], "--degrade"),
+    ] {
+        let (code, stdout, stderr) = run_code(args);
+        assert_eq!(code, 1, "{args:?}: {stdout}{stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "{args:?}: {stderr}"
+        );
+        assert!(stdout.is_empty(), "{args:?} ran anyway: {stdout}");
+    }
+    let (code, _, stderr) = serve(&["--no-cahce"], "quit\n");
+    assert_eq!(code, 1);
+    assert!(stderr.contains("unknown flag `--no-cahce`"), "{stderr}");
+
+    // A value that looks like a flag is still the key's value.
+    let (code, _, stderr) = run_code(&["opt", tree, "--budget-time", "-3"]);
+    assert_eq!(code, 1);
+    assert!(!stderr.contains("unknown flag"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The flags a subcommand's synopsis in `varbuf help` lists: every
+/// `[-flag …]` group from its `varbuf <cmd>` line up to the next one.
+fn usage_flags(usage: &str) -> Vec<(String, Vec<String>)> {
+    let mut sections: Vec<(String, Vec<String>)> = Vec::new();
+    for line in usage.lines() {
+        if line.starts_with("exit codes") {
+            break;
+        }
+        if let Some(rest) = line.strip_prefix("  varbuf ") {
+            let cmd = rest.split_whitespace().next().expect("subcommand name");
+            sections.push((cmd.to_owned(), Vec::new()));
+        }
+        let Some((_, flags)) = sections.last_mut() else {
+            continue;
+        };
+        for group in line.split('[').skip(1) {
+            let token = group.split([' ', ']']).next().unwrap_or("");
+            if token.starts_with('-') {
+                flags.push(token.to_owned());
+            }
+        }
+    }
+    sections
+}
+
+#[test]
+fn every_flag_in_the_usage_is_accepted() {
+    let (ok, usage, _) = run(&["help"]);
+    assert!(ok);
+    let sections = usage_flags(&usage);
+    let names: Vec<&str> = sections.iter().map(|(c, _)| c.as_str()).collect();
+    assert_eq!(names, ["gen", "info", "opt", "skew", "cts", "serve"]);
+    let mut checked = 0;
+    for (cmd, flags) in &sections {
+        // Arguments that make each subcommand fail right after flag
+        // validation, before any real work (the first occurrence of a
+        // key wins, so a probed `--levels`/`--max-sessions` is moot).
+        let fail_fast: &[&str] = match cmd.as_str() {
+            "gen" => &["no-such-benchmark"],
+            "cts" => &["--levels", "0"],
+            "serve" => &["--max-sessions", "0"],
+            _ => &["/nonexistent/never.tree"],
+        };
+        for flag in flags {
+            // A value after every flag: for a switch it is just a stray
+            // positional, which validation ignores.
+            let mut args = vec![cmd.as_str()];
+            args.extend_from_slice(fail_fast);
+            args.extend([flag.as_str(), "1"]);
+            let out = varbuf()
+                .args(&args)
+                .stdin(Stdio::null())
+                .output()
+                .expect("binary runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(!stderr.contains("unknown flag"), "{args:?}: {stderr}");
+            checked += 1;
+        }
+    }
+    assert!(checked >= 30, "only {checked} usage flags found");
+}
