@@ -4,8 +4,9 @@
 #   2. lints             (cargo clippy, warnings are errors)
 #   3. tier-1 build+test (the full offline workspace suite)
 #   4. service smoke     (varbuf serve over a scripted request mix with
-#                         an injected panic: the service must contain the
-#                         crash and shut down cleanly)
+#                         injected panics in a flat and a hierarchical
+#                         run: the service must contain both crashes and
+#                         shut down cleanly)
 #   5. smoke bench       (scaling bench, shrunk via VARBUF_BENCH_SMOKE,
 #                         must emit a parseable target/BENCH_dp.smoke.json
 #                         whose headline ratio stays under the checked-in
@@ -34,8 +35,8 @@ cargo build --workspace
 echo "==> cargo test --workspace"
 cargo test --workspace
 
-echo "==> service smoke (varbuf serve: scripted mix with an injected panic)"
-SERVE_OUT=$(printf 'ping\nopen random:8:7\nedit wire s0.0 1 140\nopt s0.0\ncts s0.0 cut-nodes=12\ninject panic 3\nopt s0.0\nopt s0.0\nclose s0.0\nstats\nquit\n' \
+echo "==> service smoke (varbuf serve: scripted mix with injected panics)"
+SERVE_OUT=$(printf 'ping\nopen random:8:7\nedit wire s0.0 1 140\nopt s0.0\ncts s0.0 cut-nodes=12\ninject panic 3\nopt s0.0\nopt s0.0\nclose s0.0\nopen random:8:7\ninject panic 5\ncts s0.1 cut-nodes=12\nstats\nquit\n' \
   | ./target/debug/varbuf serve --faults --watchdog 10 2>/dev/null)
 echo "$SERVE_OUT" | sed 's/^/    /'
 echo "$SERVE_OUT" | grep -q '^ok edit'           || { echo "serve smoke: edit ack missing" >&2; exit 1; }
@@ -43,7 +44,7 @@ echo "$SERVE_OUT" | grep -q '^ok opt id=1'       || { echo "serve smoke: clean o
 echo "$SERVE_OUT" | grep -q '^ok opt id=2'       || { echo "serve smoke: hierarchical cts optimize missing" >&2; exit 1; }
 echo "$SERVE_OUT" | grep -q '^err internal'      || { echo "serve smoke: contained panic missing" >&2; exit 1; }
 echo "$SERVE_OUT" | grep -q '^err poisoned'      || { echo "serve smoke: poisoned-session error missing" >&2; exit 1; }
-echo "$SERVE_OUT" | grep -q 'panics=1'           || { echo "serve smoke: stats missed the contained panic" >&2; exit 1; }
+echo "$SERVE_OUT" | grep -q 'panics=2'           || { echo "serve smoke: stats missed a contained panic (the hierarchical cts run must fire its fault too)" >&2; exit 1; }
 echo "$SERVE_OUT" | tail -1 | grep -q '^ok bye$' || { echo "serve smoke: no clean shutdown" >&2; exit 1; }
 
 echo "==> smoke bench (VARBUF_BENCH_SMOKE=1 cargo bench --bench scaling)"
@@ -72,16 +73,6 @@ if not isinstance(v, (int, float)) or not math.isfinite(v) or v < 0:
 for key in ('stat_vs_det_ratio_sinks', 'jobs_requested', 'jobs_effective'):
     v = r.get(key)
     if not isinstance(v, (int, float)) or not math.isfinite(v) or v < 1:
-        sys.exit(f'{path}: {key} missing or not a finite positive number')
-# Li-Shi and lane-kernel telemetry: counters non-negative, speedups
-# finite and positive (they may dip below 1.0 on a noisy host — the
-# ratchet below is the regression gate, these are schema checks).
-if not isinstance(r.get('lishi_skipped'), int) or r['lishi_skipped'] < 0:
-    sys.exit(f'{path}: lishi_skipped missing or negative')
-for key in ('lishi_speedup_stat', 'lishi_speedup_det',
-            'lane_variance_speedup', 'lane_covariance_speedup'):
-    v = r.get(key)
-    if not isinstance(v, (int, float)) or not math.isfinite(v) or v <= 0:
         sys.exit(f'{path}: {key} missing or not a finite positive number')
 # Ratchet: the statistical/deterministic gap must not regress past the
 # checked-in ceiling. The smoke ratio is noisy and measured at a small
@@ -121,9 +112,8 @@ if not isinstance(shed, (int, float)) or shed < 1:
     sys.exit(f'{path}: service_shed missing or zero')
 # Incremental re-optimization: the cached edit→opt loop must beat the
 # cold rerun by at least the ratchet floor (smoke sizes are small, so
-# the floor is far below the full-size target), the warm side must have
-# actually replayed (hit rate in (0, 1]), and the scatter-plan interner
-# counters must be present.
+# the floor is far below the full-size target), and the warm side must
+# have actually replayed (hit rate in (0, 1]).
 speedup = r.get('incremental_speedup')
 if not isinstance(speedup, (int, float)) or not math.isfinite(speedup) or speedup <= 0:
     sys.exit(f'{path}: incremental_speedup missing or not a finite positive number')
@@ -136,10 +126,6 @@ hit_rate = r.get('cache_hit_rate')
 if not isinstance(hit_rate, (int, float)) or not math.isfinite(hit_rate) \
         or hit_rate <= 0 or hit_rate > 1:
     sys.exit(f'{path}: cache_hit_rate missing or outside (0, 1]')
-for key in ('scatter_plan_hits', 'scatter_plan_misses'):
-    v = r.get(key)
-    if not isinstance(v, (int, float)) or not math.isfinite(v) or v < 0:
-        sys.exit(f'{path}: {key} missing or not a finite non-negative number')
 # Clock-tree pipeline: both hierarchical wall-clock points must be
 # present and positive, and the parked-frontier byte peak the governor
 # observed must fit inside the budget the run was governed under.
@@ -158,8 +144,8 @@ if r['peak_chunk_bytes'] <= 0:
     sys.exit(f'{path}: peak_chunk_bytes is zero — the decomposition '
              'never parked a frontier, so the streaming path went unexercised')
 groups = {b.get('group') for b in r.get('benches', [])}
-for required in ('canonical_kernels', 'dp_scaling', 'service', 'lishi',
-                 'lane_kernels', 'incremental', 'clock_cts', 'wire_heavy'):
+for required in ('canonical_kernels', 'dp_scaling', 'service', 'incremental',
+                 'clock_cts', 'wire_heavy'):
     if required not in groups:
         sys.exit(f'{path}: {required} bench group missing')
 print(f'{path} ok: stat_vs_det_ratio={ratio:.2f}, '
@@ -221,8 +207,7 @@ if phase_sum > 1.5 * r['wall_ns']:
     sys.exit(f'profile_stat: phase timers ({phase_sum:.0f} ns) wildly exceed '
              f'the wall clock ({r["wall_ns"]:.0f} ns) — attribution is broken')
 for key in ('sinks', 'nodes_processed', 'solutions_generated',
-            'solutions_pruned', 'pruned_by_dominance',
-            'lishi_skipped', 'max_solutions_per_node',
+            'solutions_pruned', 'pruned_by_dominance', 'max_solutions_per_node',
             'jobs_requested', 'jobs_effective'):
     v = r.get(key)
     if not isinstance(v, (int, float)) or not math.isfinite(v) or v < 0:
@@ -230,8 +215,7 @@ for key in ('sinks', 'nodes_processed', 'solutions_generated',
 if r['solutions_generated'] < 1 or r['nodes_processed'] < 1:
     sys.exit('profile_stat: counters say the run did no work')
 print(f"profile_stat ok: wall {r['wall_ns']/1e6:.2f} ms, phases "
-      f"{phase_sum/1e6:.2f} ms, {int(r['solutions_generated'])} generated, "
-      f"{int(r['lishi_skipped'])} lishi-skipped")
+      f"{phase_sum/1e6:.2f} ms, {int(r['solutions_generated'])} generated")
 EOF
 else
   echo "(python3 unavailable; skipped profile_stat schema check)"

@@ -18,7 +18,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use varbuf_bench::harness::{alloc_counter, black_box, BenchConfig, Bencher, JsonReport};
-use varbuf_core::det::{optimize_deterministic, optimize_deterministic_with};
+use varbuf_core::det::optimize_deterministic;
 use varbuf_core::dp::DpOptions;
 use varbuf_core::governor::Budget;
 use varbuf_core::hier::HierOptions;
@@ -28,9 +28,7 @@ use varbuf_core::service::{EditOp, OptimizeParams, Request, Response, Service, S
 use varbuf_core::RequestError;
 use varbuf_rctree::generate::{generate_benchmark, generate_htree, BenchmarkSpec, HTreeSpec};
 use varbuf_rctree::RoutingTree;
-use varbuf_stats::{
-    prob_greater_normal, CanonicalForm, FormBatch, ScatterPlanCache, SourceId, TermInterner,
-};
+use varbuf_stats::{prob_greater_normal, CanonicalForm, SourceId};
 use varbuf_variation::{ProcessModel, SpatialKind, VariationMode};
 
 /// Counting allocator: lets the bench assert the DP hot path stays
@@ -143,71 +141,29 @@ fn main() {
     report.meta_num("stat_vs_det_ratio_sinks", last_ratio_sinks as f64);
     println!("stat vs det ratio (N={last_ratio_sinks}): {last_ratio:.2}x");
 
-    // Counter attribution and the Li–Shi group below run at N=1024 (not
-    // the 4096 tail of the scaling sweep), so their rows keep their
-    // historical size and remain comparable across releases.
-    let ls_sinks = if smoke { sizes[0] } else { 1024 };
-    let ls_tree =
-        generate_benchmark(&BenchmarkSpec::random("scale", ls_sinks, 77)).subdivided(500.0);
-    let ls_model = ProcessModel::paper_defaults(ls_tree.bounding_box(), SpatialKind::Heterogeneous);
-    let on_reqs = vec![request(&ls_tree, &ls_model, jobs)];
-    let ls_stats = optimize_batch(&on_reqs, 1)
+    // Counter attribution runs at N=1024 (not the 4096 tail of the
+    // scaling sweep), so its counters keep their historical size and
+    // remain comparable across releases.
+    let attr_sinks = if smoke { sizes[0] } else { 1024 };
+    let attr_tree =
+        generate_benchmark(&BenchmarkSpec::random("scale", attr_sinks, 77)).subdivided(500.0);
+    let attr_model =
+        ProcessModel::paper_defaults(attr_tree.bounding_box(), SpatialKind::Heterogeneous);
+    let attr_stats = optimize_batch(&[request(&attr_tree, &attr_model, jobs)], 1)
         .pop()
         .expect("one request")
         .expect("completes")
         .result
         .stats;
-    let generated = ls_stats.solutions_generated.max(1) as f64;
+    let generated = attr_stats.solutions_generated.max(1) as f64;
     // What the engine actually ran with, next to what was asked for —
     // the clamp to available threads is invisible in the request.
-    report.meta_num("jobs_requested", ls_stats.jobs_requested as f64);
-    report.meta_num("jobs_effective", ls_stats.jobs_effective as f64);
-    report.meta_num("pruned_by_dominance", ls_stats.pruned_by_dominance as f64);
+    report.meta_num("jobs_requested", attr_stats.jobs_requested as f64);
+    report.meta_num("jobs_effective", attr_stats.jobs_effective as f64);
+    report.meta_num("pruned_by_dominance", attr_stats.pruned_by_dominance as f64);
     report.meta_num(
         "pruned_by_dominance_ratio",
-        ls_stats.pruned_by_dominance as f64 / generated,
-    );
-
-    // Li–Shi generation skip: the same 2P-WID run (mean-keyed, so the
-    // skip arms) with `use_lishi` on — the default — vs off, and the
-    // deterministic DP both ways. The skip is output-identical by the
-    // oracle suites, so any delta here is pure avoided generation work.
-    report.meta_num("lishi_skipped", ls_stats.lishi_skipped as f64);
-    let mut ls_off_reqs = vec![request(&ls_tree, &ls_model, jobs)];
-    ls_off_reqs[0].options.use_lishi = false;
-    let mut ls = Bencher::new("lishi").with_config(config);
-    let ls_on = ls
-        .bench(&format!("stat_on/{ls_sinks}"), || {
-            optimize_batch(black_box(&on_reqs), 1)
-        })
-        .median;
-    let ls_off = ls
-        .bench(&format!("stat_off/{ls_sinks}"), || {
-            optimize_batch(black_box(&ls_off_reqs), 1)
-        })
-        .median;
-    let det_on = ls
-        .bench(&format!("det_on/{ls_sinks}"), || {
-            optimize_deterministic_with(black_box(&ls_tree), ls_model.library(), true)
-                .expect("completes")
-        })
-        .median;
-    let det_off = ls
-        .bench(&format!("det_off/{ls_sinks}"), || {
-            optimize_deterministic_with(black_box(&ls_tree), ls_model.library(), false)
-                .expect("completes")
-        })
-        .median;
-    ls.finish();
-    report.record_group("lishi", ls.results());
-    let lishi_stat = ls_off.as_secs_f64() / ls_on.as_secs_f64().max(f64::MIN_POSITIVE);
-    let lishi_det = det_off.as_secs_f64() / det_on.as_secs_f64().max(f64::MIN_POSITIVE);
-    report.meta_num("lishi_speedup_stat", lishi_stat);
-    report.meta_num("lishi_speedup_det", lishi_det);
-    println!(
-        "Li-Shi skip at N={ls_sinks}: stat {lishi_stat:.2}x, det {lishi_det:.2}x \
-         ({} generations skipped)",
-        ls_stats.lishi_skipped
+        attr_stats.pruned_by_dominance as f64 / generated,
     );
 
     // Lazy wire propagation: deferred affine wire transforms (the
@@ -330,9 +286,9 @@ fn main() {
 
     // Microbenches of the statistical kernels the DP spends its time
     // in: the sparse linear combination (one per wire/buffer step), its
-    // in-place variant, covariance both per-pair (sparse merge walk)
-    // and batched over a SoA column layout, and the tightness
-    // probability underneath every statistical min.
+    // in-place variant, covariance over a 64-form list (sparse merge
+    // walk), and the tightness probability underneath every
+    // statistical min.
     let kernel_config = if smoke {
         BenchConfig {
             warmup: Duration::from_millis(5),
@@ -345,7 +301,6 @@ fn main() {
     let mut kern = Bencher::new("canonical_kernels").with_config(kernel_config);
     // Two overlapping ~32-term forms over a 48-source universe — the
     // shape of a WID solution's RAT form on a mid-size net.
-    let universe: Vec<SourceId> = (0..48u32).map(SourceId).collect();
     let form_a = CanonicalForm::with_terms(
         -120.0,
         (0..32u32)
@@ -366,8 +321,6 @@ fn main() {
         dest.lin_comb_into(&form_a, 1.0, &form_b, -0.5);
         dest.mean()
     });
-    let interner = TermInterner::new(universe.iter().copied());
-    let mut batch = FormBatch::new(&interner);
     let forms: Vec<CanonicalForm> = (0..64u32)
         .map(|k| {
             CanonicalForm::with_terms(
@@ -379,22 +332,9 @@ fn main() {
             )
         })
         .collect();
-    for f in &forms {
-        batch.push(&interner, f);
-    }
-    let probe = varbuf_stats::ColumnForm::from_canonical(&interner, &form_a);
-    let mut cov_out = Vec::new();
-    let lane_cov = kern
-        .bench("batched_covariance/64x48", || {
-            batch.covariances_with_into(&probe, &mut cov_out);
-            cov_out[0]
-        })
-        .median;
-    let sparse_cov = kern
-        .bench("sparse_covariance/64x48", || {
-            forms.iter().map(|f| f.covariance(&form_a)).sum::<f64>()
-        })
-        .median;
+    kern.bench("sparse_covariance/64x48", || {
+        forms.iter().map(|f| f.covariance(&form_a)).sum::<f64>()
+    });
     kern.bench("prob_greater_normal", || {
         prob_greater_normal(
             black_box(-100.0),
@@ -406,49 +346,6 @@ fn main() {
     });
     kern.finish();
     report.record_group("canonical_kernels", kern.results());
-
-    // Lane-blocked batch kernels against their sparse per-form
-    // references — the microbench delta the fixed-stride SoA layout is
-    // accountable to. Both sides compute the same 64 moments; the lane
-    // side sweeps zero-padded `8·⌈48/8⌉` rows branch-free, the sparse
-    // side walks each form's live terms.
-    let mut lanes = Bencher::new("lane_kernels").with_config(kernel_config);
-    let mut var_out = Vec::new();
-    let lane_var = lanes
-        .bench("lane_variance/64x48", || {
-            batch.variances_into(&mut var_out);
-            var_out[0]
-        })
-        .median;
-    let sparse_var = lanes
-        .bench("sparse_variance/64x48", || {
-            forms.iter().map(CanonicalForm::variance).sum::<f64>()
-        })
-        .median;
-    // Batch building through the scatter-plan interner: the 64 forms
-    // share 3 distinct term sets, so after the first iteration almost
-    // every push is a single hash probe. The accumulated counters feed
-    // the hit/miss meta the observability satellite reports on.
-    let mut plan_cache = ScatterPlanCache::new();
-    lanes.bench("push_interned/64x48", || {
-        let mut scratch = FormBatch::new(&interner);
-        for f in &forms {
-            scratch.push_interned(&interner, &mut plan_cache, f);
-        }
-        scratch.len()
-    });
-    lanes.finish();
-    report.record_group("lane_kernels", lanes.results());
-    report.meta_num("scatter_plan_hits", plan_cache.hits() as f64);
-    report.meta_num("scatter_plan_misses", plan_cache.misses() as f64);
-    let var_speedup = sparse_var.as_secs_f64() / lane_var.as_secs_f64().max(f64::MIN_POSITIVE);
-    let cov_speedup = sparse_cov.as_secs_f64() / lane_cov.as_secs_f64().max(f64::MIN_POSITIVE);
-    report.meta_num("lane_variance_speedup", var_speedup);
-    report.meta_num("lane_covariance_speedup", cov_speedup);
-    println!(
-        "lane kernels vs sparse references (64x48): variance {var_speedup:.2}x, \
-         covariance {cov_speedup:.2}x"
-    );
 
     // Resident service: per-request round-trip latency (p50/p99 over
     // individual samples, not Bencher medians), sustained throughput,

@@ -45,11 +45,10 @@ fn main() {
     println!("N={n}: wall {:.2} ms", wall.as_secs_f64() * 1e3);
     println!("phases: {}", r.stats.phase_summary());
     println!(
-        "generated {}, pruned {} (dominance {}), lishi-skipped {}, peak list {}",
+        "generated {}, pruned {} (dominance {}), peak list {}",
         r.stats.solutions_generated,
         r.stats.solutions_pruned,
         r.stats.pruned_by_dominance,
-        r.stats.lishi_skipped,
         r.stats.max_solutions_per_node,
     );
     println!(
@@ -72,7 +71,6 @@ fn main() {
         report.meta_num("solutions_generated", r.stats.solutions_generated as f64);
         report.meta_num("solutions_pruned", r.stats.solutions_pruned as f64);
         report.meta_num("pruned_by_dominance", r.stats.pruned_by_dominance as f64);
-        report.meta_num("lishi_skipped", r.stats.lishi_skipped as f64);
         report.meta_num(
             "max_solutions_per_node",
             r.stats.max_solutions_per_node as f64,

@@ -53,43 +53,12 @@ pub fn optimize_deterministic(
     tree: &RoutingTree,
     library: &BufferLibrary,
 ) -> Result<DetResult, InsertionError> {
-    optimize_deterministic_with(tree, library, false)
-}
-
-/// [`optimize_deterministic`] with the Li–Shi generation skip selectable.
-///
-/// With `use_lishi` the buffering arm predicts each candidate's `(L, T)`
-/// pair from the chosen partner's scalars — replicating
-/// `buffer_extend_det`'s grouping `(T − T_b) − R_b·L` bit for bit — and
-/// skips generation when a listed solution already *strictly* shadows
-/// the prediction: it sorts before the appended candidate under
-/// [`prune_det`]'s `(L asc, T desc)` sweep order, carries at least the
-/// candidate's RAT, and is strictly better on at least one key. The
-/// strictness matters because deterministic candidates feed later
-/// buffer types' `max_by` partner search in the same loop: a strictly
-/// shadowed candidate trails the shadowing entry's partner key
-/// `T − R·L` by `(T_e − T_c) + R·(L_c − L_e) > 0` for every positive
-/// drive resistance, so it can never be selected (not even as a
-/// last-wins tie), and the final sweep discards it — the surviving
-/// lists, traces, and root RAT are bitwise identical to the plain path;
-/// only generation counters differ. The skip disarms itself when any
-/// buffer has non-positive resistance (the gap degenerates at `R = 0`).
-///
-/// # Errors
-///
-/// Same as [`optimize_deterministic`].
-pub fn optimize_deterministic_with(
-    tree: &RoutingTree,
-    library: &BufferLibrary,
-    use_lishi: bool,
-) -> Result<DetResult, InsertionError> {
     tree.validate()?;
     if tree.sink_count() == 0 {
         return Err(InsertionError::NoSinks);
     }
     let start = Instant::now();
     let mut stats = DpStats::default();
-    let lishi = use_lishi && library.iter().all(|(_, b)| b.resistance > 0.0);
 
     // Candidate lists per node, indexed by arena position.
     let mut lists: Vec<Vec<DetSolution>> = vec![Vec::new(); tree.len()];
@@ -146,32 +115,6 @@ pub fn optimize_deterministic_with(
                     })
                     .cloned()
                 {
-                    if lishi {
-                        // Predict the candidate's keys with
-                        // `buffer_extend_det`'s exact grouping.
-                        let cand_load = buf.capacitance;
-                        let cand_rat = best.rat - buf.intrinsic_delay - buf.resistance * best.load;
-                        let shadows = |e: &DetSolution| {
-                            use std::cmp::Ordering::{Greater, Less};
-                            // `e` sorts before the appended candidate under
-                            // the sweep's `(L asc, T desc)` `total_cmp`
-                            // order (stable ties leave the listed entry
-                            // first)…
-                            let before = match e.load.total_cmp(&cand_load) {
-                                Less => true,
-                                std::cmp::Ordering::Equal => cand_rat.total_cmp(&e.rat) != Greater,
-                                Greater => false,
-                            };
-                            // …carries at least the candidate's RAT, and is
-                            // strictly better on one key, so no later
-                            // partner search can tie on the skipped entry.
-                            before && e.rat >= cand_rat && (e.load < cand_load || e.rat > cand_rat)
-                        };
-                        if sols.iter().any(shadows) {
-                            stats.lishi_skipped += 1;
-                            continue;
-                        }
-                    }
                     sols.push(buffer_extend_det(
                         &best,
                         buf.capacitance,
@@ -458,49 +401,13 @@ mod tests {
     }
 
     #[test]
-    fn lishi_skip_is_byte_identical_and_non_vacuous() {
-        // Across benchmark shapes and libraries the Li–Shi path must
-        // reproduce the plain path's winner exactly — same root RAT
-        // bits, same decision list — while actually skipping work
-        // somewhere (otherwise the test proves nothing).
-        let mut total_skipped = 0usize;
-        for (lib, tag) in [
-            (BufferLibrary::default_65nm(), "multi"),
-            (BufferLibrary::single_65nm(), "single"),
-        ] {
-            for seed in 0..6 {
-                let tree = generate_benchmark(&BenchmarkSpec::random(tag, 50, seed));
-                let plain = optimize_deterministic_with(&tree, &lib, false).expect("plain");
-                let fast = optimize_deterministic_with(&tree, &lib, true).expect("lishi");
-                assert_eq!(
-                    plain.root_rat.to_bits(),
-                    fast.root_rat.to_bits(),
-                    "{tag}/{seed}: root RAT drifted"
-                );
-                assert_eq!(
-                    plain.assignment, fast.assignment,
-                    "{tag}/{seed}: assignment"
-                );
-                assert_eq!(plain.stats.lishi_skipped, 0, "plain path must not skip");
-                assert_eq!(
-                    plain.stats.solutions_generated,
-                    fast.stats.solutions_generated + fast.stats.lishi_skipped,
-                    "{tag}/{seed}: every skip must account for one avoided generation"
-                );
-                total_skipped += fast.stats.lishi_skipped;
-            }
-        }
-        assert!(total_skipped > 0, "the skip never armed across the suite");
-    }
-
-    #[test]
     #[should_panic(expected = "electrical values")]
     fn lishi_precondition_is_enforced_by_the_library() {
         use varbuf_variation::BufferType;
-        // The skip's strict key gap degenerates at R = 0. The arming
-        // guard checks for that defensively, but the case must already
-        // be unreachable: the library constructor rejects non-positive
-        // resistance, which this pin keeps honest.
+        // The partner search ranks candidates by `T − R·L`, which ignores
+        // load at R = 0. The case must be unreachable: the library
+        // constructor rejects non-positive resistance, which this pin
+        // keeps honest.
         let _ = BufferLibrary::new(vec![BufferType::with_unit_sensitivity(
             "free", 10.0, 5.0, 0.0,
         )]);

@@ -97,17 +97,6 @@ pub struct DpOptions {
     /// determinism contract and when the engine falls back to one
     /// thread).
     pub jobs: usize,
-    /// Li–Shi candidate pruning (arXiv:0710.4691): skip generating a
-    /// buffered candidate whose keys are already dominated by a list
-    /// entry — the keyed dominance sweep would remove it in the same
-    /// pass, so the surviving list (and every output bit) is unchanged;
-    /// only the generated/pruned counters differ. Armed only for rules
-    /// whose keys are plain means ([`PruningRule::mean_keys`], where the
-    /// skipped candidate's keys are computable without building its
-    /// forms) and disarmed under a governed run with finite budgets
-    /// (list sizes feed the degradation schedule).
-    /// `--no-lishi` on the CLI.
-    pub use_lishi: bool,
     /// Lazy list-level wire propagation: the wire lift updates only the
     /// *means* per segment (two scalar adds, bit-identical to the eager
     /// kernel's nominal path) and defers the O(terms) coupling
@@ -171,7 +160,6 @@ impl Default for DpOptions {
             sparsify_epsilon: 0.0,
             root_selection: RootSelection::YieldRat(0.95),
             jobs: 1,
-            use_lishi: true,
             use_lazy_wire: true,
             jobs_force: false,
             guard_4p_sinks: 12,
@@ -491,19 +479,8 @@ pub fn optimize_governed_detailed(
     budget: &Budget,
     controls: RunControls<'_>,
 ) -> Result<GovernedResult, InsertionError> {
-    let mut cascade = cascade;
-    let guard = guard_cascade(tree, &mut cascade, options, budget);
-    let mut governor = Governor::governed(*budget, cascade, options.sparsify_epsilon);
-    if controls.has_cancellation() {
-        governor = governor.with_cancellation(
-            controls.cancel.clone().unwrap_or_default(),
-            controls.watchdog,
-        );
-    }
-    if let Some(c) = controls.clock {
-        governor = governor.with_clock(c);
-    }
-    let mut result = run_engine(
+    let (mut governor, guard, faults) = governed_setup(tree, cascade, options, budget, controls);
+    let result = run_engine(
         tree,
         model,
         mode,
@@ -511,8 +488,48 @@ pub fn optimize_governed_detailed(
         sizing,
         options,
         &mut governor,
-        controls.faults,
+        faults,
     )?;
+    Ok(finish_governed(result, governor, guard))
+}
+
+/// The set-up every governed entry point shares: the
+/// [`guard_cascade`] substitution, then a degrading [`Governor`] over
+/// the resulting cascade with the controls' cancellation pair and
+/// clock. Returns the guard note for [`finish_governed`] and the fault
+/// injector the walk must hand to [`process_node`].
+pub(crate) fn governed_setup<'a>(
+    tree: &RoutingTree,
+    mut cascade: Vec<Arc<dyn PruningRule>>,
+    options: &DpOptions,
+    budget: &Budget,
+    controls: RunControls<'a>,
+) -> (
+    Governor,
+    Option<GuardedFallback>,
+    Option<&'a mut FaultInjector>,
+) {
+    let guard = guard_cascade(tree, &mut cascade, options, budget);
+    let mut governor = Governor::governed(*budget, cascade, options.sparsify_epsilon);
+    if controls.has_cancellation() {
+        governor =
+            governor.with_cancellation(controls.cancel.unwrap_or_default(), controls.watchdog);
+    }
+    if let Some(c) = controls.clock {
+        governor = governor.with_clock(c);
+    }
+    (governor, guard, controls.faults)
+}
+
+/// The hand-off every governed entry point shares: the governor's
+/// report, with the guard note attached, becomes the run's
+/// [`Degradation`], and its counters are copied into the result's
+/// stats.
+pub(crate) fn finish_governed(
+    mut result: StatResult,
+    governor: Governor,
+    guard: Option<GuardedFallback>,
+) -> GovernedResult {
     let mut degradation = governor.into_report();
     degradation.guard = guard;
     result.stats.rule_fallbacks = degradation.rule_fallbacks();
@@ -520,10 +537,10 @@ pub fn optimize_governed_detailed(
     result.stats.list_truncations = degradation.truncations();
     result.stats.poisoned_dropped = degradation.poisoned_dropped();
     result.stats.panic_completion = degradation.panic_completion;
-    Ok(GovernedResult {
+    GovernedResult {
         result,
         degradation,
-    })
+    }
 }
 
 /// [`optimize_governed_detailed`] with an epoch-scoped solution cache:
@@ -585,28 +602,19 @@ pub fn optimize_incremental(
         ));
     }
 
-    // The same deterministic guard substitution the cold path applies,
-    // so replayed and cold lists stay byte-identical.
-    let mut cascade = cascade;
-    let guard = guard_cascade(tree, &mut cascade, options, budget);
-    let mut governor = Governor::governed(*budget, cascade, options.sparsify_epsilon);
-    if controls.has_cancellation() {
-        governor = governor.with_cancellation(
-            controls.cancel.clone().unwrap_or_default(),
-            controls.watchdog,
-        );
-    }
-    if let Some(c) = controls.clock {
-        governor = governor.with_clock(c);
-    }
-
-    // Li–Shi is list-neutral and arms exactly as it would on this run's
-    // cold path, and so does lazy wire propagation (this path already
-    // excludes faults and constraining budgets — the cold path's disarm
-    // conditions).
-    let mut ctx = RunCtx::new(tree, model, mode, sizing);
-    ctx.lishi = options.use_lishi;
-    ctx.lazy = options.use_lazy_wire;
+    // The cold path's set-up, guard substitution included, so replayed
+    // and cold lists stay byte-identical.
+    let (mut governor, guard, mut faults) =
+        governed_setup(tree, cascade, options, budget, controls);
+    let ctx = RunCtx::new(
+        tree,
+        model,
+        mode,
+        sizing,
+        options,
+        &governor,
+        faults.is_some(),
+    );
 
     cache.begin_run(run_sig, tree.len());
 
@@ -655,8 +663,15 @@ pub fn optimize_incremental(
                         .iter()
                         .map(|c| std::mem::take(&mut lists[c.index()]))
                         .collect();
-                    let sols =
-                        process_node(&ctx, &mut sup, id, children, None, &mut pool, &mut stats)?;
+                    let sols = process_node(
+                        &ctx,
+                        &mut sup,
+                        id,
+                        children,
+                        faults.as_deref_mut(),
+                        &mut pool,
+                        &mut stats,
+                    )?;
                     cache.store(id, sigs.get(id), &sols);
                     lists[id.index()] = sols;
                 }
@@ -674,23 +689,14 @@ pub fn optimize_incremental(
     stats.runtime = governor.elapsed();
     stats.jobs_requested = options.jobs.max(1);
     stats.jobs_effective = 1;
-    let mut result = select_winner(tree, options, &mut lists[tree.root().index()], stats);
-    let mut degradation = governor.into_report();
-    degradation.guard = guard;
-    result.stats.rule_fallbacks = degradation.rule_fallbacks();
-    result.stats.epsilon_tightenings = degradation.epsilon_tightenings();
-    result.stats.list_truncations = degradation.truncations();
-    result.stats.poisoned_dropped = degradation.poisoned_dropped();
-    result.stats.panic_completion = degradation.panic_completion;
-    if degradation.degraded() {
+    let result = select_winner(tree, options, &mut lists[tree.root().index()], stats);
+    let governed = finish_governed(result, governor, guard);
+    if governed.degradation.degraded() {
         // A cancelled/degraded run may have stored best-so-far lists;
         // they are not the fixpoint, so nothing of this run survives.
         cache.clear();
     }
-    Ok(GovernedResult {
-        result,
-        degradation,
-    })
+    Ok(governed)
 }
 
 /// The rule in force right now: the caller's fixed rule on the legacy
@@ -863,10 +869,6 @@ pub(crate) struct RunCtx<'a> {
     /// `node.index() * widths + wi` → the edge segment above `node`
     /// scaled to width `wi`.
     segments: Vec<WireSegment>,
-    /// Whether the Li–Shi generation skip is armed for this run (see
-    /// [`DpOptions::use_lishi`] for the arming conditions). Shared by the
-    /// parallel workers and the sequential engine.
-    pub(crate) lishi: bool,
     /// Whether lazy wire propagation is armed for this run (see
     /// [`DpOptions::use_lazy_wire`] for the arming conditions). Shared by
     /// the parallel workers and the sequential engine.
@@ -874,11 +876,16 @@ pub(crate) struct RunCtx<'a> {
 }
 
 impl<'a> RunCtx<'a> {
+    /// Builds the run's tables and arms lazy wire propagation for a run
+    /// under `governor`, with a fault injector when `faults` is set.
     pub(crate) fn new(
         tree: &'a RoutingTree,
         model: &'a ProcessModel,
         mode: VariationMode,
         sizing: &'a WireSizing,
+        options: &DpOptions,
+        governor: &Governor,
+        faults: bool,
     ) -> Self {
         let mut device_rows = vec![u32::MAX; tree.len()];
         let mut locations = Vec::new();
@@ -910,8 +917,13 @@ impl<'a> RunCtx<'a> {
             device_rows,
             device_forms,
             segments,
-            lishi: false,
-            lazy: false,
+            // A degradable run keeps eager wire (pending-aware
+            // footprints would shift its degradation schedule's memory
+            // estimates), and so does a fault-injected one, so injected
+            // lists keep their eager shape.
+            lazy: options.use_lazy_wire
+                && !(governor.is_governed() && governor.budget().constrains_run())
+                && !faults,
         }
     }
 
@@ -1019,18 +1031,15 @@ fn run_engine(
     // All node-indexed tables (device forms, wire segments) are built
     // once here, before the speculative phase, so the parallel workers
     // and the sequential fallback read the exact same cached values.
-    let mut ctx = RunCtx::new(tree, model, mode, sizing);
-
-    // The Li–Shi generation skip arms only when the run cannot degrade:
-    // it never changes the post-prune list, but it does shrink the
-    // *pre*-prune list a governed degradation schedule keys off.
-    let degradable = governor.is_governed() && governor.budget().constrains_run();
-    ctx.lishi = options.use_lishi && !degradable;
-    // Lazy wire propagation shares it too (pending-aware footprints
-    // would shift the degradation schedule's memory estimates), and
-    // additionally disarms under fault injection so injected lists keep
-    // their legacy eager shape.
-    ctx.lazy = options.use_lazy_wire && !degradable && faults.is_none();
+    let ctx = RunCtx::new(
+        tree,
+        model,
+        mode,
+        sizing,
+        options,
+        governor,
+        faults.is_some(),
+    );
 
     // Speculative parallel phase: `None` means ineligible or aborted on
     // pressure — fall through to the sequential engine with the
@@ -1251,61 +1260,12 @@ pub(crate) fn process_node<'r, S: Supervisor<'r>>(
                             })
                             .map(|(i, _)| i);
                         if let Some(bi) = best_idx {
-                            let best = &sols[bi];
-                            // Li–Shi predecessor dominance: predict the
-                            // candidate's scalar keys without building its
-                            // forms and skip the (expensive) generation when
-                            // a listed solution already shadows it — i.e.
-                            // the keyed sweep in `prune_full` would sort
-                            // that solution before the appended candidate
-                            // and then discard the candidate as dominated.
-                            // Only exact for mean-keyed rules: the key
-                            // arithmetic below replicates the kernel's
-                            // nominal path bit for bit (`1.0·x = x`,
-                            // `x + (−1.0)·d = x − d`, and `copy_from`
-                            // preserves the cap form's mean), so the
-                            // surviving list is bitwise identical — only
-                            // generation counters differ.
-                            if ctx.lishi && rule.mean_keys() {
-                                let cand_load = cap_form.mean();
-                                // Written to mirror the kernel's grouping
-                                // `(1·T + (−R)·L) + (−1)·T_b` term-for-term;
-                                // the lint's rewrite is bit-identical but
-                                // hides the correspondence.
-                                #[allow(clippy::neg_multiply)]
-                                let cand_rat = (1.0 * best.rat_mean()
-                                    + (-resistance) * best.load_mean())
-                                    + (-1.0) * delay_form.mean();
-                                let shadows = |e: &StatSolution| {
-                                    use std::cmp::Ordering::{Equal, Greater, Less};
-                                    let (el, er) = (e.load_mean(), e.rat_mean());
-                                    // `e` sorts before the appended candidate
-                                    // (load asc, rat desc, stable tie → `e`
-                                    // first) under the sweep's `total_cmp`
-                                    // order…
-                                    let before = match el.total_cmp(&cand_load) {
-                                        Less => true,
-                                        Equal => cand_rat.total_cmp(&er) != Greater,
-                                        Greater => false,
-                                    };
-                                    // …and carries at least the candidate's
-                                    // RAT key, so the sweep's last-kept
-                                    // entry (the running max-RAT) discards
-                                    // the candidate.
-                                    before && er >= cand_rat
-                                };
-                                if sols.iter().any(&shadows) || buffered.iter().any(shadows) {
-                                    stats.lishi_skipped += 1;
-                                    continue;
-                                }
-                            }
                             if ctx.lazy {
                                 // The buffer kernel reads the partner's RAT
                                 // terms: land its deferred coupling first.
-                                // The argmax and Li–Shi keys above are
-                                // means, so neither decision moves; the
-                                // cost stays inside this arm's
-                                // `buffer_time` window.
+                                // The argmax key above is a mean, so the
+                                // choice does not move; the cost stays
+                                // inside this arm's `buffer_time` window.
                                 materialize_solution(&mut sols[bi], sup.epsilon());
                             }
                             let mut s = pool.take_sol();
@@ -2054,9 +2014,13 @@ mod tests {
                 ));
                 let model = model_for(&tree);
                 let mode = VariationMode::WithinDie;
-                let ctx = RunCtx::new(&tree, &model, mode, &sizing);
                 let mut governor =
                     Governor::strict(Budget::strict(2_000_000, Duration::from_secs(3600)), 0.0);
+                let eager = DpOptions {
+                    use_lazy_wire: false,
+                    ..DpOptions::default()
+                };
+                let ctx = RunCtx::new(&tree, &model, mode, &sizing, &eager, &governor, false);
                 let mut sup = GovSupervisor {
                     static_rule: Some(&rule),
                     governor: &mut governor,

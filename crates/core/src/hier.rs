@@ -29,12 +29,13 @@
 //! suite).
 
 use crate::dp::{
-    guard_cascade, materialize_list, optimize_governed_detailed, process_node, select_winner,
-    DpOptions, GovSupervisor, GovernedResult, RunControls, RunCtx, SolPool, StatResult, Supervisor,
-    WireSizing,
+    finish_governed, governed_setup, materialize_list, optimize_governed_detailed, process_node,
+    select_winner, DpOptions, GovSupervisor, GovernedResult, RunControls, RunCtx, SolPool,
+    StatResult, Supervisor, WireSizing,
 };
 use crate::error::InsertionError;
-use crate::governor::{solution_footprint, truncate_spread, Budget, Degradation, Governor};
+use crate::faultinject::FaultInjector;
+use crate::governor::{solution_footprint, truncate_spread, Budget, Degradation};
 use crate::metrics::DpStats;
 use crate::prune::PruningRule;
 use crate::solution::{ChunkLedger, ChunkedList, StatSolution};
@@ -268,27 +269,16 @@ pub fn optimize_hier(
         return Err(InsertionError::NoSinks);
     }
 
-    let mut cascade = cascade;
-    let guard = guard_cascade(tree, &mut cascade, options, budget);
-    let mut governor = Governor::governed(*budget, cascade, options.sparsify_epsilon);
-    if controls.cancel.is_some() || controls.watchdog.is_some() {
-        governor = governor.with_cancellation(
-            controls.cancel.clone().unwrap_or_default(),
-            controls.watchdog,
-        );
-    }
-    if let Some(c) = controls.clock {
-        governor = governor.with_clock(c);
-    }
-
-    // Li–Shi is list-neutral and arms under the same condition as the
-    // flat engine: only when the run cannot degrade.
-    let mut ctx = RunCtx::new(tree, model, mode, sizing);
-    ctx.lishi = options.use_lishi && !budget.constrains_run();
-    // Lazy wire propagation arms under the same no-degradation condition
-    // (pending-aware footprints would shift a degradation schedule);
-    // this path never injects faults.
-    ctx.lazy = options.use_lazy_wire && !budget.constrains_run();
+    let (mut governor, guard, faults) = governed_setup(tree, cascade, options, budget, controls);
+    let ctx = RunCtx::new(
+        tree,
+        model,
+        mode,
+        sizing,
+        options,
+        &governor,
+        faults.is_some(),
+    );
 
     let ledger = Arc::new(ChunkLedger::new());
     let mut parked: Vec<Option<ChunkedList>> = Vec::new();
@@ -300,6 +290,7 @@ pub fn optimize_hier(
     let mut live_cap = hier.frontier_cap.max(1);
 
     let walk = |sup: &mut GovSupervisor<'_, '_>,
+                mut faults: Option<&mut FaultInjector>,
                 lists: &mut Vec<Vec<StatSolution>>,
                 parked: &mut Vec<Option<ChunkedList>>,
                 pool: &mut SolPool,
@@ -317,7 +308,8 @@ pub fn optimize_hier(
                     None => std::mem::take(&mut lists[c.index()]),
                 })
                 .collect();
-            let mut sols = process_node(&ctx, sup, id, children, None, pool, stats)?;
+            let mut sols =
+                process_node(&ctx, sup, id, children, faults.as_deref_mut(), pool, stats)?;
             if cuts[id.index()] {
                 // A parked frontier outlives its region's DP, so any
                 // deferred wire coupling must land *before* the splice:
@@ -360,6 +352,7 @@ pub fn optimize_hier(
         };
         walk(
             &mut sup,
+            faults,
             &mut lists,
             &mut parked,
             &mut pool,
@@ -373,15 +366,12 @@ pub fn optimize_hier(
     stats.runtime = governor.elapsed();
     stats.jobs_requested = options.jobs.max(1);
     stats.jobs_effective = 1;
-    let mut result = select_winner(tree, options, &mut lists[tree.root().index()], stats);
-    let mut degradation = governor.into_report();
-    degradation.guard = guard;
+    let result = select_winner(tree, options, &mut lists[tree.root().index()], stats);
+    let GovernedResult {
+        result,
+        mut degradation,
+    } = finish_governed(result, governor, guard);
     degradation.peak_chunk_bytes = degradation.peak_chunk_bytes.max(ledger.peak());
-    result.stats.rule_fallbacks = degradation.rule_fallbacks();
-    result.stats.epsilon_tightenings = degradation.epsilon_tightenings();
-    result.stats.list_truncations = degradation.truncations();
-    result.stats.poisoned_dropped = degradation.poisoned_dropped();
-    result.stats.panic_completion = degradation.panic_completion;
     Ok(HierResult {
         result,
         degradation,

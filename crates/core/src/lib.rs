@@ -81,7 +81,7 @@ pub mod trace;
 pub mod yield_eval;
 
 pub use cache::{NodeSigs, SolutionCache};
-pub use det::{optimize_deterministic, optimize_deterministic_with};
+pub use det::optimize_deterministic;
 pub use dp::{optimize_governed, optimize_incremental, GovernedResult};
 pub use driver::{optimize_nominal, optimize_statistical, OptimizeResult, Options};
 pub use error::{InsertionError, RequestError};

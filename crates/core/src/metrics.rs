@@ -41,10 +41,8 @@ pub struct DpStats {
     /// Always zero, like [`pruned_by_bound`](Self::pruned_by_bound), and
     /// kept for the same reason.
     pub bound_time: Duration,
-    /// Buffered-candidate generations the Li–Shi precheck skipped: the
-    /// candidate's predicted keys were already shadowed by a listed
-    /// solution, so the dominance sweep would have discarded it and the
-    /// form kernels never ran (0 when `use_lishi` is off or disarmed).
+    /// Always 0: the engine has no Li–Shi generation skip (see
+    /// DESIGN.md). Kept only because the end-to-end benchmark reads it.
     pub lishi_skipped: usize,
     /// The `DpOptions::jobs` value the caller asked for (1 = sequential).
     /// Recorded for bench attribution; cleared by
@@ -145,7 +143,6 @@ impl DpStats {
         self.prune_time += other.prune_time;
         self.buffer_time += other.buffer_time;
         self.pruned_by_dominance += other.pruned_by_dominance;
-        self.lishi_skipped += other.lishi_skipped;
         self.jobs_requested = self.jobs_requested.max(other.jobs_requested);
         self.jobs_effective = self.jobs_effective.max(other.jobs_effective);
         self.rule_fallbacks += other.rule_fallbacks;

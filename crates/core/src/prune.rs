@@ -206,11 +206,11 @@ pub trait PruningRule: fmt::Debug + Send + Sync {
     /// Whether this rule's scalar keys are plain means — i.e.
     /// `load_key == load_mean()` and `rat_key == rat_mean()` with
     /// dominance a pure `(load ≤, rat ≥)` key comparison. When true, the
-    /// DP can predict a candidate's keys from scalar arithmetic *before*
-    /// building its canonical forms, enabling the Li–Shi generation skip
-    /// (see `DpOptions::use_lishi`). Percentile-keyed rules (1P, 2P with
-    /// thresholds above 0.5, 2P9) need a σ that only exists once the
-    /// form is built, so they return the default `false`.
+    /// DP can prune solutions whose deferred wire coupling is still
+    /// pending, since deferral never perturbs a mean (see
+    /// `DpOptions::use_lazy_wire`). Percentile-keyed rules (1P, 2P with
+    /// thresholds above 0.5, 2P9) read a σ that depends on the RAT
+    /// terms, so they return the default `false`.
     fn mean_keys(&self) -> bool {
         false
     }

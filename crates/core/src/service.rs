@@ -1714,47 +1714,63 @@ mod tests {
 
     #[test]
     fn contained_panic_poisons_only_its_session() {
-        let mut service = Service::new(ServiceConfig {
-            allow_faults: true,
-            ..ServiceConfig::default()
-        });
-        let healthy = open_tiny(&mut service);
-        let doomed = open_tiny(&mut service);
-        // Ids are assigned in submission order: the next opt is id 1.
-        assert!(matches!(
-            service.inject(1, RequestFault::Panic),
-            Response::Injected { id: 1 }
-        ));
-        match service.execute(Request::Optimize {
-            handle: doomed,
-            params: OptimizeParams::default(),
-        }) {
-            Response::Error(RequestError::Internal { message }) => {
-                assert!(message.contains("injected panic"), "got: {message}");
-            }
-            other => panic!("expected contained panic, got {other}"),
-        }
-        // The faulted session only accepts close now.
-        assert!(matches!(
-            service.execute(Request::Optimize {
+        // Flat, and hierarchical with cuts: that engine walks the tree
+        // itself and must still hand the injector to every node.
+        let cuts = HierOptions {
+            cut_nodes: 2,
+            fanout_cut: 0,
+            ..HierOptions::default()
+        };
+        assert!(crate::hier::plan_cuts(&tiny_tree(), &cuts).contains(&true));
+        for params in [
+            OptimizeParams::default(),
+            OptimizeParams {
+                hier: Some(cuts),
+                ..OptimizeParams::default()
+            },
+        ] {
+            let mut service = Service::new(ServiceConfig {
+                allow_faults: true,
+                ..ServiceConfig::default()
+            });
+            let healthy = open_tiny(&mut service);
+            let doomed = open_tiny(&mut service);
+            // Ids are assigned in submission order: the next opt is id 1.
+            assert!(matches!(
+                service.inject(1, RequestFault::Panic),
+                Response::Injected { id: 1 }
+            ));
+            match service.execute(Request::Optimize {
                 handle: doomed,
-                params: OptimizeParams::default(),
-            }),
-            Response::Error(RequestError::SessionPoisoned { .. })
-        ));
-        // The other session is untouched.
-        assert!(matches!(
-            service.execute(Request::Optimize {
-                handle: healthy,
-                params: OptimizeParams::default(),
-            }),
-            Response::Optimized { .. }
-        ));
-        assert!(matches!(
-            service.execute(Request::Close { handle: doomed }),
-            Response::Closed { .. }
-        ));
-        assert_eq!(service.stats().panics_contained, 1);
+                params,
+            }) {
+                Response::Error(RequestError::Internal { message }) => {
+                    assert!(message.contains("injected panic"), "got: {message}");
+                }
+                other => panic!("expected contained panic ({params:?}), got {other}"),
+            }
+            // The faulted session only accepts close now.
+            assert!(matches!(
+                service.execute(Request::Optimize {
+                    handle: doomed,
+                    params,
+                }),
+                Response::Error(RequestError::SessionPoisoned { .. })
+            ));
+            // The other session is untouched.
+            assert!(matches!(
+                service.execute(Request::Optimize {
+                    handle: healthy,
+                    params,
+                }),
+                Response::Optimized { .. }
+            ));
+            assert!(matches!(
+                service.execute(Request::Close { handle: doomed }),
+                Response::Closed { .. }
+            ));
+            assert_eq!(service.stats().panics_contained, 1);
+        }
     }
 
     #[test]

@@ -14,14 +14,9 @@ use varbuf_core::dp::{
 use varbuf_core::governor::Budget;
 use varbuf_core::pool::{optimize_batch, BatchRequest};
 use varbuf_core::prune::{FourParam, OneParam, PruningRule, TwoParam};
-use varbuf_core::solution::StatSolution;
 use varbuf_core::InsertionError;
 use varbuf_rctree::generate::{generate_benchmark, BenchmarkSpec};
 use varbuf_rctree::RoutingTree;
-use varbuf_stats::{
-    lane_dot_ref, lane_variance_ref, CanonicalForm, ColumnForm, FormBatch, SourceId, SplitMix64,
-    TermInterner,
-};
 use varbuf_variation::{ProcessModel, SpatialKind, VariationMode};
 
 /// SplitMix64-style seeds for the generated benchmark topologies.
@@ -204,150 +199,6 @@ fn governed_under_pressure_matches_including_degradation_counters() {
                 seq.result.stats.degraded(),
                 "{label}: budget was meant to force degradation"
             );
-        }
-    }
-}
-
-/// Random canonical forms over a shared (non-contiguous) source
-/// universe: a mix of empty, sparse, and fully dense forms, with signed
-/// coefficients spanning several magnitudes.
-fn random_forms(rng: &mut SplitMix64, universe: &[SourceId], count: usize) -> Vec<CanonicalForm> {
-    (0..count)
-        .map(|i| {
-            let nominal = (rng.next_f64() - 0.5) * 200.0;
-            let density = match i % 4 {
-                0 => 0.0,            // constant form
-                1 => 1.0,            // fully dense
-                _ => rng.next_f64(), // sparse
-            };
-            let terms: Vec<(SourceId, f64)> = universe
-                .iter()
-                .filter_map(|&id| {
-                    let keep = rng.next_f64() < density;
-                    let coeff = (rng.next_f64() - 0.5) * 10.0;
-                    (keep && coeff != 0.0).then_some((id, coeff))
-                })
-                .collect();
-            CanonicalForm::with_terms(nominal, terms)
-        })
-        .collect()
-}
-
-fn assert_form_bits(label: &str, a: &CanonicalForm, b: &CanonicalForm) {
-    assert_eq!(a.mean().to_bits(), b.mean().to_bits(), "{label}: mean");
-    assert_eq!(
-        a.variance().to_bits(),
-        b.variance().to_bits(),
-        "{label}: variance"
-    );
-    assert_eq!(a.term_count(), b.term_count(), "{label}: term count");
-    for (x, y) in a.terms().zip(b.terms()) {
-        assert_eq!(x.0, y.0, "{label}: term source");
-        assert_eq!(x.1.to_bits(), y.1.to_bits(), "{label}: term coefficient");
-    }
-}
-
-#[test]
-fn interner_round_trip_preserves_moments_and_rule_decisions() {
-    // The representation-equivalence contract behind the batched
-    // kernels: round-tripping sparse forms through the dense interner
-    // representation changes no observable moment — mean, variance,
-    // pairwise covariance — by even one bit, and therefore cannot
-    // perturb any pruning rule's decisions.
-    for seed in SEEDS {
-        let mut rng = SplitMix64::new(seed);
-        // Non-contiguous ids, as a real run's source layout produces.
-        let universe: Vec<SourceId> = (0..24u32).map(|i| SourceId(i * 3 + 1)).collect();
-        let interner = TermInterner::new(universe.iter().copied());
-        let forms = random_forms(&mut rng, &universe, 24);
-
-        // 1. Round-trip is a bitwise identity on every moment.
-        let columns: Vec<ColumnForm> = forms
-            .iter()
-            .map(|f| ColumnForm::from_canonical(&interner, f))
-            .collect();
-        for (i, (f, col)) in forms.iter().zip(&columns).enumerate() {
-            let label = format!("seed{seed:x}/form{i}");
-            assert_eq!(f.mean().to_bits(), col.mean().to_bits(), "{label}: mean");
-            assert_eq!(
-                f.variance().to_bits(),
-                col.variance().to_bits(),
-                "{label}: variance"
-            );
-            assert_form_bits(&label, f, &col.to_canonical(&interner));
-        }
-
-        // 2. Dense covariance replays the sparse merge walk exactly.
-        for (i, (fi, ci)) in forms.iter().zip(&columns).enumerate() {
-            for (fj, cj) in forms.iter().zip(&columns).skip(i) {
-                assert_eq!(
-                    fi.covariance(fj).to_bits(),
-                    ci.covariance(cj).to_bits(),
-                    "seed{seed:x}: covariance"
-                );
-            }
-        }
-
-        // 3. The lane-blocked batch kernels follow their documented
-        // scalar references exactly (the lane schedule reassociates the
-        // fold, so the pin is against `lane_*_ref`, not the sparse
-        // walk), and stay numerically equivalent to the sparse moments.
-        let mut batch = FormBatch::new(&interner);
-        for f in &forms {
-            batch.push(&interner, f);
-        }
-        let mut variances = Vec::new();
-        batch.variances_into(&mut variances);
-        let mut covariances = Vec::new();
-        batch.covariances_with_into(&columns[0], &mut covariances);
-        for (i, f) in forms.iter().enumerate() {
-            assert_eq!(
-                lane_variance_ref(batch.row(i)).to_bits(),
-                variances[i].to_bits(),
-                "seed{seed:x}: batched variance {i}"
-            );
-            assert_eq!(
-                lane_dot_ref(batch.row(i), columns[0].columns()).to_bits(),
-                covariances[i].to_bits(),
-                "seed{seed:x}: batched covariance {i}"
-            );
-            let tol = 1e-12 * (1.0 + f.variance().abs());
-            assert!(
-                (f.variance() - variances[i]).abs() <= tol,
-                "seed{seed:x}: lane variance {i} drifted beyond reassociation"
-            );
-            assert!(
-                (f.covariance(&forms[0]) - covariances[i]).abs()
-                    <= 1e-12 * (1.0 + f.covariance(&forms[0]).abs()),
-                "seed{seed:x}: lane covariance {i} drifted beyond reassociation"
-            );
-        }
-
-        // 4. Pruning under every rule is blind to the representation:
-        // a list built from round-tripped forms keeps the same
-        // survivors, in the same order, bit for bit.
-        let solutions: Vec<StatSolution> = forms
-            .chunks_exact(2)
-            .map(|pair| StatSolution::new(pair[0].clone(), pair[1].clone()))
-            .collect();
-        let round_tripped: Vec<StatSolution> = columns
-            .chunks_exact(2)
-            .map(|pair| {
-                StatSolution::new(
-                    pair[0].to_canonical(&interner),
-                    pair[1].to_canonical(&interner),
-                )
-            })
-            .collect();
-        for (name, rule, _) in rule_suite() {
-            let a = varbuf_core::prune::prune_solutions(rule.as_ref(), solutions.clone());
-            let b = varbuf_core::prune::prune_solutions(rule.as_ref(), round_tripped.clone());
-            let label = format!("seed{seed:x}/{name}");
-            assert_eq!(a.len(), b.len(), "{label}: survivor count");
-            for (x, y) in a.iter().zip(&b) {
-                assert_form_bits(&format!("{label}/load"), &x.load, &y.load);
-                assert_form_bits(&format!("{label}/rat"), &x.rat, &y.rat);
-            }
         }
     }
 }

@@ -161,7 +161,6 @@ fn assert_equal_objective(label: &str, on: &StatResult, off: &StatResult) {
         a.pruned_by_dominance, b.pruned_by_dominance,
         "{label}: dominance retirements"
     );
-    assert_eq!(a.lishi_skipped, b.lishi_skipped, "{label}: Li–Shi skips");
 }
 
 /// The stronger contract for cases where the deferred path is

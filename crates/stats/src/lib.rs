@@ -18,10 +18,6 @@
 //!   (Figure 6 of the paper).
 //! * [`linfit`] — ordinary least squares for small dense systems, used by
 //!   the device characterization flow (Section 3.1 / Figure 3).
-//! * [`interner`] — a run-global `SourceId → dense column` interner with
-//!   an arena of recycled dense rows and SoA batched moment kernels,
-//!   bitwise-equivalent to the sparse forms (used for list-wide sweeps
-//!   and representation cross-checks).
 //! * [`histogram`] — fixed-bin histograms for PDF comparisons.
 //! * [`rng`] — a deterministic SplitMix64 generator backing benchmark
 //!   generation, Monte Carlo, and the property-style tests, so that the
@@ -46,7 +42,6 @@ pub mod canonical;
 pub mod clark;
 pub mod gaussian;
 pub mod histogram;
-pub mod interner;
 pub mod ks;
 pub mod linfit;
 pub mod mc;
@@ -56,10 +51,6 @@ pub use canonical::{CanonicalForm, SourceId};
 pub use clark::{stat_max, stat_min, MinMaxResult};
 pub use gaussian::{norm_cdf, norm_pdf, norm_quantile, prob_at_least_normal, prob_greater_normal};
 pub use histogram::Histogram;
-pub use interner::{
-    lane_axpy_var_ref, lane_dot_ref, lane_lin_comb_dot_ref, lane_variance_ref, ColumnForm,
-    FormArena, FormBatch, ScatterPlanCache, TermInterner, LANES,
-};
 pub use ks::{ks_critical, ks_statistic};
 pub use mc::{MonteCarlo, SampleVector};
 pub use rng::SplitMix64;

@@ -1,29 +1,15 @@
-//! Pinning suite for the lane-blocked batch kernels and the run-chunked
-//! sparse kernels.
-//!
-//! Two families of pins, matching the two determinism contracts in the
-//! `interner` module docs:
-//!
-//! * the **lane-blocked** [`FormBatch`] kernels must reproduce their
-//!   scalar reference schedules ([`lane_variance_ref`] / [`lane_dot_ref`]
-//!   / [`lane_lin_comb_dot_ref`]) bit for bit, across seeds and widths
-//!   straddling the 8-lane boundary;
-//! * the **run-chunked galloping** kernels of [`CanonicalForm`]
-//!   (`lin_comb_into`, `add_scaled_assign`, `sub_stats`) must reproduce
-//!   an independent naive sorted-merge reference bit for bit, including
-//!   the degenerate run shapes that stress the gallop: empty exclusive
-//!   runs, single-term forms, fully interleaved source ownership, and
-//!   exact zero cancellations.
+//! Pinning suite for the run-chunked sparse kernels of
+//! [`CanonicalForm`] (`lin_comb_into`, `add_scaled_assign`,
+//! `sub_stats`): each must reproduce an independent naive sorted-merge
+//! reference bit for bit, including the degenerate run shapes that
+//! stress the gallop: empty exclusive runs, single-term forms, fully
+//! interleaved source ownership, and exact zero cancellations.
 //!
 //! Cases come from the in-tree [`SplitMix64`] generator, so the suite is
 //! hermetic and reproducible offline.
 
 use varbuf_stats::canonical::{CanonicalForm, SourceId};
 use varbuf_stats::rng::SplitMix64;
-use varbuf_stats::{
-    lane_dot_ref, lane_lin_comb_dot_ref, lane_variance_ref, ColumnForm, FormBatch,
-    ScatterPlanCache, TermInterner, LANES,
-};
 
 const SEEDS: [u64; 3] = [0x9E37_79B9, 0x85EB_CA6B, 0xC2B2_AE35];
 
@@ -82,121 +68,6 @@ fn assert_forms_bitwise(label: &str, got: &CanonicalForm, want: &CanonicalForm) 
         assert_eq!(gi, wi, "{label}: term id");
         assert_eq!(gc.to_bits(), wc.to_bits(), "{label}: term coefficient");
     }
-}
-
-#[test]
-fn lane_batch_kernels_match_scalar_references_across_seeds() {
-    // Widths straddling the lane boundary on every side: a pure tail,
-    // one exact block, block + tail, several blocks.
-    for &seed in &SEEDS {
-        for &width in &[3u32, 8, 13, 24, 51] {
-            let mut rng = SplitMix64::new(seed ^ u64::from(width));
-            let universe: Vec<SourceId> = (0..width).map(SourceId).collect();
-            let interner = TermInterner::new(universe.iter().copied());
-            let forms: Vec<CanonicalForm> = (0..24)
-                .map(|_| random_form(&mut rng, width, width as usize))
-                .collect();
-            let probe = random_form(&mut rng, width, width as usize);
-            let dense_probe = ColumnForm::from_canonical(&interner, &probe);
-
-            let mut batch = FormBatch::new(&interner);
-            for f in &forms {
-                batch.push(&interner, f);
-            }
-
-            let mut vars = Vec::new();
-            batch.variances_into(&mut vars);
-            let mut covs = Vec::new();
-            batch.covariances_with_into(&dense_probe, &mut covs);
-            for i in 0..forms.len() {
-                let label = format!("seed{seed:x}/w{width}/row{i}");
-                let var_ref = lane_variance_ref(batch.row(i));
-                assert_eq!(vars[i].to_bits(), var_ref.to_bits(), "{label}: variance");
-                assert_eq!(
-                    covs[i].to_bits(),
-                    lane_dot_ref(batch.row(i), dense_probe.columns()).to_bits(),
-                    "{label}: covariance"
-                );
-            }
-
-            // Fused lin-comb + covariance against every probe row.
-            let stride = width.div_ceil(LANES as u32) as usize * LANES;
-            let n = batch.len();
-            for t in 0..4 {
-                let (i, j, p) = (t % n, (t * 7 + 1) % n, (t * 3 + 2) % n);
-                let (k1, k2) = (0.5 + t as f64, -1.5 + t as f64 * 0.25);
-                let mut row_a = batch.row(i).to_vec();
-                row_a.resize(stride, 0.0);
-                let mut row_b = batch.row(j).to_vec();
-                row_b.resize(stride, 0.0);
-                let mut row_p = batch.row(p).to_vec();
-                row_p.resize(stride, 0.0);
-                let mut out_ref = vec![0.0; stride];
-                let want = lane_lin_comb_dot_ref(&row_a, k1, &row_b, k2, &row_p, &mut out_ref);
-                let got = batch.lin_comb_cov_push(i, k1, j, k2, p);
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "seed{seed:x}/w{width}: fused cov"
-                );
-                let new = batch.len() - 1;
-                for (x, y) in batch.row(new).iter().zip(&out_ref) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "seed{seed:x}/w{width}: fused row");
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn interned_scatter_is_bitwise_equal_to_plain_push() {
-    for &seed in &SEEDS {
-        let mut rng = SplitMix64::new(seed);
-        let universe: Vec<SourceId> = (0..40).map(SourceId).collect();
-        let interner = TermInterner::new(universe.iter().copied());
-        let mut cache = ScatterPlanCache::new();
-        let mut plain = FormBatch::new(&interner);
-        let mut interned = FormBatch::new(&interner);
-        for _ in 0..64 {
-            let f = random_form(&mut rng, 40, 12);
-            plain.push(&interner, &f);
-            interned.push_interned(&interner, &mut cache, &f);
-        }
-        assert!(
-            cache.distinct_sets() + cache.hits() == 64,
-            "every push either interned or reused a set"
-        );
-        for i in 0..plain.len() {
-            assert_eq!(plain.means()[i].to_bits(), interned.means()[i].to_bits());
-            for (x, y) in plain.row(i).iter().zip(interned.row(i)) {
-                assert_eq!(x.to_bits(), y.to_bits(), "seed{seed:x}: row {i}");
-            }
-        }
-    }
-}
-
-#[test]
-fn zero_variance_columns_are_exact_through_lane_kernels() {
-    // Constants (no live columns) and forms whose only term sits past
-    // the last full lane block: variance must come out as an exact
-    // (sign-normalized) zero or the lone square, never accumulate noise.
-    let interner = TermInterner::new((0..9).map(SourceId));
-    let mut batch = FormBatch::new(&interner);
-    batch.push(&interner, &CanonicalForm::constant(5.0));
-    batch.push(
-        &interner,
-        &CanonicalForm::with_terms(1.0, vec![(SourceId(8), 0.25)]),
-    );
-    let mut vars = Vec::new();
-    batch.variances_into(&mut vars);
-    assert_eq!(vars[0].to_bits(), 0.0f64.to_bits(), "constant row: +0.0");
-    assert_eq!(vars[1].to_bits(), (0.25f64 * 0.25).to_bits());
-    // Covariance of anything against the constant row is an exact +0.0.
-    let probe = ColumnForm::from_canonical(&interner, &CanonicalForm::constant(2.0));
-    let mut covs = Vec::new();
-    batch.covariances_with_into(&probe, &mut covs);
-    assert_eq!(covs[0].to_bits(), 0.0f64.to_bits());
-    assert_eq!(covs[1].to_bits(), 0.0f64.to_bits());
 }
 
 #[test]

@@ -101,7 +101,6 @@ fn subcommand(name: &str) -> Option<Subcommand> {
                 ("--budget-mem", true),
                 ("--jobs", true),
                 ("--jobs-force", false),
-                ("--no-lishi", false),
                 ("--no-lazy-wire", false),
             ],
         ),
@@ -179,14 +178,10 @@ usage:
                   [--rule 2p|4p|1p] [--p THRESH] [--sizing] [--mc SAMPLES]
                   [--degrade] [--budget-solutions N] [--budget-time SECS]
                   [--budget-mem MB] [--jobs N] [--jobs-force]
-                  [--no-lishi] [--no-lazy-wire]
+                  [--no-lazy-wire]
       --jobs N: worker threads for the DP (0 = all cores); results are
                 bit-identical to --jobs 1. Requests beyond the host's
                 available parallelism are clamped unless --jobs-force.
-      --no-lishi: disable the Li–Shi generation skip (predicted-key
-                predecessor dominance that avoids building candidates
-                the next sweep would discard); results are bit-identical
-                either way
       --no-lazy-wire: disable lazy wire propagation (deferred affine
                 wire transforms materialized at merges, buffers and the
                 winner); solution counts and decisions are identical,
@@ -425,9 +420,6 @@ fn cmd_opt(args: &[String]) -> Result<Outcome, String> {
             .parse()
             .map_err(|_| "--jobs needs an integer".to_owned())?;
         options.dp.jobs = if n == 0 { default_jobs() } else { n };
-    }
-    if has_flag(args, "--no-lishi") {
-        options.dp.use_lishi = false;
     }
     if has_flag(args, "--no-lazy-wire") {
         options.dp.use_lazy_wire = false;

@@ -388,8 +388,10 @@ fn unknown_and_retired_flags_exit_one_naming_the_flag() {
     let (ok, ..) = run(&["gen", "random:10:1", "-o", tree]);
     assert!(ok);
     for (args, flag) in [
-        // Retired with bound-guided pruning: an error, not a no-op.
+        // Retired with their layers (bound-guided pruning, the Li–Shi
+        // skip): an error, not a no-op.
         (&["opt", tree, "--no-bounds"][..], "--no-bounds"),
+        (&["opt", tree, "--no-lishi"], "--no-lishi"),
         // A typo of a real flag must not run with the default.
         (&["opt", tree, "--no-lazy-wrie"], "--no-lazy-wrie"),
         // Flags are per subcommand: `--jobs` belongs to opt and serve.
