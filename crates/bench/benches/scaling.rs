@@ -90,16 +90,14 @@ fn main() {
         let model = ProcessModel::paper_defaults(tree.bounding_box(), SpatialKind::Heterogeneous);
 
         let reqs = vec![request(&tree, &model, jobs)];
-        // Warm run: collects the DP counters for annotation and doubles
-        // as the allocation-budget probe. The engine's recycling pool is
-        // per-run, so a single run is already steady state; the only
-        // per-candidate allocations left in the hot path are the trace
-        // `Arc`s recording lineage (one per merge pair / buffered
-        // candidate), far below one allocation per generated solution.
-        // Prime the model's per-net device-form memo first: building
-        // the table allocates freely but happens once per (tree, model)
-        // — the probe below must measure the steady-state DP.
-        drop(optimize_batch(&reqs, 1));
+        // The first run on this fresh model collects the DP counters for
+        // annotation and doubles as the allocation-budget probe: it is
+        // what every CLI `opt` and benchmark item pays. The engine's
+        // recycling pool is per-run and device forms are written into
+        // its scratch, so the only per-candidate allocations left in the
+        // hot path are the trace `Arc`s recording lineage (one per merge
+        // pair / buffered candidate), far below one allocation per
+        // generated solution.
         let allocs_before = alloc_counter::alloc_count();
         let stats = optimize_batch(&reqs, 1)
             .pop()
@@ -350,9 +348,9 @@ fn main() {
     // Resident service: per-request round-trip latency (p50/p99 over
     // individual samples, not Bencher medians), sustained throughput,
     // and the admission-control shed count under a deliberate overload
-    // burst. The session stays open across all samples, so the model's
-    // device-characterization memo is warm — the quantity the service
-    // exists to amortize.
+    // burst. The session stays open across all samples, so the net is
+    // parsed and its model built once — the set-up the service exists
+    // to amortize.
     let (svc_sinks, svc_requests) = if smoke { (12usize, 40usize) } else { (48, 400) };
     // Cache off: with the solution cache armed every repeat opt on an
     // unedited session is a pure replay, which would silently turn this
@@ -461,8 +459,9 @@ fn main() {
             Response::Opened { handle, .. } => handle,
             other => panic!("service open failed: {other}"),
         };
-        // Prime run: charges the model memo on both sides and, on the
-        // warm side, populates the cache the edits will dirty.
+        // Prime run: on the warm side it populates the cache the edits
+        // will dirty; the cold side runs it too, so both sides share one
+        // history.
         let warmup = svc.execute(Request::Optimize {
             handle,
             params: OptimizeParams::default(),

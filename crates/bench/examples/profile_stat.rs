@@ -34,8 +34,8 @@ fn main() {
     let model = ProcessModel::paper_defaults(tree.bounding_box(), SpatialKind::Heterogeneous);
     let rule = TwoParam::default();
     let opts = DpOptions::default();
-    // One warm-up run so the device-form memo and allocator are primed,
-    // then the measured run.
+    // One warm-up run so the allocator and caches are primed, then the
+    // measured run.
     let _ = optimize_with_rule(&tree, &model, VariationMode::WithinDie, &rule, &opts)
         .expect("warm-up run");
     let t = std::time::Instant::now();

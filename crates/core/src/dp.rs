@@ -42,7 +42,7 @@ use varbuf_rctree::tree::NodeKind;
 use varbuf_rctree::wire::WireSegment;
 use varbuf_rctree::{NodeId, RoutingTree};
 use varbuf_stats::CanonicalForm;
-use varbuf_variation::{BufferTypeId, ProcessModel, VariationMode};
+use varbuf_variation::{BufferTypeId, DeviceSite, ProcessModel, VariationMode};
 
 /// How the winning solution is chosen among the root's survivors.
 ///
@@ -835,40 +835,17 @@ impl<'r> Supervisor<'r> for GovSupervisor<'r, '_> {
     }
 }
 
-/// Immutable per-run context: the run's inputs plus every node-indexed
-/// table the DP would otherwise recompute at each visit. Built once in
-/// `run_engine` *before* the speculative parallel phase, then shared
-/// read-only by the sequential loop and every pool worker:
-///
-/// * **device forms** — the `(C_b, T_b)` canonical-form pair of every
-///   `(candidate node, buffer type)` combination, computed by one
-///   [`ProcessModel::precompute_device_forms`] sweep. This evaluates the
-///   spatial-correlation weights once per location instead of `2·B`
-///   times per node visit, and removes the per-call term-vector
-///   allocations from the buffering step entirely;
-/// * **wire segments** — the width-scaled RC segment of every
-///   `(edge, width index)` pair; segments depend on nothing else, so the
-///   lift step becomes a pure table lookup.
-///
-/// Both tables hold bitwise the values the per-call paths produce
-/// (pinned by `precomputed_device_forms_match_per_call_path_bitwise` in
-/// `varbuf-variation` and by this module's golden regressions), so
-/// cached and uncached runs are indistinguishable.
+/// Immutable per-run context: the run's inputs plus the lazy-wire
+/// switch, shared read-only by the sequential loop and every pool
+/// worker. Per-node values are computed where the walk uses them — each
+/// wire segment at its lift, each candidate's device forms in its
+/// buffering arm, into the worker's [`SolPool`] scratch — so a run pays
+/// only for what it reads and holds nothing per node.
 pub(crate) struct RunCtx<'a> {
     pub(crate) tree: &'a RoutingTree,
     pub(crate) model: &'a ProcessModel,
+    pub(crate) mode: VariationMode,
     pub(crate) sizing: &'a WireSizing,
-    /// `node.index()` → row of `device_forms` (`u32::MAX` for nodes that
-    /// are not buffer candidates).
-    device_rows: Vec<u32>,
-    /// Per candidate node: `(cap_form, delay_form)` indexed by buffer
-    /// type id. Shared through the model's per-net memo, so repeat runs
-    /// on one net (governed retries, yield re-evaluation) skip the
-    /// spatial taper scan and hand out the *same* table.
-    device_forms: std::sync::Arc<varbuf_variation::DeviceFormTable>,
-    /// `node.index() * widths + wi` → the edge segment above `node`
-    /// scaled to width `wi`.
-    segments: Vec<WireSegment>,
     /// Whether lazy wire propagation is armed for this run (see
     /// [`DpOptions::use_lazy_wire`] for the arming conditions). Shared by
     /// the parallel workers and the sequential engine.
@@ -876,8 +853,8 @@ pub(crate) struct RunCtx<'a> {
 }
 
 impl<'a> RunCtx<'a> {
-    /// Builds the run's tables and arms lazy wire propagation for a run
-    /// under `governor`, with a fault injector when `faults` is set.
+    /// Collects the run's inputs and arms lazy wire propagation for a
+    /// run under `governor`, with a fault injector when `faults` is set.
     pub(crate) fn new(
         tree: &'a RoutingTree,
         model: &'a ProcessModel,
@@ -887,36 +864,11 @@ impl<'a> RunCtx<'a> {
         governor: &Governor,
         faults: bool,
     ) -> Self {
-        let mut device_rows = vec![u32::MAX; tree.len()];
-        let mut locations = Vec::new();
-        for (i, row) in device_rows.iter_mut().enumerate() {
-            let id = NodeId(u32::try_from(i).expect("node count fits u32"));
-            let node = tree.node(id);
-            if node.is_candidate {
-                *row = u32::try_from(locations.len()).expect("node count fits u32");
-                locations.push((id, node.location));
-            }
-        }
-        let device_forms = model.device_forms_cached(&locations, mode);
-        let wire = tree.wire();
-        let widths = sizing.widths();
-        let mut segments = Vec::with_capacity(tree.len() * widths.len());
-        for i in 0..tree.len() {
-            let length = tree.node(NodeId(i as u32)).edge_length;
-            for &w in widths {
-                let mut seg = wire.segment(length);
-                seg.resistance /= w;
-                seg.capacitance *= w;
-                segments.push(seg);
-            }
-        }
         Self {
             tree,
             model,
+            mode,
             sizing,
-            device_rows,
-            device_forms,
-            segments,
             // A degradable run keeps eager wire (pending-aware
             // footprints would shift its degradation schedule's memory
             // estimates), and so does a fault-injected one, so injected
@@ -927,23 +879,45 @@ impl<'a> RunCtx<'a> {
         }
     }
 
-    /// The pre-scaled RC segment of the edge above `node` at width `wi`.
-    pub(crate) fn segment(&self, node: NodeId, wi: usize) -> &WireSegment {
-        &self.segments[node.index() * self.sizing.widths().len() + wi]
+    /// The RC segment of the edge above `node` scaled to width `wi`.
+    pub(crate) fn segment(&self, node: NodeId, wi: usize) -> WireSegment {
+        let w = self.sizing.widths()[wi];
+        let mut seg = self.tree.wire().segment(self.tree.node(node).edge_length);
+        seg.resistance /= w;
+        seg.capacitance *= w;
+        seg
     }
+}
 
-    /// The cached `(cap_form, delay_form)` pairs of a candidate node,
-    /// indexed by buffer-type id.
-    pub(crate) fn device_forms(&self, node: NodeId) -> &[(CanonicalForm, CanonicalForm)] {
-        &self.device_forms[self.device_rows[node.index()] as usize]
+/// One worker's device-form scratch: the candidate site being buffered
+/// and its `(C_b, T_b)` pair per buffer type, rewritten in place at
+/// every candidate.
+#[derive(Default)]
+struct DeviceScratch {
+    site: DeviceSite,
+    forms: Vec<(CanonicalForm, CanonicalForm)>,
+}
+
+impl DeviceScratch {
+    /// Writes candidate `id`'s forms (one taper scan, one writer call per
+    /// buffer type) and returns them indexed by buffer-type id.
+    fn write(&mut self, ctx: &RunCtx<'_>, id: NodeId) -> &[(CanonicalForm, CanonicalForm)] {
+        let model = ctx.model;
+        model.device_site(id, ctx.tree.node(id).location, ctx.mode, &mut self.site);
+        self.forms
+            .resize_with(model.library().len(), Default::default);
+        for (ty, _) in model.library().iter() {
+            model.device_forms_into(&self.site, ty, &mut self.forms[ty.0]);
+        }
+        &self.forms
     }
 }
 
 /// Recycles the engine's transient allocations: candidate-list `Vec`s,
 /// the solution carcasses inside them (term vectors keep their
 /// capacity), the batched-key prune scratch, the sorted-merge key
-/// buffers, and the dominance-flag scratch of the quadratic prune. One
-/// pool per worker — never shared.
+/// buffers, the dominance-flag scratch of the quadratic prune, and the
+/// buffering arm's device forms. One pool per worker — never shared.
 #[derive(Default)]
 pub(crate) struct SolPool {
     lists: Vec<Vec<StatSolution>>,
@@ -951,6 +925,7 @@ pub(crate) struct SolPool {
     pub(crate) scratch: PruneScratch,
     merge_keys: (Vec<f64>, Vec<f64>),
     flags: Vec<bool>,
+    device: DeviceScratch,
 }
 
 impl SolPool {
@@ -1028,9 +1003,6 @@ fn run_engine(
         return Err(InsertionError::NoSinks);
     }
 
-    // All node-indexed tables (device forms, wire segments) are built
-    // once here, before the speculative phase, so the parallel workers
-    // and the sequential fallback read the exact same cached values.
     let ctx = RunCtx::new(
         tree,
         model,
@@ -1104,10 +1076,10 @@ fn run_engine(
 /// supervisor's admission/integrity policy. Returns the node's
 /// surviving candidate list.
 ///
-/// The hot path is allocation-free in steady state: wire segments and
-/// device forms come from [`RunCtx`]'s tables, new solutions are
-/// recycled carcasses from the worker's [`SolPool`], and pruning runs
-/// over the pool's batched-key scratch.
+/// The hot path is allocation-free in steady state: wire segments are
+/// computed at the lift, device forms are written into the worker's
+/// [`SolPool`] scratch, new solutions are recycled carcasses from the
+/// same pool, and pruning runs over the pool's batched-key scratch.
 #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
 pub(crate) fn process_node<'r, S: Supervisor<'r>>(
     ctx: &RunCtx<'_>,
@@ -1147,7 +1119,7 @@ pub(crate) fn process_node<'r, S: Supervisor<'r>>(
                     // governor sees the same numbers as the copying path.
                     let freed: usize = child_list.iter().map(solution_footprint).sum();
                     let mut lifted = child_list;
-                    let seg = ctx.segment(c, 0);
+                    let seg = &ctx.segment(c, 0);
                     if ctx.lazy {
                         // Deferred: fold the segment's mean effects in
                         // eagerly (bitwise the eager kernel's nominal
@@ -1172,9 +1144,9 @@ pub(crate) fn process_node<'r, S: Supervisor<'r>>(
                         for wi in 0..widths {
                             let mut out = pool.take_sol();
                             if ctx.lazy {
-                                wire_defer_stat_into(&mut out, s, ctx.segment(c, wi));
+                                wire_defer_stat_into(&mut out, s, &ctx.segment(c, wi));
                             } else {
-                                wire_extend_stat_into(&mut out, s, ctx.segment(c, wi));
+                                wire_extend_stat_into(&mut out, s, &ctx.segment(c, wi));
                                 sparsify(&mut out, sup.epsilon());
                             }
                             if record_width {
@@ -1233,10 +1205,13 @@ pub(crate) fn process_node<'r, S: Supervisor<'r>>(
         sup.check_time()?;
         let t_buf = Instant::now();
         let mut buffered = pool.take(0);
+        // Moved out for the arm, so `take_sol` can borrow the pool while
+        // the forms are read.
+        let mut device = std::mem::take(&mut pool.device);
         {
             let rh = sup.rule();
             let rule = rh.get();
-            let forms = ctx.device_forms(id);
+            let forms = device.write(ctx, id);
             for (ty, bt) in ctx.model.library().iter() {
                 let (cap_form, delay_form) = &forms[ty.0];
                 let resistance = bt.resistance;
@@ -1293,6 +1268,7 @@ pub(crate) fn process_node<'r, S: Supervisor<'r>>(
                 }
             }
         }
+        pool.device = device;
         sols.append(&mut buffered);
         pool.put(buffered);
         stats.buffer_time += t_buf.elapsed();

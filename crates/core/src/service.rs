@@ -6,8 +6,9 @@
 //! whose [`SessionHandle`]s carry generation counters, so a handle that
 //! outlives its session is a typed [`RequestError::StaleHandle`], never
 //! a wrong answer against whatever net now occupies the slot. Residency
-//! is what makes the service worth having: a session's `ProcessModel`
-//! keeps its device-characterization memo warm across requests.
+//! is what makes the service worth having: a session parses its net and
+//! builds its `ProcessModel` once, and its solution cache replays every
+//! clean subtree across requests.
 //!
 //! A resident process is only as good as its worst request, so every
 //! optimize request runs inside a hardened envelope:
@@ -132,8 +133,7 @@ impl FromStr for SessionHandle {
     }
 }
 
-/// One resident net: the routing tree plus its process model (whose
-/// device-form memo amortizes across this session's requests), the
+/// One resident net: the routing tree plus its process model, the
 /// per-node content signatures that detect what an `edit` dirtied, and
 /// the epoch-scoped solution cache the incremental engine replays.
 #[derive(Debug)]

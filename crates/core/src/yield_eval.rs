@@ -117,10 +117,7 @@ impl<'a> YieldEvaluator<'a> {
                 }
             };
             if let Some(&ty) = buffers.get(&id) {
-                let cap = self.model.buffer_cap_form(ty, id, node.location, self.mode);
-                let delay = self
-                    .model
-                    .buffer_delay_form(ty, id, node.location, self.mode);
+                let (cap, delay) = self.model.buffer_forms(ty, id, node.location, self.mode);
                 sol = buffer_extend_stat(
                     &sol,
                     &cap,
@@ -231,10 +228,8 @@ impl<'a> YieldEvaluator<'a> {
         let mut used = std::collections::BTreeSet::new();
         for &(node, ty) in assignment {
             let loc = self.tree.node(node).location;
-            for form in [
-                self.model.buffer_cap_form(ty, node, loc, self.mode),
-                self.model.buffer_delay_form(ty, node, loc, self.mode),
-            ] {
+            let (cap, delay) = self.model.buffer_forms(ty, node, loc, self.mode);
+            for form in [cap, delay] {
                 used.extend(form.term_ids().iter().copied());
             }
         }
@@ -247,12 +242,8 @@ impl<'a> YieldEvaluator<'a> {
             .iter()
             .map(|&(node, ty)| {
                 let loc = self.tree.node(node).location;
-                (
-                    node,
-                    self.model.buffer_cap_form(ty, node, loc, self.mode),
-                    self.model.buffer_delay_form(ty, node, loc, self.mode),
-                    self.model.buffer_resistance(ty),
-                )
+                let (cap, delay) = self.model.buffer_forms(ty, node, loc, self.mode);
+                (node, cap, delay, self.model.buffer_resistance(ty))
             })
             .collect();
 

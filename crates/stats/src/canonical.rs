@@ -448,6 +448,43 @@ impl CanonicalForm {
         true
     }
 
+    /// Starts an in-place build: sets the nominal and clears the terms,
+    /// keeping the term buffers' capacity. Follow with
+    /// [`push_term`](Self::push_term) and
+    /// [`push_scaled_terms`](Self::push_scaled_terms) in ascending id
+    /// order; the result is bitwise what [`with_terms`](Self::with_terms)
+    /// builds from the same ascending list.
+    pub fn reset(&mut self, nominal: f64) {
+        self.nominal = nominal;
+        self.ids.clear();
+        self.coeffs.clear();
+    }
+
+    /// Appends one term of an in-place build, dropping an exact zero as
+    /// [`with_terms`](Self::with_terms) does. `id` must exceed every id
+    /// already present.
+    pub fn push_term(&mut self, id: SourceId, coeff: f64) {
+        debug_assert!(self.ids.last().is_none_or(|&last| last < id));
+        if coeff != 0.0 {
+            self.ids.push(id);
+            self.coeffs.push(coeff);
+        }
+    }
+
+    /// Appends `k · coeffs[r]` for every `ids[r]` as whole-slice writes,
+    /// dropping exact-zero products as [`with_terms`](Self::with_terms)
+    /// drops zero coefficients. `ids` must be strictly ascending, above
+    /// every id already present, and as long as `coeffs`.
+    pub fn push_scaled_terms(&mut self, ids: &[SourceId], coeffs: &[f64], k: f64) {
+        debug_assert_eq!(ids.len(), coeffs.len());
+        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(self
+            .ids
+            .last()
+            .is_none_or(|&last| ids.first().is_none_or(|&first| last < first)));
+        append_scaled_run(&mut self.ids, &mut self.coeffs, ids, coeffs, k);
+    }
+
     /// Overwrites `self` with `src`, reusing `self`'s term capacity.
     ///
     /// Bitwise equivalent to `*self = src.clone()` without the heap
@@ -981,6 +1018,33 @@ mod tests {
         // Shared source cancels exactly (id 2): still identical.
         let (_, var2) = a.sub_stats(&a);
         assert_eq!(var2.to_bits(), a.sub(&a).variance().to_bits());
+    }
+
+    #[test]
+    fn in_place_build_matches_with_terms_bitwise() {
+        let ids = [SourceId(2), SourceId(5), SourceId(9)];
+        let coeffs = [1.5, -0.25, 5e-324];
+        // Reuse one destination that starts wider than any result, so a
+        // stale term would show.
+        let mut out = form(99.0, &[(0, 1.0), (1, 1.0), (3, 1.0), (20, 1.0), (30, 1.0)]);
+        for (head, k, tail) in [(3.0, 0.5, -1.0), (0.0, -0.0, 2.0), (-0.0, 2.0, 0.0)] {
+            let reference = CanonicalForm::with_terms(
+                1.25,
+                std::iter::once((SourceId(1), head))
+                    .chain(ids.iter().zip(&coeffs).map(|(&id, &c)| (id, k * c)))
+                    .chain(std::iter::once((SourceId(12), tail)))
+                    .collect(),
+            );
+            out.reset(1.25);
+            out.push_term(SourceId(1), head);
+            out.push_scaled_terms(&ids, &coeffs, k);
+            out.push_term(SourceId(12), tail);
+            assert_eq!(out.mean().to_bits(), reference.mean().to_bits());
+            assert_eq!(out.term_ids(), reference.term_ids());
+            for (x, y) in out.term_coeffs().iter().zip(reference.term_coeffs()) {
+                assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
     }
 
     #[test]

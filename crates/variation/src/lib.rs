@@ -33,6 +33,6 @@ pub mod sources;
 pub mod spatial;
 
 pub use library::{BufferLibrary, BufferType, BufferTypeId, UnknownBufferType};
-pub use model::{DeviceFormTable, ProcessModel, VariationBudgets, VariationMode};
+pub use model::{DeviceSite, ProcessModel, VariationBudgets, VariationMode};
 pub use sources::SourceLayout;
-pub use spatial::{CorrelationTable, SpatialKind, SpatialModel, SpatialWeightTable};
+pub use spatial::{SpatialKind, SpatialModel};

@@ -18,12 +18,11 @@
 use crate::library::{BufferLibrary, BufferType, BufferTypeId};
 use crate::sources::SourceLayout;
 use crate::spatial::{SpatialKind, SpatialModel};
-use std::sync::{Arc, Mutex};
 use varbuf_rctree::elmore::BufferValues;
 use varbuf_rctree::geom::{BoundingBox, Point};
 use varbuf_rctree::NodeId;
 use varbuf_stats::mc::SampleVector;
-use varbuf_stats::CanonicalForm;
+use varbuf_stats::{CanonicalForm, SourceId};
 
 /// Per-category standard-deviation budgets, as fractions of the nominal
 /// value (the paper budgets 5% each, Section 5.1).
@@ -101,48 +100,33 @@ impl VariationMode {
     }
 }
 
-/// Precomputed device forms for one candidate set: the outer vector is
-/// indexed by position in the location list, the inner slice by buffer
-/// type id; each entry is the `(capacitance, delay)` canonical-form pair.
-pub type DeviceFormTable = Vec<Box<[(CanonicalForm, CanonicalForm)]>>;
-
-/// How many candidate sets [`ProcessModel::device_forms_cached`] keeps —
-/// enough for the mode/sizing variants of one net without letting an
-/// interleaved multi-net sweep pin every table in memory.
-const FORMS_CACHE_CAP: usize = 2;
-
-/// Per-net memo of [`ProcessModel::precompute_device_forms`] results.
-///
-/// Candidate locations are fixed per net, but one net is optimized many
-/// times — the governed fallback cascade retries with cheaper rules,
-/// yield evaluation re-runs the DP per mode, and sweeps revisit the same
-/// tree — and each run used to repay the full spatial taper scan
-/// (~10 ms at 1024 sinks). The memo hands every repeat run the identical
-/// `Arc`'d table, so only the first run per `(locations, mode)` pays.
-///
-/// The cache is an optimization, not model state: clones start cold and
-/// equality ignores it entirely.
-#[derive(Debug, Default)]
-struct FormsCache {
-    entries: Mutex<Vec<FormsCacheEntry>>,
-}
-
+/// One candidate site's share of eqs. (23)–(24): its node and mode,
+/// the WID nominal factor, and its spatial taper split into a region-id
+/// column and a weight column. [`ProcessModel::device_site`] loads it
+/// once per candidate and [`ProcessModel::device_forms_into`] reads it
+/// once per buffer type; reusing one site keeps both calls
+/// allocation-free.
 #[derive(Debug)]
-struct FormsCacheEntry {
+pub struct DeviceSite {
+    node: NodeId,
     mode: VariationMode,
-    locations: Vec<(NodeId, Point)>,
-    table: Arc<DeviceFormTable>,
+    /// `1 + systematic shift` at the site; applied in `WithinDie` only.
+    factor: f64,
+    taper: Vec<(usize, f64)>,
+    regions: Vec<SourceId>,
+    weights: Vec<f64>,
 }
 
-impl Clone for FormsCache {
-    fn clone(&self) -> Self {
-        Self::default()
-    }
-}
-
-impl PartialEq for FormsCache {
-    fn eq(&self, _: &Self) -> bool {
-        true
+impl Default for DeviceSite {
+    fn default() -> Self {
+        Self {
+            node: NodeId(0),
+            mode: VariationMode::Nominal,
+            factor: 1.0,
+            taper: Vec::new(),
+            regions: Vec::new(),
+            weights: Vec::new(),
+        }
     }
 }
 
@@ -153,7 +137,6 @@ pub struct ProcessModel {
     spatial: SpatialModel,
     layout: SourceLayout,
     library: BufferLibrary,
-    forms_cache: FormsCache,
 }
 
 impl ProcessModel {
@@ -172,7 +155,6 @@ impl ProcessModel {
             spatial,
             layout,
             library,
-            forms_cache: FormsCache::default(),
         }
     }
 
@@ -221,8 +203,7 @@ impl ProcessModel {
         loc: Point,
         mode: VariationMode,
     ) -> CanonicalForm {
-        let t = self.library.get(ty);
-        self.device_form(t.capacitance, t.cap_sensitivity, ty, node, loc, mode)
+        self.buffer_forms(ty, node, loc, mode).0
     }
 
     /// Canonical form of the intrinsic delay `T_b,t` (eq. (24)).
@@ -234,8 +215,24 @@ impl ProcessModel {
         loc: Point,
         mode: VariationMode,
     ) -> CanonicalForm {
-        let t = self.library.get(ty);
-        self.device_form(t.intrinsic_delay, t.delay_sensitivity, ty, node, loc, mode)
+        self.buffer_forms(ty, node, loc, mode).1
+    }
+
+    /// Both forms of `ty` at candidate `node` located at `loc`:
+    /// `(C_b,t, T_b,t)` from one taper scan.
+    #[must_use]
+    pub fn buffer_forms(
+        &self,
+        ty: BufferTypeId,
+        node: NodeId,
+        loc: Point,
+        mode: VariationMode,
+    ) -> (CanonicalForm, CanonicalForm) {
+        let mut site = DeviceSite::default();
+        self.device_site(node, loc, mode, &mut site);
+        let mut pair = Default::default();
+        self.device_forms_into(&site, ty, &mut pair);
+        pair
     }
 
     /// The deterministic output resistance `R_b` of `ty`.
@@ -264,174 +261,76 @@ impl ProcessModel {
         self.budgets.systematic * self.spatial.systematic_pattern(loc)
     }
 
-    fn device_form(
+    /// Loads `site` with candidate `node` located at `loc` under `mode`:
+    /// in `WithinDie`, one spatial taper scan, its region ids mapped once
+    /// and its weights copied into a column, plus the systematic nominal
+    /// factor. Every buffer type's forms at the candidate then read the
+    /// site through [`device_forms_into`](Self::device_forms_into).
+    pub fn device_site(
         &self,
-        nominal: f64,
-        sensitivity: f64,
-        ty: BufferTypeId,
         node: NodeId,
         loc: Point,
         mode: VariationMode,
-    ) -> CanonicalForm {
-        if matches!(mode, VariationMode::Nominal) {
-            return CanonicalForm::constant(nominal);
-        }
-        let owned;
-        let weights: &[(usize, f64)] = if matches!(mode, VariationMode::WithinDie) {
-            owned = self.spatial.weights_at(loc);
-            &owned
-        } else {
-            &[]
-        };
-        self.device_form_with_weights(nominal, sensitivity, ty, node, loc, mode, weights)
-    }
-
-    /// [`device_form`](Self::device_form) with the location's spatial
-    /// weights supplied by the caller (from a
-    /// [`SpatialWeightTable`](crate::spatial::SpatialWeightTable) cache),
-    /// skipping the per-call taper scan. `weights` must be the
-    /// weights of `loc` (ignored outside `WithinDie`); the result is
-    /// bitwise what the uncached path builds.
-    ///
-    /// Terms are pushed in ascending id order — global (`0`), regions
-    /// (`1..=R`, the weight order), device (`>R`) — so
-    /// `CanonicalForm::with_terms` takes its sorted fast path.
-    #[allow(clippy::too_many_arguments)]
-    fn device_form_with_weights(
-        &self,
-        nominal: f64,
-        sensitivity: f64,
-        ty: BufferTypeId,
-        node: NodeId,
-        loc: Point,
-        mode: VariationMode,
-        weights: &[(usize, f64)],
-    ) -> CanonicalForm {
-        if matches!(mode, VariationMode::Nominal) {
-            return CanonicalForm::constant(nominal);
-        }
-        // Only a WID-aware model sees the systematic intra-die pattern;
-        // NOM and D2D optimizers assume the data-sheet nominal everywhere.
-        let nominal = if matches!(mode, VariationMode::WithinDie) {
-            nominal * (1.0 + self.systematic_shift(loc))
-        } else {
-            nominal
-        };
-        let base = nominal * sensitivity;
-        let mut terms = Vec::with_capacity(2 + weights.len());
-        // Inter-die global source.
-        terms.push((self.layout.global(), self.budgets.inter_die * base));
-        // Spatially correlated sources.
+        site: &mut DeviceSite,
+    ) {
+        site.node = node;
+        site.mode = mode;
+        site.regions.clear();
+        site.weights.clear();
         if matches!(mode, VariationMode::WithinDie) {
-            let coeff = self.budgets.intra_die * base;
-            for &(region, w) in weights {
-                terms.push((self.layout.region(region), coeff * w));
-            }
+            site.factor = 1.0 + self.systematic_shift(loc);
+            self.spatial.weights_into(loc, &mut site.taper);
+            let layout = self.layout;
+            site.regions
+                .extend(site.taper.iter().map(|&(region, _)| layout.region(region)));
+            site.weights.extend(site.taper.iter().map(|&(_, w)| w));
         }
-        // Random per-device source.
-        terms.push((self.layout.device(node, ty.0), self.budgets.random * base));
-        CanonicalForm::with_terms(nominal, terms)
     }
 
-    /// Precomputes the `(capacitance, delay)` canonical-form pair of
-    /// **every** buffer type at **every** candidate location, doing one
-    /// spatial taper scan per location instead of one per
-    /// `buffer_cap_form`/`buffer_delay_form` call (the DP queries each
-    /// node `2 × |library|` times). The outer vector is indexed by
-    /// position in `locations`, the inner slice by buffer type id; forms
-    /// are bitwise identical to the per-call path.
-    #[must_use]
-    pub fn precompute_device_forms(
-        &self,
-        locations: &[(NodeId, Point)],
-        mode: VariationMode,
-    ) -> DeviceFormTable {
-        let mut scratch = Vec::new();
-        locations
-            .iter()
-            .map(|&(node, loc)| {
-                if matches!(mode, VariationMode::WithinDie) {
-                    self.spatial.weights_into(loc, &mut scratch);
-                } else {
-                    scratch.clear();
-                }
-                self.library
-                    .iter()
-                    .map(|(ty, t)| {
-                        (
-                            self.device_form_with_weights(
-                                t.capacitance,
-                                t.cap_sensitivity,
-                                ty,
-                                node,
-                                loc,
-                                mode,
-                                &scratch,
-                            ),
-                            self.device_form_with_weights(
-                                t.intrinsic_delay,
-                                t.delay_sensitivity,
-                                ty,
-                                node,
-                                loc,
-                                mode,
-                                &scratch,
-                            ),
-                        )
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// [`precompute_device_forms`](Self::precompute_device_forms) behind
-    /// the model's per-net memo: the first call for a `(locations, mode)`
-    /// pair computes and stores the table; every later call with the same
-    /// candidate set returns the stored `Arc` — the *same* forms, so
-    /// repeat runs (governed fallback retries, yield re-evaluation,
-    /// per-rule sweeps over one net) are trivially bitwise identical and
-    /// skip the spatial taper scan entirely.
+    /// Writes eqs. (23)–(24) for buffer type `ty` at `site` (loaded by
+    /// [`device_site`](Self::device_site)): `C_b,t` into `out.0` and
+    /// `T_b,t` into `out.1`, reusing their term buffers.
     ///
-    /// The memo keeps the last [`FORMS_CACHE_CAP`] candidate sets
-    /// (mode × sizing variants of one net); an interleaved multi-net
-    /// workload simply recomputes, it never gets stale data because the
-    /// key is the full location list. Model clones (e.g.
-    /// [`for_net`](Self::for_net), which changes device source ids) start
-    /// with a cold cache.
-    #[must_use]
-    pub fn device_forms_cached(
+    /// Terms are written in ascending id order — global (`0`), regions
+    /// (`1..=R`, the taper's order), device (`>R`) — with the region
+    /// terms as one slice write of the site's id column and one scaled
+    /// pass over its weight column, and exact zeros are dropped, so each
+    /// form is bitwise what `CanonicalForm::with_terms` builds from the
+    /// same list.
+    pub fn device_forms_into(
         &self,
-        locations: &[(NodeId, Point)],
-        mode: VariationMode,
-    ) -> Arc<DeviceFormTable> {
-        if let Ok(entries) = self.forms_cache.entries.lock() {
-            if let Some(e) = entries
-                .iter()
-                .find(|e| e.mode == mode && e.locations == locations)
-            {
-                return Arc::clone(&e.table);
+        site: &DeviceSite,
+        ty: BufferTypeId,
+        out: &mut (CanonicalForm, CanonicalForm),
+    ) {
+        let t = self.library.get(ty);
+        let equations = [
+            (&mut out.0, t.capacitance, t.cap_sensitivity),
+            (&mut out.1, t.intrinsic_delay, t.delay_sensitivity),
+        ];
+        for (form, nominal, sensitivity) in equations {
+            // Only a WID-aware model sees the systematic intra-die
+            // pattern; NOM and D2D optimizers assume the data-sheet
+            // nominal everywhere.
+            let nominal = if matches!(site.mode, VariationMode::WithinDie) {
+                nominal * site.factor
+            } else {
+                nominal
+            };
+            form.reset(nominal);
+            if matches!(site.mode, VariationMode::Nominal) {
+                continue;
             }
+            let base = nominal * sensitivity;
+            // Inter-die global source, spatially correlated sources
+            // (none outside WID), random per-device source.
+            form.push_term(self.layout.global(), self.budgets.inter_die * base);
+            form.push_scaled_terms(&site.regions, &site.weights, self.budgets.intra_die * base);
+            form.push_term(
+                self.layout.device(site.node, ty.0),
+                self.budgets.random * base,
+            );
         }
-        let table = Arc::new(self.precompute_device_forms(locations, mode));
-        if let Ok(mut entries) = self.forms_cache.entries.lock() {
-            // Re-check under the lock: a racing worker may have inserted
-            // the same key; keep the first table so concurrent runs share.
-            if let Some(e) = entries
-                .iter()
-                .find(|e| e.mode == mode && e.locations == locations)
-            {
-                return Arc::clone(&e.table);
-            }
-            if entries.len() >= FORMS_CACHE_CAP {
-                entries.remove(0);
-            }
-            entries.push(FormsCacheEntry {
-                mode,
-                locations: locations.to_vec(),
-                table: Arc::clone(&table),
-            });
-        }
-        table
     }
 
     /// Concrete [`BufferValues`] for one Monte Carlo realization: the
@@ -445,9 +344,10 @@ impl ProcessModel {
         mode: VariationMode,
         sample: &SampleVector,
     ) -> BufferValues {
+        let (cap, delay) = self.buffer_forms(ty, node, loc, mode);
         BufferValues {
-            capacitance: sample.eval(&self.buffer_cap_form(ty, node, loc, mode)),
-            intrinsic_delay: sample.eval(&self.buffer_delay_form(ty, node, loc, mode)),
+            capacitance: sample.eval(&cap),
+            intrinsic_delay: sample.eval(&delay),
             resistance: self.buffer_resistance(ty),
         }
     }
@@ -608,64 +508,128 @@ mod tests {
         assert!(rho_far > 0.0 && rho_far < 0.5);
     }
 
-    #[test]
-    fn precomputed_device_forms_match_per_call_path_bitwise() {
+    /// Eqs. (23)–(24) transcribed term by term and built with
+    /// `with_terms`: the `(C_b,t, T_b,t)` reference the writer must match
+    /// bit for bit.
+    fn reference_forms(
+        m: &ProcessModel,
+        ty: BufferTypeId,
+        node: NodeId,
+        loc: Point,
+        mode: VariationMode,
+    ) -> (CanonicalForm, CanonicalForm) {
+        let form = |nominal: f64, sensitivity: f64| {
+            let nominal = match mode {
+                VariationMode::Nominal => return CanonicalForm::constant(nominal),
+                VariationMode::DieToDie => nominal,
+                VariationMode::WithinDie => nominal * (1.0 + m.systematic_shift(loc)),
+            };
+            let base = nominal * sensitivity;
+            let budgets = m.budgets();
+            let mut terms = vec![(m.layout().global(), budgets.inter_die * base)];
+            if mode == VariationMode::WithinDie {
+                let coeff = budgets.intra_die * base;
+                for (region, w) in m.spatial().weights_at(loc) {
+                    terms.push((m.layout().region(region), coeff * w));
+                }
+            }
+            terms.push((m.layout().device(node, ty.0), budgets.random * base));
+            CanonicalForm::with_terms(nominal, terms)
+        };
+        let t = m.library().get(ty);
+        (
+            form(t.capacitance, t.cap_sensitivity),
+            form(t.intrinsic_delay, t.delay_sensitivity),
+        )
+    }
+
+    /// Ids plus the bits of the nominal and of every coefficient of both
+    /// forms (`==` would let ±0.0 pass).
+    fn assert_same_bits(
+        got: &(CanonicalForm, CanonicalForm),
+        want: &(CanonicalForm, CanonicalForm),
+        what: &str,
+    ) {
+        for (got, want) in [(&got.0, &want.0), (&got.1, &want.1)] {
+            assert_eq!(got.mean().to_bits(), want.mean().to_bits(), "{what}: mean");
+            assert_eq!(got.term_ids(), want.term_ids(), "{what}: ids");
+            for (a, b) in got.term_coeffs().iter().zip(want.term_coeffs()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{what}: coefficient");
+            }
+        }
+    }
+
+    /// Every device-form case: both spatial kinds × the paper's and zero
+    /// budgets × nets 0 and 5, each visited in an order that shrinks and
+    /// grows the term lists — the die centre (~48 taper weights), then a
+    /// corner, and `WithinDie` right after `Nominal` — so a stale term
+    /// would show.
+    fn device_form_cases() -> Vec<(String, ProcessModel, NodeId, Point, VariationMode)> {
+        let centre = (NodeId(7), Point::new(4000.0, 4000.0));
+        let corner = (NodeId(12), Point::new(100.0, 7900.0));
+        let spatial = model(SpatialKind::Homogeneous).spatial().clone();
+        assert!(spatial.weights_at(centre.1).len() > spatial.weights_at(corner.1).len());
+        let steps = [
+            (centre, VariationMode::WithinDie),
+            (corner, VariationMode::WithinDie),
+            (corner, VariationMode::Nominal),
+            (corner, VariationMode::WithinDie),
+            (centre, VariationMode::DieToDie),
+            (centre, VariationMode::Nominal),
+            (centre, VariationMode::WithinDie),
+        ];
+        let mut cases = Vec::new();
         for kind in [SpatialKind::Homogeneous, SpatialKind::Heterogeneous] {
-            let m = model(kind);
-            let locations = [
-                (NodeId(1), Point::new(100.0, 100.0)),
-                (NodeId(7), Point::new(4000.0, 4000.0)),
-                (NodeId(12), Point::new(7900.0, 7900.0)),
-            ];
-            for mode in [
-                VariationMode::Nominal,
-                VariationMode::DieToDie,
-                VariationMode::WithinDie,
-            ] {
-                let table = m.precompute_device_forms(&locations, mode);
-                assert_eq!(table.len(), locations.len());
-                for (slot, &(node, loc)) in locations.iter().enumerate() {
-                    assert_eq!(table[slot].len(), m.library().len());
-                    for (ty, _) in m.library().iter() {
-                        let (cap, delay) = &table[slot][ty.0];
-                        assert_eq!(*cap, m.buffer_cap_form(ty, node, loc, mode));
-                        assert_eq!(*delay, m.buffer_delay_form(ty, node, loc, mode));
+            for budgets in [VariationBudgets::paper_5pct(), VariationBudgets::zero()] {
+                for net in [0, 5] {
+                    let library = BufferLibrary::default_65nm();
+                    let m = ProcessModel::new(die(8000.0), kind, budgets, library).for_net(net);
+                    for ((node, loc), mode) in steps {
+                        let label = format!("{kind:?} {budgets:?} net {net} {mode:?} {loc}");
+                        cases.push((label, m.clone(), node, loc, mode));
                     }
                 }
+            }
+        }
+        cases
+    }
+
+    #[test]
+    fn precomputed_device_forms_match_per_call_path_bitwise() {
+        // The DP loads a site once per candidate and writes every buffer
+        // type's forms from it; `buffer_cap_form`/`buffer_delay_form`
+        // (skew analysis, via `buffer_forms` as Monte Carlo and yield
+        // evaluation) load a fresh site per call. Both give the same bits.
+        let mut site = DeviceSite::default();
+        let mut out = Default::default();
+        for (label, m, node, loc, mode) in device_form_cases() {
+            m.device_site(node, loc, mode, &mut site);
+            for (ty, _) in m.library().iter() {
+                m.device_forms_into(&site, ty, &mut out);
+                let per_call = (
+                    m.buffer_cap_form(ty, node, loc, mode),
+                    m.buffer_delay_form(ty, node, loc, mode),
+                );
+                assert_same_bits(&out, &per_call, &format!("{label} {ty:?}"));
             }
         }
     }
 
     #[test]
     fn cached_device_forms_share_one_table_and_match_pure_path() {
-        let m = model(SpatialKind::Heterogeneous);
-        let locations = [
-            (NodeId(1), Point::new(100.0, 100.0)),
-            (NodeId(7), Point::new(4000.0, 4000.0)),
-        ];
-        let first = m.device_forms_cached(&locations, VariationMode::WithinDie);
-        let second = m.device_forms_cached(&locations, VariationMode::WithinDie);
-        // Repeat runs on one net get the *same* table, not a recompute.
-        assert!(Arc::ptr_eq(&first, &second));
-        assert_eq!(
-            *first,
-            m.precompute_device_forms(&locations, VariationMode::WithinDie)
-        );
-        // A different mode is a different key, served alongside the first.
-        let d2d = m.device_forms_cached(&locations, VariationMode::DieToDie);
-        assert!(!Arc::ptr_eq(&first, &d2d));
-        assert!(Arc::ptr_eq(
-            &first,
-            &m.device_forms_cached(&locations, VariationMode::WithinDie)
-        ));
-        // Clones (e.g. `for_net`, which changes device ids) start cold.
-        let clone = m.for_net(3);
-        let cloned = clone.device_forms_cached(&locations, VariationMode::WithinDie);
-        assert!(!Arc::ptr_eq(&first, &cloned));
-        assert_eq!(
-            *cloned,
-            clone.precompute_device_forms(&locations, VariationMode::WithinDie)
-        );
+        // One site and one output pair shared by every case, as a DP
+        // worker's scratch is shared by every candidate it buffers, still
+        // write the pure `with_terms` transcription of eqs. (23)–(24).
+        let mut site = DeviceSite::default();
+        let mut out = Default::default();
+        for (label, m, node, loc, mode) in device_form_cases() {
+            m.device_site(node, loc, mode, &mut site);
+            for (ty, _) in m.library().iter() {
+                m.device_forms_into(&site, ty, &mut out);
+                let reference = reference_forms(&m, ty, node, loc, mode);
+                assert_same_bits(&out, &reference, &format!("{label} {ty:?}"));
+            }
+        }
     }
 
     #[test]

@@ -278,121 +278,6 @@ fn correlation_of_weights(wa: &[(usize, f64)], wb: &[(usize, f64)]) -> f64 {
     (dot / (na * nb)).clamp(-1.0, 1.0)
 }
 
-/// Precomputed region weights for a fixed set of candidate locations.
-///
-/// Buffer-insertion candidate sites are fixed before the DP starts, so a
-/// run can compute every location's taper scan **once** and serve all
-/// later queries from a flat arena — replacing the per-call `Vec`
-/// allocation (and 81-cell exp/distance scan) `weights_at` performs.
-/// Weight slices keep the ascending region-index order of
-/// [`SpatialModel::weights_into`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpatialWeightTable {
-    /// `offsets[i]..offsets[i+1]` delimits location `i`'s weights.
-    offsets: Vec<usize>,
-    weights: Vec<(usize, f64)>,
-}
-
-impl SpatialWeightTable {
-    /// Precomputes the weights of every location (indexed by position).
-    #[must_use]
-    pub fn new(model: &SpatialModel, locations: &[Point]) -> Self {
-        let mut offsets = Vec::with_capacity(locations.len() + 1);
-        offsets.push(0);
-        let mut weights = Vec::new();
-        let mut scratch = Vec::new();
-        for &p in locations {
-            model.weights_into(p, &mut scratch);
-            weights.extend_from_slice(&scratch);
-            offsets.push(weights.len());
-        }
-        Self { offsets, weights }
-    }
-
-    /// Number of cached locations.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Whether the table holds no locations.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The cached `(region, coefficient)` weights of location `i` —
-    /// bitwise the slice `weights_at` would return for the same point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
-    #[must_use]
-    pub fn weights(&self, i: usize) -> &[(usize, f64)] {
-        &self.weights[self.offsets[i]..self.offsets[i + 1]]
-    }
-}
-
-/// Memoized pairwise spatial correlations over a fixed location set.
-///
-/// Stores the full symmetric matrix (one `f64` per ordered pair), so a
-/// query is a single indexed load — no weight scan, no allocation. Values
-/// are bitwise what [`SpatialModel::correlation`] returns for the same
-/// point pair.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CorrelationTable {
-    n: usize,
-    rho: Vec<f64>,
-}
-
-impl CorrelationTable {
-    /// Precomputes all pairwise correlations of `locations`.
-    #[must_use]
-    pub fn new(model: &SpatialModel, locations: &[Point]) -> Self {
-        Self::from_weights(&SpatialWeightTable::new(model, locations))
-    }
-
-    /// Builds the table from an existing weight cache (each diagonal
-    /// entry is still computed through the shared kernel so degenerate
-    /// zero-norm locations stay at `0.0`, exactly like the direct path).
-    #[must_use]
-    pub fn from_weights(table: &SpatialWeightTable) -> Self {
-        let n = table.len();
-        let mut rho = vec![0.0; n * n];
-        for i in 0..n {
-            for j in i..n {
-                let c = correlation_of_weights(table.weights(i), table.weights(j));
-                rho[i * n + j] = c;
-                rho[j * n + i] = c;
-            }
-        }
-        Self { n, rho }
-    }
-
-    /// Number of locations the table covers.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the table covers no locations.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// The memoized correlation between locations `i` and `j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` or `j` is out of range.
-    #[must_use]
-    pub fn correlation(&self, i: usize, j: usize) -> f64 {
-        assert!(i < self.n && j < self.n, "location index out of range");
-        self.rho[i * self.n + j]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -517,54 +402,5 @@ mod tests {
             // Ascending region order, the contract sorted merges rely on.
             assert!(buf.windows(2).all(|w| w[0].0 < w[1].0));
         }
-    }
-
-    #[test]
-    fn weight_table_caches_every_location() {
-        let m = SpatialModel::paper_defaults(die(10_000.0), SpatialKind::Homogeneous);
-        let locs = [
-            Point::new(500.0, 500.0),
-            Point::new(5000.0, 5000.0),
-            Point::new(9900.0, 100.0),
-        ];
-        let table = SpatialWeightTable::new(&m, &locs);
-        assert_eq!(table.len(), locs.len());
-        assert!(!table.is_empty());
-        for (i, &p) in locs.iter().enumerate() {
-            let direct = m.weights_at(p);
-            let cached = table.weights(i);
-            assert_eq!(cached.len(), direct.len());
-            for (a, b) in cached.iter().zip(&direct) {
-                assert_eq!(a.0, b.0);
-                assert_eq!(a.1.to_bits(), b.1.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn correlation_table_matches_direct_queries_bitwise() {
-        let m = SpatialModel::paper_defaults(die(10_000.0), SpatialKind::Heterogeneous);
-        let locs = [
-            Point::new(5000.0, 5000.0),
-            Point::new(5300.0, 5000.0),
-            Point::new(6500.0, 5000.0),
-            Point::new(9900.0, 200.0),
-        ];
-        let table = CorrelationTable::new(&m, &locs);
-        assert_eq!(table.len(), locs.len());
-        for i in 0..locs.len() {
-            for j in 0..locs.len() {
-                let direct = m.correlation(locs[i], locs[j]);
-                let cached = table.correlation(i, j);
-                assert_eq!(
-                    cached.to_bits(),
-                    direct.to_bits(),
-                    "pair ({i}, {j}): {cached} vs {direct}"
-                );
-                // Symmetry of the memoized matrix.
-                assert_eq!(cached.to_bits(), table.correlation(j, i).to_bits());
-            }
-        }
-        assert!((table.correlation(0, 0) - 1.0).abs() < 1e-9);
     }
 }

@@ -231,6 +231,9 @@ fn has_flag(args: &[String], key: &str) -> bool {
     args.iter().any(|a| a == key)
 }
 
+/// Node count of `htree:24`, the largest tree `gen` makes.
+const MAX_GEN_NODES: u64 = (1 << 25) - 1;
+
 fn build_tree(spec: &str, subdivide: Option<f64>) -> Result<RoutingTree, String> {
     // Range checks mirror the generators' asserts so a bad spec is a
     // clean exit-1 error instead of a panic.
@@ -260,7 +263,25 @@ fn build_tree(spec: &str, subdivide: Option<f64>) -> Result<RoutingTree, String>
         generate_benchmark(&bench)
     };
     Ok(match subdivide {
-        Some(um) => tree.subdivided(um),
+        Some(um) => {
+            // Counted before any node is built: each edge becomes
+            // ⌈length / um⌉ pieces, so a tiny pitch would otherwise
+            // allocate until memory runs out.
+            let root = tree.root();
+            let nodes = 1.0
+                + (0..tree.len())
+                    .map(|i| NodeId(i as u32))
+                    .filter(|&id| id != root)
+                    .map(|id| (tree.node(id).edge_length / um).ceil().max(1.0))
+                    .sum::<f64>();
+            if nodes > MAX_GEN_NODES as f64 {
+                return Err(format!(
+                    "--subdivide {um:e} would build {nodes:.3e} nodes, \
+                     more than the {MAX_GEN_NODES} of the largest gen tree (htree:24)"
+                ));
+            }
+            tree.subdivided(um)
+        }
         None => tree,
     })
 }
@@ -537,7 +558,9 @@ fn cmd_opt(args: &[String]) -> Result<Outcome, String> {
         None => None,
         Some(v) => Some(
             v.parse::<usize>()
-                .map_err(|_| format!("bad --mc sample count `{v}`"))?,
+                .ok()
+                .filter(|&n| n > 0)
+                .ok_or_else(|| format!("bad --mc sample count `{v}`: needs a positive integer"))?,
         ),
     };
     if let Some(samples) = mc_samples {

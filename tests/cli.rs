@@ -224,6 +224,11 @@ fn malformed_specs_and_flags_exit_one_without_panicking() {
         (&["opt", tree, "--mode", "bogus"][..], "unknown --mode"),
         (&["opt", tree, "--spatial", "bogus"], "unknown --spatial"),
         (&["opt", tree, "--mc", "abc"], "bad --mc"),
+        (&["opt", tree, "--mc", "0"], "bad --mc"),
+        (
+            &["gen", "random:5:1", "--subdivide", "1e-300"],
+            "--subdivide",
+        ),
         (&["opt", tree, "--p", "abc"], "bad --p"),
         (&["skew", tree, "--spatial", "bogus"], "unknown --spatial"),
     ] {
