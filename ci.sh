@@ -14,7 +14,7 @@
 #                         full-size BENCH_dp.json is never touched)
 #   6. cts capacity      (64k-sink varbuf cts under --budget-mem 512; its
 #                         peak RSS must stay under the results/ratchet.json
-#                         ceiling)
+#                         ceiling, and it must report a global skew)
 #   7. profile smoke     (profile_stat --json: the per-phase attribution
 #                         report must be well-formed — finite phase
 #                         timers that fit inside the wall clock)
@@ -184,6 +184,7 @@ fi
 echo "$CTS_OUT" | sed 's/^/    /'
 echo "$CTS_OUT" | grep -q '^htree16: 65536 sinks' || { echo "cts gate: 64k run did not complete" >&2; exit 1; }
 echo "$CTS_OUT" | grep -q 'peak chunk bytes'      || { echo "cts gate: frontier ledger peak missing" >&2; exit 1; }
+echo "$CTS_OUT" | grep -q '^global skew '         || { echo "cts gate: skew analysis did not report a global skew" >&2; exit 1; }
 
 echo "==> profile smoke (profile_stat --json: phase attribution well-formed)"
 cargo build --release -p varbuf-bench --examples

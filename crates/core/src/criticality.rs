@@ -68,14 +68,13 @@ pub fn sink_criticalities(
     assignment: &[(NodeId, BufferTypeId)],
 ) -> CriticalityReport {
     // Arrival forms come from the skew analyzer's downward propagation.
-    let arrivals = SkewAnalyzer::new(tree, model, mode)
-        .analyze(assignment)
-        .arrivals;
+    let arrivals = SkewAnalyzer::new(tree, model, mode).arrivals(assignment);
 
     // Slack_i = required_i − arrival_i.
     let mut slacks: Vec<(NodeId, CanonicalForm)> = arrivals
-        .into_iter()
-        .map(|(id, arrival)| {
+        .sinks()
+        .iter()
+        .map(|&(id, ref arrival)| {
             let required = match tree.node(id).kind {
                 NodeKind::Sink {
                     required_arrival, ..

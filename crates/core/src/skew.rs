@@ -8,13 +8,14 @@
 //! arrival becomes `a0 + Σ aᵢ·Xᵢ`, so the skew between any two sinks is
 //! just the difference of two forms — with all the shared inter-die and
 //! spatial terms cancelling exactly as they do on silicon. The global
-//! skew (max minus min arrival) is estimated with iterated Clark
-//! max/min.
+//! skew (max minus min arrival) is estimated with Clark max/min folded
+//! up the tree: a node's latest and earliest arrival below it come from
+//! its children's, left to right.
 //!
 //! The analysis runs in place: loads accumulate into one form per node,
-//! arrivals live in one recycled buffer per tree depth, and only sink
-//! arrivals are materialized. DESIGN.md ("Skew analysis") gives the
-//! bitwise contract with the allocating formulation.
+//! arrivals and folds live in recycled buffers, one per tree depth, and
+//! sink arrivals are kept only when [`SkewAnalyzer::arrivals`] asks for
+//! them. DESIGN.md ("Skew analysis") states the fold-order contract.
 
 use varbuf_rctree::tree::NodeKind;
 use varbuf_rctree::{NodeId, RoutingTree};
@@ -22,11 +23,10 @@ use varbuf_stats::clark::{stat_max_assign, stat_min_assign};
 use varbuf_stats::{prob_at_least_normal, CanonicalForm};
 use varbuf_variation::{BufferTypeId, ProcessModel, VariationMode};
 
-/// Per-sink arrival forms plus derived skew quantities.
+/// The statistical latest and earliest sink arrival of one buffered
+/// tree, and the skew quantities derived from them.
 #[derive(Debug, Clone)]
 pub struct SkewAnalysis {
-    /// Arrival time of every sink, canonical form, ps, sorted by node id.
-    pub arrivals: Vec<(NodeId, CanonicalForm)>,
     /// The statistical latest arrival (Clark max over sinks).
     pub latest: CanonicalForm,
     /// The statistical earliest arrival (Clark min over sinks).
@@ -45,20 +45,6 @@ impl SkewAnalysis {
         self.latest.sub(&self.earliest)
     }
 
-    /// The skew form between two specific sinks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node is not a sink of the analyzed tree.
-    #[must_use]
-    pub fn pair_skew(&self, a: NodeId, b: NodeId) -> CanonicalForm {
-        let find = |id: NodeId| match self.arrivals.binary_search_by_key(&id, |&(n, _)| n) {
-            Ok(i) => &self.arrivals[i].1,
-            Err(_) => panic!("{id} is not a sink of the analyzed tree"),
-        };
-        find(a).sub(find(b))
-    }
-
     /// Probability that the global skew stays below `target` ps.
     ///
     /// Allocation-free: the moments of latest − earliest come from
@@ -68,6 +54,37 @@ impl SkewAnalysis {
         // P(skew <= target) = P(skew - target <= 0).
         let (mean, var) = self.latest.sub_stats(&self.earliest);
         1.0 - prob_at_least_normal(mean, var.sqrt(), target)
+    }
+}
+
+/// Every sink's arrival form under one buffer placement, from
+/// [`SkewAnalyzer::arrivals`].
+#[derive(Debug, Clone)]
+pub struct SinkArrivals {
+    /// Sorted by node id, which [`pair_skew`](Self::pair_skew)'s search
+    /// relies on.
+    sinks: Vec<(NodeId, CanonicalForm)>,
+}
+
+impl SinkArrivals {
+    /// Arrival time of every sink, canonical form, ps, sorted by node id.
+    #[must_use]
+    pub fn sinks(&self) -> &[(NodeId, CanonicalForm)] {
+        &self.sinks
+    }
+
+    /// The skew form between two specific sinks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either node is not a sink of the analyzed tree.
+    #[must_use]
+    pub fn pair_skew(&self, a: NodeId, b: NodeId) -> CanonicalForm {
+        let find = |id: NodeId| match self.sinks.binary_search_by_key(&id, |&(n, _)| n) {
+            Ok(i) => &self.sinks[i].1,
+            Err(_) => panic!("{id} is not a sink of the analyzed tree"),
+        };
+        find(a).sub(find(b))
     }
 }
 
@@ -87,7 +104,11 @@ impl<'a> SkewAnalyzer<'a> {
         Self { tree, model, mode }
     }
 
-    /// Analyzes one buffer placement.
+    /// Analyzes one buffer placement: the latest and earliest sink
+    /// arrival, folded up the tree. A sink contributes its own arrival;
+    /// every other node folds its children's pairs left to right, in
+    /// `Node::children` order, with Clark max and min. No sink arrival
+    /// is kept.
     ///
     /// When a node appears more than once in `assignment` the last entry
     /// wins; ids outside the tree are ignored.
@@ -97,6 +118,39 @@ impl<'a> SkewAnalyzer<'a> {
     /// Panics if the tree has no sinks.
     #[must_use]
     pub fn analyze(&self, assignment: &[(NodeId, BufferTypeId)]) -> SkewAnalysis {
+        let mut fold = TreeFold::new();
+        self.walk(assignment, |_, depth, sink, arrival| {
+            fold.visit(depth, sink, arrival);
+        });
+        fold.finish()
+    }
+
+    /// Every sink's arrival form under one buffer placement, sorted by
+    /// node id: [`analyze`](Self::analyze)'s walk without its fold.
+    ///
+    /// `assignment` is read as in [`analyze`](Self::analyze).
+    #[must_use]
+    pub fn arrivals(&self, assignment: &[(NodeId, BufferTypeId)]) -> SinkArrivals {
+        let mut sinks = Vec::new();
+        self.walk(assignment, |id, _, sink, arrival| {
+            if sink {
+                sinks.push((id, arrival.clone()));
+            }
+        });
+        sinks.sort_unstable_by_key(|&(id, _)| id);
+        SinkArrivals { sinks }
+    }
+
+    /// The propagation both entry points share. It calls
+    /// `visit(id, depth, is_sink, arrival)` on every node below the root,
+    /// depth first with children in `Node::children` order; `arrival` is
+    /// the walk's buffer for `depth` and is overwritten as the walk moves
+    /// on.
+    fn walk(
+        &self,
+        assignment: &[(NodeId, BufferTypeId)],
+        mut visit: impl FnMut(NodeId, usize, bool, &CanonicalForm),
+    ) {
         let tree = self.tree;
         let wire = tree.wire();
         let n = tree.len();
@@ -139,7 +193,6 @@ impl<'a> SkewAnalyzer<'a> {
             panic!("root must be a source");
         };
         let mut level = vec![upward(root).scaled(driver_resistance)];
-        let mut arrivals = Vec::new();
         let mut stack: Vec<(NodeId, usize)> = tree
             .node(root)
             .children
@@ -165,29 +218,113 @@ impl<'a> SkewAnalyzer<'a> {
                 t.add_scaled_assign(&delay, 1.0);
                 t.add_scaled_assign(&load[id.index()], self.model.buffer_resistance(ty));
             }
-            if matches!(node.kind, NodeKind::Sink { .. }) {
-                arrivals.push((id, t.clone()));
-            }
+            visit(id, depth, matches!(node.kind, NodeKind::Sink { .. }), t);
             stack.extend(node.children.iter().rev().map(|&c| (c, depth + 1)));
         }
-        arrivals.sort_unstable_by_key(|&(id, _)| id);
+    }
+}
 
-        // Fold Clark max/min over the sinks in node-id order, each into
-        // a recycled destination.
-        assert!(!arrivals.is_empty(), "tree must have at least one sink");
-        let mut latest = arrivals[0].1.clone();
-        let mut earliest = latest.clone();
-        let mut scratch = CanonicalForm::default();
-        for (_, a) in &arrivals[1..] {
-            stat_max_assign(&mut scratch, &latest, a);
-            std::mem::swap(&mut latest, &mut scratch);
-            stat_min_assign(&mut scratch, &earliest, a);
-            std::mem::swap(&mut earliest, &mut scratch);
+/// One node's running (latest, earliest) pair.
+#[derive(Debug, Default)]
+struct Pair {
+    latest: CanonicalForm,
+    earliest: CanonicalForm,
+    /// Whether a sink below the node has been folded in yet.
+    filled: bool,
+}
+
+impl Pair {
+    /// Folds `(latest, earliest)` into a filled pair: one Clark max and
+    /// one Clark min step, each through the recycled `scratch`.
+    fn merge(
+        &mut self,
+        latest: &CanonicalForm,
+        earliest: &CanonicalForm,
+        scratch: &mut CanonicalForm,
+    ) {
+        stat_max_assign(scratch, &self.latest, latest);
+        std::mem::swap(&mut self.latest, scratch);
+        stat_min_assign(scratch, &self.earliest, earliest);
+        std::mem::swap(&mut self.earliest, scratch);
+    }
+}
+
+/// The tree-order fold behind [`SkewAnalyzer::analyze`], fed by its
+/// depth-first walk.
+///
+/// The walk's current path holds one *open* node per depth, and
+/// `pairs[d]` is the fold of the open node's finished children at depth
+/// `d`. A node's subtree is finished when the walk next visits a node at
+/// its depth or shallower; its pair then moves into its parent's, by
+/// swap if it is the first to arrive and by a Clark step otherwise. A
+/// sink, being a leaf, folds its arrival straight into its parent's
+/// pair.
+#[derive(Debug)]
+struct TreeFold {
+    pairs: Vec<Pair>,
+    /// Depth of the deepest open node; the root, at depth 0, is always
+    /// open.
+    open: usize,
+    scratch: CanonicalForm,
+}
+
+impl TreeFold {
+    fn new() -> Self {
+        Self {
+            pairs: vec![Pair::default()],
+            open: 0,
+            scratch: CanonicalForm::default(),
         }
+    }
+
+    /// Closes the open nodes at `depth` and deeper, deepest first, each
+    /// into its parent's pair.
+    fn close_to(&mut self, depth: usize) {
+        while self.open >= depth {
+            let (above, here) = self.pairs.split_at_mut(self.open);
+            let (parent, child) = (&mut above[self.open - 1], &mut here[0]);
+            if child.filled {
+                if parent.filled {
+                    parent.merge(&child.latest, &child.earliest, &mut self.scratch);
+                } else {
+                    std::mem::swap(parent, child);
+                }
+            }
+            self.open -= 1;
+        }
+    }
+
+    /// Takes the walk's next node: closes the subtrees it finishes, then
+    /// folds a sink's arrival into its parent's pair or opens any other
+    /// node with an empty pair.
+    fn visit(&mut self, depth: usize, sink: bool, arrival: &CanonicalForm) {
+        self.close_to(depth);
+        if sink {
+            let parent = &mut self.pairs[depth - 1];
+            if parent.filled {
+                parent.merge(arrival, arrival, &mut self.scratch);
+            } else {
+                parent.latest.copy_from(arrival);
+                parent.earliest.copy_from(arrival);
+                parent.filled = true;
+            }
+        } else {
+            if self.pairs.len() == depth {
+                self.pairs.push(Pair::default());
+            }
+            self.pairs[depth].filled = false;
+            self.open = depth;
+        }
+    }
+
+    /// Closes every node below the root and returns the root's pair.
+    fn finish(mut self) -> SkewAnalysis {
+        self.close_to(1);
+        let root = self.pairs.swap_remove(0);
+        assert!(root.filled, "tree must have at least one sink");
         SkewAnalysis {
-            arrivals,
-            latest,
-            earliest,
+            latest: root.latest,
+            earliest: root.earliest,
         }
     }
 }
@@ -199,7 +336,8 @@ mod tests {
     use std::collections::HashMap;
     use varbuf_rctree::generate::{generate_benchmark, generate_htree, BenchmarkSpec, HTreeSpec};
     use varbuf_rctree::{Point, WireParams};
-    use varbuf_stats::{stat_max, stat_min};
+    use varbuf_stats::mc::sample_moments;
+    use varbuf_stats::{stat_max, stat_min, SplitMix64};
     use varbuf_variation::SpatialKind;
 
     #[test]
@@ -208,11 +346,11 @@ mod tests {
         let model = ProcessModel::paper_defaults(tree.bounding_box(), SpatialKind::Homogeneous);
         let analyzer = SkewAnalyzer::new(&tree, &model, VariationMode::WithinDie);
         // Unbuffered symmetric tree: all nominal arrivals identical.
-        let analysis = analyzer.analyze(&[]);
-        let skew = analysis.global_skew();
+        let skew = analyzer.analyze(&[]).global_skew();
+        let arrivals = analyzer.arrivals(&[]);
         // Mean skew is positive (max > min with independent terms) but
         // small relative to arrival times.
-        let arrival_scale = analysis.arrivals[0].1.mean().abs();
+        let arrival_scale = arrivals.sinks()[0].1.mean().abs();
         assert!(skew.mean() >= -1e-9);
         assert!(
             skew.mean() < 0.05 * arrival_scale,
@@ -220,9 +358,9 @@ mod tests {
             skew.mean()
         );
         // Pairwise skew between mirror sinks: zero-mean.
-        let a = analysis.arrivals.first().expect("sinks").0;
-        let b = analysis.arrivals.last().expect("sinks").0;
-        let pair = analysis.pair_skew(a, b);
+        let a = arrivals.sinks().first().expect("sinks").0;
+        let b = arrivals.sinks().last().expect("sinks").0;
+        let pair = arrivals.pair_skew(a, b);
         assert!(pair.mean().abs() < 1e-6);
     }
 
@@ -262,7 +400,7 @@ mod tests {
         // Random trees have structurally different path lengths.
         assert!(skew.mean() > 1.0, "skew mean {}", skew.mean());
         // Latest >= every arrival mean; earliest <= every arrival mean.
-        for (_, a) in &analysis.arrivals {
+        for (_, a) in analyzer.arrivals(&[]).sinks() {
             assert!(analysis.latest.mean() >= a.mean() - 1e-6);
             assert!(analysis.earliest.mean() <= a.mean() + 1e-6);
         }
@@ -280,13 +418,13 @@ mod tests {
                 .expect("optimize");
         // In Nominal mode the arrival forms are deterministic and must
         // equal the Elmore evaluator's sink delays exactly.
-        let analyzer = SkewAnalyzer::new(&tree, &model, VariationMode::Nominal);
-        let analysis = analyzer.analyze(&wid.assignment);
+        let arrivals =
+            SkewAnalyzer::new(&tree, &model, VariationMode::Nominal).arrivals(&wid.assignment);
         let elmore = ElmoreEvaluator::new(&tree).evaluate(
             &assignment_with_nominal_values(&wid.assignment, model.library())
                 .expect("ids from this library"),
         );
-        for (id, form) in &analysis.arrivals {
+        for (id, form) in arrivals.sinks() {
             let (_, d) = elmore
                 .sink_delays
                 .iter()
@@ -307,19 +445,21 @@ mod tests {
     fn pair_skew_rejects_non_sinks() {
         let tree = generate_htree(&HTreeSpec::with_levels(3));
         let model = ProcessModel::paper_defaults(tree.bounding_box(), SpatialKind::Homogeneous);
-        let analysis = SkewAnalyzer::new(&tree, &model, VariationMode::WithinDie).analyze(&[]);
-        let _ = analysis.pair_skew(tree.root(), tree.root());
+        let arrivals = SkewAnalyzer::new(&tree, &model, VariationMode::WithinDie).arrivals(&[]);
+        let _ = arrivals.pair_skew(tree.root(), tree.root());
     }
 
     /// The allocating analyzer the in-place one replaced: a `HashMap`
     /// buffer lookup, a load and an arrival form for every node, sink
-    /// arrivals cloned out, and Clark folds through `stat_max`/`stat_min`.
+    /// arrivals cloned out, and Clark folds through `stat_max`/`stat_min`
+    /// over the sinks in node-id order: the id-order fold the Monte Carlo
+    /// test judges the tree-order fold against.
     fn reference_analyze(
         tree: &RoutingTree,
         model: &ProcessModel,
         mode: VariationMode,
         assignment: &[(NodeId, BufferTypeId)],
-    ) -> SkewAnalysis {
+    ) -> (SinkArrivals, SkewAnalysis) {
         let buffers: HashMap<NodeId, BufferTypeId> = assignment.iter().copied().collect();
         let wire = tree.wire();
         let n = tree.len();
@@ -389,11 +529,37 @@ mod tests {
             latest = stat_max(&latest, a).form;
             earliest = stat_min(&earliest, a).form;
         }
-        SkewAnalysis {
-            arrivals,
-            latest,
-            earliest,
+        (
+            SinkArrivals { sinks: arrivals },
+            SkewAnalysis { latest, earliest },
+        )
+    }
+
+    /// The tree-order fold, allocating and recursive: a sink's pair is its
+    /// arrival, and every other node folds its children's pairs left to
+    /// right through `stat_max`/`stat_min`.
+    fn reference_tree_fold(tree: &RoutingTree, arrivals: &SinkArrivals) -> SkewAnalysis {
+        fn pair(
+            tree: &RoutingTree,
+            arrivals: &SinkArrivals,
+            id: NodeId,
+        ) -> Option<(CanonicalForm, CanonicalForm)> {
+            let node = tree.node(id);
+            if matches!(node.kind, NodeKind::Sink { .. }) {
+                let i = arrivals
+                    .sinks
+                    .binary_search_by_key(&id, |&(n, _)| n)
+                    .expect("sink arrival");
+                let a = &arrivals.sinks[i].1;
+                return Some((a.clone(), a.clone()));
+            }
+            node.children
+                .iter()
+                .filter_map(|&c| pair(tree, arrivals, c))
+                .reduce(|(l, e), (cl, ce)| (stat_max(&l, &cl).form, stat_min(&e, &ce).form))
         }
+        let (latest, earliest) = pair(tree, arrivals, tree.root()).expect("sinks");
+        SkewAnalysis { latest, earliest }
     }
 
     fn assert_form_bits(x: &CanonicalForm, y: &CanonicalForm, ctx: &str) {
@@ -482,13 +648,16 @@ mod tests {
                 ] {
                     for (label, assignment) in &assignments {
                         let ctx = format!("{name} {spatial:?} {mode:?} {label}");
-                        let got = SkewAnalyzer::new(tree, &model, mode).analyze(assignment);
-                        let want = reference_analyze(tree, &model, mode, assignment);
-                        assert_eq!(got.arrivals.len(), want.arrivals.len(), "{ctx}");
-                        for ((gi, gf), (wi, wf)) in got.arrivals.iter().zip(&want.arrivals) {
+                        let analyzer = SkewAnalyzer::new(tree, &model, mode);
+                        let got = analyzer.arrivals(assignment);
+                        let (want, _) = reference_analyze(tree, &model, mode, assignment);
+                        assert_eq!(got.sinks.len(), want.sinks.len(), "{ctx}");
+                        for ((gi, gf), (wi, wf)) in got.sinks.iter().zip(&want.sinks) {
                             assert_eq!(gi, wi, "{ctx}: arrival ids");
                             assert_form_bits(gf, wf, &format!("{ctx} {gi}"));
                         }
+                        let got = analyzer.analyze(assignment);
+                        let want = reference_tree_fold(tree, &want);
                         assert_form_bits(&got.latest, &want.latest, &format!("{ctx} latest"));
                         assert_form_bits(&got.earliest, &want.earliest, &format!("{ctx} earliest"));
                     }
@@ -499,5 +668,100 @@ mod tests {
             buffered_designs > 10,
             "only {buffered_designs} optimized designs buffer"
         );
+    }
+
+    /// Monte Carlo of the global skew over the sinks' arrival forms:
+    /// each draw samples every source the arrivals use from N(0, 1),
+    /// evaluates every sink's form, and records the max minus the min.
+    /// Draws run `LANES` at a time, so each term's multiply-add is one
+    /// short contiguous loop. Returns the sample mean and standard
+    /// deviation.
+    fn monte_carlo_global_skew(arrivals: &SinkArrivals, draws: usize, seed: u64) -> (f64, f64) {
+        const LANES: usize = 16;
+        fn ids(f: &CanonicalForm) -> impl Iterator<Item = usize> + '_ {
+            f.term_ids().iter().map(|id| id.0 as usize)
+        }
+        let mut used: Vec<usize> = arrivals.sinks.iter().flat_map(|(_, f)| ids(f)).collect();
+        used.sort_unstable();
+        used.dedup();
+        let mut x = vec![[0.0; LANES]; used.last().map_or(0, |&i| i + 1)];
+        let mut rng = SplitMix64::new(seed);
+        let mut samples = Vec::with_capacity(draws);
+        for _ in 0..draws.div_ceil(LANES) {
+            for &i in &used {
+                x[i] = std::array::from_fn(|_| rng.normal());
+            }
+            let (mut hi, mut lo) = ([f64::NEG_INFINITY; LANES], [f64::INFINITY; LANES]);
+            for (_, f) in &arrivals.sinks {
+                let mut v = [f.mean(); LANES];
+                for (i, a) in ids(f).zip(f.term_coeffs()) {
+                    for (v, x) in v.iter_mut().zip(&x[i]) {
+                        *v += a * x;
+                    }
+                }
+                for k in 0..LANES {
+                    hi[k] = hi[k].max(v[k]);
+                    lo[k] = lo[k].min(v[k]);
+                }
+            }
+            samples.extend((0..LANES).map(|k| hi[k] - lo[k]));
+        }
+        samples.truncate(draws);
+        let (mean, var) = sample_moments(&samples);
+        (mean, var.sqrt())
+    }
+
+    #[test]
+    fn global_skew_is_no_further_from_monte_carlo_than_the_id_order_fold() {
+        const DRAWS: usize = 4000;
+        let mut trees: Vec<(String, RoutingTree)> = [4, 6, 8, 10]
+            .map(|l| {
+                (
+                    format!("htree{l}"),
+                    generate_htree(&HTreeSpec::with_levels(l)),
+                )
+            })
+            .into();
+        for sinks in [32, 128, 512] {
+            for seed in [3, 11, 29] {
+                let spec = BenchmarkSpec::random("skewmc", sinks, seed);
+                trees.push((format!("random{sinks}/{seed}"), generate_benchmark(&spec)));
+            }
+        }
+        // `--nocapture` prints the comparison table.
+        println!("case: MC mean ± sigma | tree fold | id-order fold (ps)");
+        for (name, tree) in &trees {
+            for spatial in [SpatialKind::Homogeneous, SpatialKind::Heterogeneous] {
+                let model = ProcessModel::paper_defaults(tree.bounding_box(), spatial);
+                let mode = VariationMode::WithinDie;
+                let wid = optimize_statistical(tree, &model, mode, &Options::default())
+                    .expect("optimize")
+                    .assignment;
+                let analyzer = SkewAnalyzer::new(tree, &model, mode);
+                let (mc_mean, mc_sigma) =
+                    monte_carlo_global_skew(&analyzer.arrivals(&wid), DRAWS, 17);
+                let tree_fold = analyzer.analyze(&wid).global_skew();
+                let id_fold = reference_analyze(tree, &model, mode, &wid).1.global_skew();
+                let ctx = format!(
+                    "{name} {spatial:?}: {mc_mean:.2} ± {mc_sigma:.2} | {:.2} ± {:.2} | {:.2} ± {:.2}",
+                    tree_fold.mean(),
+                    tree_fold.std_dev(),
+                    id_fold.mean(),
+                    id_fold.std_dev()
+                );
+                println!("{ctx}");
+                let mean_err = |f: &CanonicalForm| (f.mean() - mc_mean).abs();
+                let sigma_err = |f: &CanonicalForm| (f.std_dev() - mc_sigma).abs();
+                assert!(
+                    mean_err(&tree_fold)
+                        <= mean_err(&id_fold) + 3.0 * mc_sigma / (DRAWS as f64).sqrt(),
+                    "{ctx}: mean"
+                );
+                assert!(
+                    sigma_err(&tree_fold) <= sigma_err(&id_fold) + 0.1 * mc_sigma,
+                    "{ctx}: sigma"
+                );
+            }
+        }
     }
 }

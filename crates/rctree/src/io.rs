@@ -12,8 +12,9 @@
 //! ```
 //!
 //! Node lines are `kind id [parent] x y [edge_len] [candidate] [extras…]`;
-//! ids must be dense and in increasing order with the source first (the
-//! order produced by [`write_tree`]).
+//! ids and parents are non-negative integers, ids must be dense and in
+//! increasing order with the source first (the order produced by
+//! [`write_tree`]), and a parent must not be a sink.
 
 use crate::geom::Point;
 use crate::tree::{NodeId, NodeKind, RoutingTree};
@@ -169,7 +170,7 @@ pub fn read_tree<R: BufRead>(r: R) -> Result<RoutingTree, IoError> {
                     return Err(parse_err(lineno, "duplicate source line"));
                 }
                 let [id, x, y, rd] = take::<4>(&rest, lineno)?;
-                if num(id, lineno)? != 0.0 {
+                if node_id(id, lineno)? != NodeId(0) {
                     return Err(parse_err(lineno, "source must have id 0"));
                 }
                 let w = wire.ok_or_else(|| parse_err(lineno, "wire line must precede nodes"))?;
@@ -201,19 +202,23 @@ pub fn read_tree<R: BufRead>(r: R) -> Result<RoutingTree, IoError> {
                         (a, b, c, d, e, f, &rest[6..])
                     }
                 };
-                let id = num(id_s, lineno)? as usize;
-                if id != t.len() {
+                let id = node_id(id_s, lineno)?;
+                if id.index() != t.len() {
                     return Err(parse_err(
                         lineno,
                         format!(
-                            "ids must be dense and increasing (expected {}, got {id})",
-                            t.len()
+                            "ids must be dense and increasing (expected {}, got {})",
+                            t.len(),
+                            id.0
                         ),
                     ));
                 }
-                let parent = NodeId(num(parent_s, lineno)? as u32);
+                let parent = node_id(parent_s, lineno)?;
                 if parent.index() >= t.len() {
                     return Err(parse_err(lineno, "parent id refers to a later node"));
+                }
+                if matches!(t.node(parent).kind, NodeKind::Sink { .. }) {
+                    return Err(parse_err(lineno, format!("parent {parent} is a sink")));
                 }
                 let (lx, ly) = (num(x, lineno)?, num(y, lineno)?);
                 if !lx.is_finite() || !ly.is_finite() {
@@ -265,6 +270,15 @@ fn parse_err(line: usize, message: impl Into<String>) -> IoError {
 fn num(s: &str, line: usize) -> Result<f64, IoError> {
     s.parse::<f64>()
         .map_err(|_| parse_err(line, format!("expected a number, got `{s}`")))
+}
+
+fn node_id(s: &str, line: usize) -> Result<NodeId, IoError> {
+    s.parse::<u32>().map(NodeId).map_err(|_| {
+        parse_err(
+            line,
+            format!("expected a non-negative integer id, got `{s}`"),
+        )
+    })
 }
 
 fn take<'a, const N: usize>(rest: &[&'a str], line: usize) -> Result<[&'a str; N], IoError> {
@@ -339,6 +353,27 @@ mod tests {
         let text = "varbuf-tree v1\nwire 1 1\nsource 0 0 0 0.1\nsink 5 0 1 1 2 1 10 0\n";
         let e = read_tree(text.as_bytes()).unwrap_err();
         assert!(e.to_string().contains("dense"));
+    }
+
+    #[test]
+    fn rejects_a_sink_parent_and_non_integer_ids() {
+        let head = "varbuf-tree v1\nwire 1 1\nsource 0 0 0 0.1\nsink 1 0 9 0 9 1 10 0\n";
+        for (line, needle) in [
+            ("sink 2 1 9 9 9 1 10 0", "parent n1 is a sink"),
+            ("internal 2 1 9 9 9 1", "parent n1 is a sink"),
+            ("sink 2 -7 9 9 9 1 10 0", "integer id, got `-7`"),
+            ("sink 2 0.5 9 9 9 1 10 0", "integer id, got `0.5`"),
+            ("sink 2.9 0 9 9 9 1 10 0", "integer id, got `2.9`"),
+            ("sink 2 1e10 9 9 9 1 10 0", "integer id, got `1e10`"),
+        ] {
+            let e = read_tree(format!("{head}{line}\n").as_bytes()).unwrap_err();
+            assert!(
+                matches!(e, IoError::Parse { line: 5, .. }) && e.to_string().contains(needle),
+                "{line}: {e}"
+            );
+        }
+        let e = read_tree("varbuf-tree v1\nwire 1 1\nsource 0.0 0 0 0.1\n".as_bytes());
+        assert!(e.unwrap_err().to_string().contains("integer id"));
     }
 
     #[test]

@@ -76,3 +76,39 @@ fn mutated_valid_file_never_panics() {
         }
     }
 }
+
+#[test]
+fn rewritten_id_fields_never_panic() {
+    use varbuf_rctree::generate::{generate_benchmark, BenchmarkSpec};
+    use varbuf_rctree::io::write_tree;
+    // Node-line id and parent fields rewritten to seeded choices: an
+    // earlier sink's id (a sink parent, or a repeated id), a negative,
+    // a fraction and an out-of-range integer.
+    let mut rng = SplitMix64::new(0x1D5);
+    for _ in 0..256 {
+        let sinks = 2 + rng.below(18);
+        let seed = rng.next_u64() % 20;
+        let tree = generate_benchmark(&BenchmarkSpec::random("ids", sinks, seed));
+        let mut buf = Vec::new();
+        write_tree(&tree, &mut buf).expect("write");
+        let mut last_sink: Option<String> = None;
+        let mut text = String::new();
+        for line in String::from_utf8(buf).expect("utf8").lines() {
+            let mut fields: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
+            let node = matches!(fields[0].as_str(), "internal" | "sink");
+            if node && rng.below(4) == 0 {
+                let mut choices = vec!["-1".to_owned(), "0.5".to_owned(), "1e10".to_owned()];
+                choices.extend(last_sink.clone());
+                fields[1 + rng.below(2)] = choices[rng.below(choices.len())].clone();
+            }
+            if fields[0] == "sink" {
+                last_sink = Some(fields[1].clone());
+            }
+            text.push_str(&fields.join(" "));
+            text.push('\n');
+        }
+        if let Ok(t) = read_tree(text.as_bytes()) {
+            assert!(t.validate().is_ok(), "parser returned invalid tree");
+        }
+    }
+}

@@ -828,7 +828,7 @@ fn cmd_skew(args: &[String]) -> Result<Outcome, String> {
     let skew = analysis.global_skew();
     println!(
         "{} sinks, {} buffers: global skew {:.2} ± {:.2} ps",
-        analysis.arrivals.len(),
+        tree.sink_count(),
         wid.assignment.len(),
         skew.mean(),
         skew.std_dev()

@@ -64,7 +64,7 @@ pub mod prelude {
         parse_line, parse_open_spec, Command, OptimizeParams, Request, Response, RuleChoice,
         Service, ServiceConfig, ServiceStats, SessionHandle, SessionStore,
     };
-    pub use varbuf_core::skew::{SkewAnalysis, SkewAnalyzer};
+    pub use varbuf_core::skew::{SinkArrivals, SkewAnalysis, SkewAnalyzer};
     pub use varbuf_core::yield_eval::{YieldAnalysis, YieldEvaluator};
     pub use varbuf_core::{InsertionError, RequestError};
     pub use varbuf_rctree::generate::{

@@ -197,6 +197,14 @@ fn help_documents_exit_code_contract() {
     assert!(stdout.contains("success with degradation"), "{stdout}");
 }
 
+/// A tree file whose last sink hangs under the sink before it.
+const SINK_PARENT_TREE: &str = "varbuf-tree v1
+wire 0.000076 0.118
+source 0 0 0 0.1
+sink 1 0 100 0 100 1 10 0
+sink 2 1 200 0 100 1 10 0
+";
+
 #[test]
 fn malformed_specs_and_flags_exit_one_without_panicking() {
     // Inputs that used to trip generator asserts or be silently
@@ -220,6 +228,24 @@ fn malformed_specs_and_flags_exit_one_without_panicking() {
     let tree = tree_path.to_str().expect("utf8 path");
     let (ok, ..) = run(&["gen", "random:10:1", "-o", tree]);
     assert!(ok);
+    // A node placed under a sink must be a parse error naming its line,
+    // not the tree builder's assert.
+    let sink_parent_path = dir.join("sink-parent.tree");
+    std::fs::write(&sink_parent_path, SINK_PARENT_TREE).expect("write tree");
+    let sink_parent = sink_parent_path.to_str().expect("utf8 path");
+    for args in [
+        &["info", sink_parent][..],
+        &["opt", sink_parent],
+        &["skew", sink_parent],
+    ] {
+        let (code, stdout, stderr) = run_code(args);
+        assert_eq!(code, 1, "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("line 5: parent n1 is a sink"),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stdout.contains("panicked") && !stderr.contains("panicked"));
+    }
     for (args, needle) in [
         (&["opt", tree, "--mode", "bogus"][..], "unknown --mode"),
         (&["opt", tree, "--spatial", "bogus"], "unknown --spatial"),
@@ -354,6 +380,15 @@ fn serve_loads_an_inline_tree() {
     let (code, stdout, _) = serve(&[], "load\nvarbuf-tree v1\n");
     assert_eq!(code, 0);
     assert!(stdout.contains("err malformed"), "{stdout}");
+
+    // So is a node under a sink, and the service keeps answering.
+    let script = format!("load\n{SINK_PARENT_TREE}end\nping\nquit\n");
+    let (code, stdout, _) = serve(&[], &script);
+    assert_eq!(code, 0);
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert!(lines[0].starts_with("err malformed"), "{stdout}");
+    assert!(lines[0].contains("parent n1 is a sink"), "{stdout}");
+    assert_eq!(lines[1], "ok pong", "{stdout}");
 }
 
 #[test]

@@ -16,11 +16,11 @@ fn pair_skew_form_matches_monte_carlo() {
     let wid = optimize_statistical(&tree, &model, VariationMode::WithinDie, &Options::default())
         .expect("optimize");
 
-    let analyzer = SkewAnalyzer::new(&tree, &model, VariationMode::WithinDie);
-    let analysis = analyzer.analyze(&wid.assignment);
-    let sink_a = analysis.arrivals[0].0;
-    let sink_b = analysis.arrivals[analysis.arrivals.len() / 2].0;
-    let skew_form = analysis.pair_skew(sink_a, sink_b);
+    let arrivals =
+        SkewAnalyzer::new(&tree, &model, VariationMode::WithinDie).arrivals(&wid.assignment);
+    let sinks = arrivals.sinks();
+    let (sink_a, sink_b) = (sinks[0].0, sinks[sinks.len() / 2].0);
+    let skew_form = arrivals.pair_skew(sink_a, sink_b);
 
     // Monte Carlo: sample the buffers' sources, evaluate both arrivals.
     let mut used = std::collections::BTreeSet::new();
@@ -178,13 +178,13 @@ fn skew_shared_variation_cancels() {
     let model = ProcessModel::paper_defaults(tree.bounding_box(), SpatialKind::Homogeneous);
     let wid = optimize_statistical(&tree, &model, VariationMode::WithinDie, &Options::default())
         .expect("optimize");
-    let analysis =
-        SkewAnalyzer::new(&tree, &model, VariationMode::WithinDie).analyze(&wid.assignment);
+    let arrivals =
+        SkewAnalyzer::new(&tree, &model, VariationMode::WithinDie).arrivals(&wid.assignment);
 
     // Neighboring sinks in the arrival list share deep path prefixes.
-    let (a, fa) = &analysis.arrivals[0];
-    let (b, fb) = &analysis.arrivals[1];
-    let pair = analysis.pair_skew(*a, *b);
+    let (a, fa) = &arrivals.sinks()[0];
+    let (b, fb) = &arrivals.sinks()[1];
+    let pair = arrivals.pair_skew(*a, *b);
     let arrival_sigma = fa.std_dev().max(fb.std_dev());
     assert!(
         pair.std_dev() < 0.8 * arrival_sigma,
