@@ -2,20 +2,24 @@
 # Offline CI gate for varbuf. Runs exactly what a PR must pass:
 #   1. formatting        (cargo fmt --check)
 #   2. lints             (cargo clippy, warnings are errors)
-#   3. tier-1 build+test (the full offline workspace suite)
-#   4. service smoke     (varbuf serve over a scripted request mix with
+#   3. rustdoc           (library docs, warnings are errors, so a doc
+#                         link to a deleted or private item fails)
+#   4. tier-1 build+test (the full offline workspace suite)
+#   5. service smoke     (varbuf serve over a scripted request mix with
 #                         injected panics in a flat and a hierarchical
 #                         run: the service must contain both crashes and
 #                         shut down cleanly)
-#   5. smoke bench       (scaling bench, shrunk via VARBUF_BENCH_SMOKE,
+#   6. smoke bench       (scaling bench, shrunk via VARBUF_BENCH_SMOKE,
 #                         must emit a parseable target/BENCH_dp.smoke.json
-#                         whose headline ratio stays under the checked-in
-#                         results/ratchet.json ceiling; the committed
-#                         full-size BENCH_dp.json is never touched)
-#   6. cts capacity      (64k-sink varbuf cts under --budget-mem 512; its
+#                         whose headline ratio — the median of
+#                         interleaved stat/det pair ratios — stays under
+#                         the checked-in results/ratchet.json ceiling;
+#                         the committed full-size BENCH_dp.json is never
+#                         touched)
+#   7. cts capacity      (64k-sink varbuf cts under --budget-mem 512; its
 #                         peak RSS must stay under the results/ratchet.json
 #                         ceiling, and it must report a global skew)
-#   7. profile smoke     (profile_stat --json: the per-phase attribution
+#   8. profile smoke     (profile_stat --json: the per-phase attribution
 #                         report must be well-formed — finite phase
 #                         timers that fit inside the wall clock)
 # No network access is required; the workspace has no external
@@ -28,6 +32,9 @@ cargo fmt --all --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> rustdoc (RUSTDOCFLAGS=-D warnings cargo doc --workspace --no-deps --lib)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib
 
 echo "==> cargo build --workspace"
 cargo build --workspace
@@ -75,9 +82,9 @@ for key in ('stat_vs_det_ratio_sinks', 'jobs_requested', 'jobs_effective'):
     if not isinstance(v, (int, float)) or not math.isfinite(v) or v < 1:
         sys.exit(f'{path}: {key} missing or not a finite positive number')
 # Ratchet: the statistical/deterministic gap must not regress past the
-# checked-in ceiling. The smoke ratio is noisy and measured at a small
-# N, so the ceiling carries deliberate headroom — it catches collapses,
-# not single-digit drift.
+# checked-in ceiling. The smoke ratio is the median of interleaved
+# (stat, det) pair ratios at a small N; the ceiling still carries
+# headroom — it catches collapses, not single-digit drift.
 ratchet = json.load(open('results/ratchet.json'))
 ceiling = ratchet['stat_vs_det_ratio_max']
 if ratio > ceiling:

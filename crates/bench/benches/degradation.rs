@@ -25,7 +25,7 @@ fn main() {
                 black_box(&tree),
                 &model,
                 VariationMode::WithinDie,
-                &TwoParam::default(),
+                Arc::new(TwoParam::default()),
                 &opts,
             )
             .expect("strict completes")

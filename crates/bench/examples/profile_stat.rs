@@ -12,6 +12,7 @@
 //! the same attribution is written as a machine-readable report
 //! (ci.sh's smoke gate validates it).
 
+use std::sync::Arc;
 use varbuf_bench::harness::JsonReport;
 use varbuf_core::dp::{optimize_with_rule, DpOptions};
 use varbuf_core::prune::TwoParam;
@@ -36,11 +37,23 @@ fn main() {
     let opts = DpOptions::default();
     // One warm-up run so the allocator and caches are primed, then the
     // measured run.
-    let _ = optimize_with_rule(&tree, &model, VariationMode::WithinDie, &rule, &opts)
-        .expect("warm-up run");
+    let _ = optimize_with_rule(
+        &tree,
+        &model,
+        VariationMode::WithinDie,
+        Arc::new(rule),
+        &opts,
+    )
+    .expect("warm-up run");
     let t = std::time::Instant::now();
-    let r = optimize_with_rule(&tree, &model, VariationMode::WithinDie, &rule, &opts)
-        .expect("profiled run");
+    let r = optimize_with_rule(
+        &tree,
+        &model,
+        VariationMode::WithinDie,
+        Arc::new(rule),
+        &opts,
+    )
+    .expect("profiled run");
     let wall = t.elapsed();
     println!("N={n}: wall {:.2} ms", wall.as_secs_f64() * 1e3);
     println!("phases: {}", r.stats.phase_summary());

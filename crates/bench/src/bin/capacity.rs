@@ -5,6 +5,7 @@
 //! Run with `cargo run --release -p varbuf-bench --bin capacity -- [levels]`
 //! (levels defaults to 16 → 65,536 sinks).
 
+use std::sync::Arc;
 use std::time::Instant;
 use varbuf_core::dp::{optimize_with_rule, DpOptions};
 use varbuf_core::prune::TwoParam;
@@ -30,7 +31,7 @@ fn main() {
         &tree,
         &model,
         VariationMode::WithinDie,
-        &TwoParam::default(),
+        Arc::new(TwoParam::default()),
         &DpOptions::default(),
     )
     .expect("2P completes");

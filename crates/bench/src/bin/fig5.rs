@@ -5,6 +5,7 @@
 //! microseconds per candidate position; approximate linearity shows as a
 //! flat µs/position column.
 
+use std::sync::Arc;
 use std::time::Instant;
 use varbuf_bench::{model_for, SEGMENT_UM};
 use varbuf_core::dp::{optimize_with_rule, DpOptions};
@@ -49,7 +50,7 @@ fn main() {
             &tree,
             &model,
             VariationMode::WithinDie,
-            &TwoParam::default(),
+            Arc::new(TwoParam::default()),
             &DpOptions::default(),
         )
         .expect("2P completes");

@@ -5,6 +5,7 @@
 //! binary reports the per-benchmark spread and the surviving-solution
 //! counts (higher thresholds prune less).
 
+use std::sync::Arc;
 use varbuf_bench::{load, model_for, SUITE};
 use varbuf_core::dp::{optimize_with_rule, DpOptions};
 use varbuf_core::prune::TwoParam;
@@ -31,7 +32,7 @@ fn main() {
                 &tree,
                 &model,
                 VariationMode::WithinDie,
-                &rule,
+                Arc::new(rule),
                 &DpOptions::default(),
             )
             .expect("2P completes");

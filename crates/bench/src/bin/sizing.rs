@@ -3,6 +3,7 @@
 //! ISPD'05): how much RAT does a 3-width wire library buy on top of
 //! buffering, and at what runtime cost?
 
+use std::sync::Arc;
 use std::time::Instant;
 use varbuf_bench::{load, model_for, SUITE};
 use varbuf_core::dp::{optimize_with_rule, optimize_with_sizing, DpOptions, WireSizing};
@@ -25,7 +26,7 @@ fn main() {
             &tree,
             &model,
             VariationMode::WithinDie,
-            &TwoParam::default(),
+            Arc::new(TwoParam::default()),
             &opts,
         )
         .expect("completes");
@@ -37,7 +38,7 @@ fn main() {
             &tree,
             &model,
             VariationMode::WithinDie,
-            &TwoParam::default(),
+            Arc::new(TwoParam::default()),
             &sizing,
             &opts,
         )

@@ -19,9 +19,10 @@ pub use std::hint::black_box;
 /// allocation-free: solution carcasses, candidate lists, and prune
 /// scratch all come from the engine's recycling pool, so the only
 /// allocations left per candidate are the trace `Arc`s that record
-/// lineage. [`CountingAlloc`] wraps the system allocator and counts
-/// every allocation and reallocation; a bench binary installs it with
-/// `#[global_allocator]` and asserts on [`alloc_count`] deltas around a
+/// lineage. [`CountingAlloc`](alloc_counter::CountingAlloc) wraps the
+/// system allocator and counts every allocation and reallocation; a
+/// bench binary installs it with `#[global_allocator]` and asserts on
+/// [`alloc_count`](alloc_counter::alloc_count) deltas around a
 /// measured region, turning an allocation regression (per-candidate
 /// heap traffic creeping back into the kernels) into a loud failure.
 pub mod alloc_counter {

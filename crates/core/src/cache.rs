@@ -13,16 +13,18 @@
 //!   that path and returns it — the dirty set for the next run.
 //! * [`SolutionCache`] — a per-session arena mapping node index →
 //!   `(signature, pruned solution list)` under a run-wide signature
-//!   ([`run_signature`]: rule, mode, epsilon, sizing widths, model
-//!   epoch). A lookup hits only when both the run signature and the
-//!   node's content signature match, so replayed lists are byte-identical
-//!   to what a cold run would have produced at that node.
+//!   ([`run_signature`]: rule, mode, epsilon, sizing widths, lazy wire,
+//!   cut plan, model epoch). A lookup hits only when both the run
+//!   signature and the node's content signature match, so replayed
+//!   lists are byte-identical to what a cold run would have produced at
+//!   that node.
 //!
 //! Model-level inputs (buffer library, variation budgets) are *not* part
 //! of the node signatures — the service bumps a `model_epoch` instead,
 //! which flows into the run signature and flushes the whole cache in one
 //! comparison.
 
+use crate::hier::HierOptions;
 use crate::solution::StatSolution;
 use varbuf_rctree::{NodeId, NodeKind, RoutingTree};
 
@@ -139,8 +141,10 @@ impl NodeSigs {
 /// the sparsify threshold, `widths` the wire-sizing width count,
 /// `lazy_wire` whether lazy wire propagation is enabled (cached lists
 /// carry deferred-coupling state and slightly different term bits, so
-/// lazy and eager runs must never share entries), and `model_epoch` the
-/// session's library/model generation.
+/// lazy and eager runs must never share entries), `hier` the cut plan
+/// (a cut node caches its spliced list, so flat and hierarchical runs,
+/// or two cut plans, must never share entries either), and
+/// `model_epoch` the session's library/model generation.
 #[must_use]
 pub fn run_signature(
     rule_tag: u64,
@@ -148,6 +152,7 @@ pub fn run_signature(
     epsilon: f64,
     widths: usize,
     lazy_wire: bool,
+    hier: Option<&HierOptions>,
     model_epoch: u64,
 ) -> u64 {
     let mut acc = fold(0x7255_4e53_4947, rule_tag);
@@ -155,6 +160,13 @@ pub fn run_signature(
     acc = fold_f64(acc, epsilon);
     acc = fold(acc, widths as u64);
     acc = fold(acc, u64::from(lazy_wire));
+    acc = fold(acc, u64::from(hier.is_some()));
+    if let Some(h) = hier {
+        acc = fold(acc, h.cut_nodes as u64);
+        acc = fold(acc, h.fanout_cut as u64);
+        acc = fold_f64(acc, h.splice_epsilon);
+        acc = fold(acc, h.frontier_cap as u64);
+    }
     fold(acc, model_epoch)
 }
 
@@ -329,15 +341,15 @@ mod tests {
         let t = chain_tree(2);
         let sigs = NodeSigs::build(&t);
         let mut cache = SolutionCache::new();
-        let rs = run_signature(2, 1, 0.0, 1, true, 0);
+        let rs = run_signature(2, 1, 0.0, 1, true, None, 0);
         cache.begin_run(rs, t.len());
         cache.store(t.root(), sigs.get(t.root()), &[]);
         assert_eq!(cache.live_entries(), 1);
         cache.begin_run(rs, t.len());
         assert_eq!(cache.live_entries(), 1, "same signature keeps entries");
-        cache.begin_run(run_signature(2, 1, 0.0, 1, false, 0), t.len());
+        cache.begin_run(run_signature(2, 1, 0.0, 1, false, None, 0), t.len());
         assert_eq!(cache.live_entries(), 0, "lazy-wire toggle flushes");
-        cache.begin_run(run_signature(2, 1, 0.0, 1, false, 1), t.len());
+        cache.begin_run(run_signature(2, 1, 0.0, 1, false, None, 1), t.len());
         assert_eq!(cache.live_entries(), 0, "model epoch bump flushes");
         assert_eq!(cache.invalidations(), 1);
     }

@@ -13,21 +13,30 @@
 //!   that the blow-up surfaces as a typed error (the "-" rows of
 //!   Table 2) rather than an OOM kill.
 //!
-//! Every run is mediated by a [`Governor`](crate::governor::Governor):
-//! the legacy entry points ([`optimize_with_rule`],
-//! [`optimize_with_sizing`]) use a *strict* governor that turns the
-//! first budget breach into a typed error, while [`optimize_governed`]
-//! uses a degrading governor that walks a pruning-rule fallback cascade,
-//! tightens epsilon, truncates candidate lists, and — past a hard limit —
-//! finishes in panic-completion mode so the caller still gets a valid
-//! best-so-far design plus a [`Degradation`] report.
+//! Every run is mediated by a [`Governor`]: the legacy entry points
+//! ([`optimize_with_rule`], [`optimize_with_sizing`]) use a *strict*
+//! governor over their one rule that turns the first budget breach into
+//! a typed error, while [`optimize_governed`] uses a degrading governor
+//! that walks a pruning-rule fallback cascade, tightens epsilon,
+//! truncates candidate lists, and — past a hard limit — finishes in
+//! panic-completion mode so the caller still gets a valid best-so-far
+//! design plus a [`Degradation`] report.
+//!
+//! Cold, incremental ([`optimize_incremental`]) and hierarchical
+//! ([`crate::hier::optimize_hier`]) runs share one postorder walk that
+//! takes two optional inputs: a memo (the session's node signatures and
+//! solution cache), whose hits replay a cached list and skip the whole
+//! subtree, and a cut plan, whose cut nodes splice their lists before
+//! the parent takes them.
 
+use crate::cache::{NodeSigs, SolutionCache};
 use crate::error::InsertionError;
 use crate::faultinject::FaultInjector;
 use crate::governor::{
     keep_best, solution_footprint, truncate_spread, Admission, Budget, CancelToken, Clock,
     Degradation, Governor, GuardedFallback,
 };
+use crate::hier::{Cuts, HierOptions, HierReport, HierResult};
 use crate::metrics::DpStats;
 use crate::ops::{
     buffer_extend_stat_into, driver_rat_stat, materialize_wire_stat, merge_pair_stat_into,
@@ -138,9 +147,9 @@ pub struct DpOptions {
 
 impl DpOptions {
     /// The worker count the engine will actually use: `jobs` clamped to
-    /// the host's available parallelism unless [`jobs_force`]
-    /// (`Self::jobs_force`) is set. Recorded as
-    /// `DpStats::jobs_effective` alongside the raw request.
+    /// the host's available parallelism unless [`Self::jobs_force`] is
+    /// set. Recorded as `DpStats::jobs_effective` alongside the raw
+    /// request.
     #[must_use]
     pub fn effective_jobs(&self) -> usize {
         let jobs = self.jobs.max(1);
@@ -278,6 +287,7 @@ pub struct GovernedResult {
 ///   blows past the configured caps.
 ///
 /// ```
+/// use std::sync::Arc;
 /// use varbuf_core::dp::{optimize_with_rule, DpOptions};
 /// use varbuf_core::prune::TwoParam;
 /// use varbuf_rctree::generate::{generate_benchmark, BenchmarkSpec};
@@ -287,7 +297,7 @@ pub struct GovernedResult {
 /// let tree = generate_benchmark(&BenchmarkSpec::random("demo", 24, 5));
 /// let model = ProcessModel::paper_defaults(tree.bounding_box(), SpatialKind::Homogeneous);
 /// let result = optimize_with_rule(
-///     &tree, &model, VariationMode::WithinDie, &TwoParam::default(), &DpOptions::default())?;
+///     &tree, &model, VariationMode::WithinDie, Arc::new(TwoParam::default()), &DpOptions::default())?;
 /// assert!(result.root_rat.std_dev() > 0.0);
 /// # Ok(())
 /// # }
@@ -296,7 +306,7 @@ pub fn optimize_with_rule(
     tree: &RoutingTree,
     model: &ProcessModel,
     mode: VariationMode,
-    rule: &dyn PruningRule,
+    rule: Arc<dyn PruningRule>,
     options: &DpOptions,
 ) -> Result<StatResult, InsertionError> {
     optimize_with_sizing(tree, model, mode, rule, &WireSizing::single(), options)
@@ -314,24 +324,45 @@ pub fn optimize_with_sizing(
     tree: &RoutingTree,
     model: &ProcessModel,
     mode: VariationMode,
-    rule: &dyn PruningRule,
+    rule: Arc<dyn PruningRule>,
     sizing: &WireSizing,
     options: &DpOptions,
 ) -> Result<StatResult, InsertionError> {
+    optimize_strict(tree, model, mode, rule, sizing, options).map(|g| g.result)
+}
+
+/// The strict run behind [`optimize_with_sizing`] and strict batch
+/// requests: a [`Governor::strict`] over `rule` with the caps of
+/// `options`, reported like a governed run (its [`Degradation`] names
+/// the rule and is never degraded — a breach is an error instead).
+pub(crate) fn optimize_strict(
+    tree: &RoutingTree,
+    model: &ProcessModel,
+    mode: VariationMode,
+    rule: Arc<dyn PruningRule>,
+    sizing: &WireSizing,
+    options: &DpOptions,
+) -> Result<GovernedResult, InsertionError> {
     let mut governor = Governor::strict(
         Budget::strict(options.max_solutions_per_node, options.time_limit),
+        rule,
         options.sparsify_epsilon,
     );
-    run_engine(
+    let (result, _) = run_engine(
         tree,
         model,
         mode,
-        Some(rule),
         sizing,
         options,
         &mut governor,
         None,
-    )
+        None,
+        None,
+    )?;
+    Ok(GovernedResult {
+        result,
+        degradation: governor.into_report(),
+    })
 }
 
 /// The degradation cascade started from `primary`: the primary rule,
@@ -356,7 +387,7 @@ pub fn fallback_cascade(primary: Arc<dyn PruningRule>) -> Vec<Arc<dyn PruningRul
 /// the [`GuardedFallback`] note to attach to the run's report, or
 /// `None` when the guard does not apply. Deterministic in the inputs,
 /// so the incremental and cold paths substitute identically.
-pub(crate) fn guard_cascade(
+fn guard_cascade(
     tree: &RoutingTree,
     cascade: &mut Vec<Arc<dyn PruningRule>>,
     options: &DpOptions,
@@ -479,89 +510,33 @@ pub fn optimize_governed_detailed(
     budget: &Budget,
     controls: RunControls<'_>,
 ) -> Result<GovernedResult, InsertionError> {
-    let (mut governor, guard, faults) = governed_setup(tree, cascade, options, budget, controls);
-    let result = run_engine(
-        tree,
-        model,
-        mode,
-        None,
-        sizing,
-        options,
-        &mut governor,
-        faults,
-    )?;
-    Ok(finish_governed(result, governor, guard))
+    run_governed(
+        tree, model, mode, cascade, sizing, options, None, budget, controls, None,
+    )
+    .map(HierResult::into_governed)
 }
 
-/// The set-up every governed entry point shares: the
-/// [`guard_cascade`] substitution, then a degrading [`Governor`] over
-/// the resulting cascade with the controls' cancellation pair and
-/// clock. Returns the guard note for [`finish_governed`] and the fault
-/// injector the walk must hand to [`process_node`].
-pub(crate) fn governed_setup<'a>(
-    tree: &RoutingTree,
-    mut cascade: Vec<Arc<dyn PruningRule>>,
-    options: &DpOptions,
-    budget: &Budget,
-    controls: RunControls<'a>,
-) -> (
-    Governor,
-    Option<GuardedFallback>,
-    Option<&'a mut FaultInjector>,
-) {
-    let guard = guard_cascade(tree, &mut cascade, options, budget);
-    let mut governor = Governor::governed(*budget, cascade, options.sparsify_epsilon);
-    if controls.has_cancellation() {
-        governor =
-            governor.with_cancellation(controls.cancel.unwrap_or_default(), controls.watchdog);
-    }
-    if let Some(c) = controls.clock {
-        governor = governor.with_clock(c);
-    }
-    (governor, guard, controls.faults)
-}
-
-/// The hand-off every governed entry point shares: the governor's
-/// report, with the guard note attached, becomes the run's
-/// [`Degradation`], and its counters are copied into the result's
-/// stats.
-pub(crate) fn finish_governed(
-    mut result: StatResult,
-    governor: Governor,
-    guard: Option<GuardedFallback>,
-) -> GovernedResult {
-    let mut degradation = governor.into_report();
-    degradation.guard = guard;
-    result.stats.rule_fallbacks = degradation.rule_fallbacks();
-    result.stats.epsilon_tightenings = degradation.epsilon_tightenings();
-    result.stats.list_truncations = degradation.truncations();
-    result.stats.poisoned_dropped = degradation.poisoned_dropped();
-    result.stats.panic_completion = degradation.panic_completion;
-    GovernedResult {
-        result,
-        degradation,
-    }
-}
-
-/// [`optimize_governed_detailed`] with an epoch-scoped solution cache:
-/// nodes whose content signature still matches a cached entry replay
-/// their pruned list (a clone, re-admitted through the governor so
-/// budget accounting stays coherent) and their subtrees are never
-/// visited; only dirty nodes — the root path of the session's edits —
-/// run the DP. Fresh lists are stored back under the node's signature.
+/// [`optimize_governed_detailed`] with an epoch-scoped solution cache
+/// and, when `hier` is set, the cut plan of
+/// [`crate::hier::optimize_hier`]: nodes whose content signature still
+/// matches a cached entry replay their list (a clone, re-admitted
+/// through the governor so budget accounting stays coherent) and their
+/// subtrees are never visited; only dirty nodes — the root path of the
+/// session's edits — run the DP. Fresh lists are stored back under the
+/// node's signature, after the splice at a cut node.
 ///
 /// Cached replay stays byte-identical to a cold run because the cache
 /// only feeds (and is only fed by) full-fidelity runs. A constraining
-/// budget or a fault injector falls back to the plain governed engine
-/// without touching the cache, and a run that degraded, was cancelled,
-/// or errored flushes the cache — its lists may be truncated
-/// best-so-far artifacts.
+/// budget or a fault injector runs cold without touching the cache,
+/// and a run that degraded, was cancelled, or errored flushes the
+/// cache — its lists may be truncated best-so-far artifacts.
 ///
-/// `sigs` must be current for `tree` (see [`NodeSigs::update_path`]);
+/// `sigs` must be current for `tree` (see
+/// [`NodeSigs::update_path`](crate::cache::NodeSigs::update_path));
 /// `run_sig` is the [`crate::cache::run_signature`] of the run-wide
-/// inputs. `stats.cache_hits` counts the nodes covered by replayed
-/// lists (whole clean subtrees); `stats.cache_misses` the recomputed
-/// dirty nodes.
+/// inputs, `hier` included. `stats.cache_hits` counts the nodes covered
+/// by replayed lists (whole clean subtrees); `stats.cache_misses` the
+/// recomputed dirty nodes.
 ///
 /// # Errors
 ///
@@ -578,152 +553,105 @@ pub fn optimize_incremental(
     cascade: Vec<Arc<dyn PruningRule>>,
     sizing: &WireSizing,
     options: &DpOptions,
+    hier: Option<&HierOptions>,
     budget: &Budget,
     controls: RunControls<'_>,
-    sigs: &crate::cache::NodeSigs,
-    cache: &mut crate::cache::SolutionCache,
+    sigs: &NodeSigs,
+    cache: &mut SolutionCache,
     run_sig: u64,
 ) -> Result<GovernedResult, InsertionError> {
-    // Degradable or fault-injected runs take the cold path: their lists
-    // are not the unconstrained fixpoint, so they must neither consume
-    // nor produce cache entries.
-    if controls.faults.is_some() || budget.constrains_run() {
-        return optimize_governed_detailed(
-            tree, model, mode, cascade, sizing, options, budget, controls,
-        );
-    }
-    tree.validate()?;
-    if tree.sink_count() == 0 {
-        return Err(InsertionError::NoSinks);
-    }
-    if sigs.len() != tree.len() {
-        return Err(InsertionError::InvalidTree(
-            varbuf_rctree::TreeError::Unreachable(tree.root()),
-        ));
-    }
+    let memo = Memo {
+        sigs,
+        cache,
+        run_sig,
+    };
+    run_governed(
+        tree,
+        model,
+        mode,
+        cascade,
+        sizing,
+        options,
+        hier,
+        budget,
+        controls,
+        Some(memo),
+    )
+    .map(HierResult::into_governed)
+}
 
-    // The cold path's set-up, guard substitution included, so replayed
-    // and cold lists stay byte-identical.
-    let (mut governor, guard, mut faults) =
-        governed_setup(tree, cascade, options, budget, controls);
-    let ctx = RunCtx::new(
+/// The governed run behind every degrading entry point: the
+/// [`guard_cascade`] substitution, a degrading [`Governor`] over the
+/// resulting cascade with the controls' cancellation pair and clock,
+/// then [`run_engine`] with the optional memo and cut plan. The memo is
+/// dropped for fault-injected or budget-constrained runs, and flushed
+/// when the run errors or degrades.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_governed(
+    tree: &RoutingTree,
+    model: &ProcessModel,
+    mode: VariationMode,
+    mut cascade: Vec<Arc<dyn PruningRule>>,
+    sizing: &WireSizing,
+    options: &DpOptions,
+    hier: Option<&HierOptions>,
+    budget: &Budget,
+    controls: RunControls<'_>,
+    memo: Option<Memo<'_>>,
+) -> Result<HierResult, InsertionError> {
+    let guard = guard_cascade(tree, &mut cascade, options, budget);
+    let mut governor = Governor::governed(*budget, cascade, options.sparsify_epsilon);
+    if controls.has_cancellation() {
+        governor =
+            governor.with_cancellation(controls.cancel.unwrap_or_default(), controls.watchdog);
+    }
+    if let Some(c) = controls.clock {
+        governor = governor.with_clock(c);
+    }
+    // Degradable or fault-injected lists are not the unconstrained
+    // fixpoint, so those runs neither consume nor produce cache entries.
+    let mut memo = memo.filter(|_| controls.faults.is_none() && !budget.constrains_run());
+    let run = run_engine(
         tree,
         model,
         mode,
         sizing,
         options,
-        &governor,
-        faults.is_some(),
-    );
-
-    cache.begin_run(run_sig, tree.len());
-
-    let mut stats = DpStats::default();
-    let mut lists: Vec<Vec<StatSolution>> = vec![Vec::new(); tree.len()];
-    let mut pool = SolPool::default();
-    let mut sup = GovSupervisor {
-        static_rule: None,
-        governor: &mut governor,
-    };
-
-    // Explicit enter/exit walk from the root. A signature hit at entry
-    // replays the cached list and prunes the whole subtree from the
-    // walk; a miss defers the node behind its children (postorder) and
-    // recomputes it. Only the clean-top frontier is ever cloned, so the
-    // replay cost is proportional to the dirty path, not the tree.
-    enum Step {
-        Enter(NodeId),
-        Exit(NodeId),
-    }
-    let mut stack = vec![Step::Enter(tree.root())];
-    let walk = (|| -> Result<(), EngineInterrupt> {
-        while let Some(step) = stack.pop() {
-            match step {
-                Step::Enter(id) => {
-                    let sig = sigs.get(id);
-                    if let Some(cached) = cache.lookup(id, sig) {
-                        sup.check_time()?;
-                        let mut list = pool.take(cached.len());
-                        list.extend(cached.iter().cloned());
-                        admit_list(&mut sup, id, &mut list, &mut pool, &mut stats)?;
-                        sup.note_memory(&list, 0);
-                        stats.max_solutions_per_node = stats.max_solutions_per_node.max(list.len());
-                        lists[id.index()] = list;
-                    } else {
-                        stack.push(Step::Exit(id));
-                        for &c in tree.node(id).children.iter().rev() {
-                            stack.push(Step::Enter(c));
-                        }
-                    }
-                }
-                Step::Exit(id) => {
-                    let children: Vec<Vec<StatSolution>> = tree
-                        .node(id)
-                        .children
-                        .iter()
-                        .map(|c| std::mem::take(&mut lists[c.index()]))
-                        .collect();
-                    let sols = process_node(
-                        &ctx,
-                        &mut sup,
-                        id,
-                        children,
-                        faults.as_deref_mut(),
-                        &mut pool,
-                        &mut stats,
-                    )?;
-                    cache.store(id, sigs.get(id), &sols);
-                    lists[id.index()] = sols;
-                }
-            }
+        &mut governor,
+        controls.faults,
+        memo.as_mut(),
+        hier,
+    )
+    .map(|(mut result, hier)| {
+        let mut degradation = governor.into_report();
+        degradation.guard = guard;
+        result.stats.rule_fallbacks = degradation.rule_fallbacks();
+        result.stats.epsilon_tightenings = degradation.epsilon_tightenings();
+        result.stats.list_truncations = degradation.truncations();
+        result.stats.poisoned_dropped = degradation.poisoned_dropped();
+        result.stats.panic_completion = degradation.panic_completion;
+        HierResult {
+            result,
+            degradation,
+            hier,
         }
-        Ok(())
-    })();
-    if let Err(interrupt) = walk {
-        cache.clear();
-        return Err(interrupt.into_error());
-    }
-
-    stats.cache_misses = stats.nodes_processed;
-    stats.cache_hits = tree.len() - stats.nodes_processed;
-    stats.runtime = governor.elapsed();
-    stats.jobs_requested = options.jobs.max(1);
-    stats.jobs_effective = 1;
-    let result = select_winner(tree, options, &mut lists[tree.root().index()], stats);
-    let governed = finish_governed(result, governor, guard);
-    if governed.degradation.degraded() {
-        // A cancelled/degraded run may have stored best-so-far lists;
-        // they are not the fixpoint, so nothing of this run survives.
-        cache.clear();
-    }
-    Ok(governed)
-}
-
-/// The rule in force right now: the caller's fixed rule on the legacy
-/// path, or the governor's current cascade entry on the governed path.
-pub(crate) enum RuleHandle<'a> {
-    /// A caller-owned rule borrowed for the whole run.
-    Static(&'a dyn PruningRule),
-    /// A shared handle to the governor's active cascade entry.
-    Shared(Arc<dyn PruningRule>),
-}
-
-impl RuleHandle<'_> {
-    pub(crate) fn get(&self) -> &dyn PruningRule {
-        match self {
-            RuleHandle::Static(r) => *r,
-            RuleHandle::Shared(rc) => rc.as_ref(),
+    });
+    // An errored, cancelled or degraded run may have stored best-so-far
+    // lists; they are not the fixpoint, so nothing of it survives.
+    if run.as_ref().map_or(true, |r| r.degradation.degraded()) {
+        if let Some(m) = memo {
+            m.cache.clear();
         }
     }
+    run
 }
 
-impl Clone for RuleHandle<'_> {
-    fn clone(&self) -> Self {
-        match self {
-            RuleHandle::Static(r) => RuleHandle::Static(*r),
-            RuleHandle::Shared(a) => RuleHandle::Shared(Arc::clone(a)),
-        }
-    }
+/// An incremental run's memo: the session's node signatures and
+/// solution cache, valid under one run signature.
+pub(crate) struct Memo<'m> {
+    pub(crate) sigs: &'m NodeSigs,
+    pub(crate) cache: &'m mut SolutionCache,
+    pub(crate) run_sig: u64,
 }
 
 /// Control-flow signal inside the engine: a typed error to surface to
@@ -744,7 +672,7 @@ impl From<InsertionError> for EngineInterrupt {
 }
 
 impl EngineInterrupt {
-    pub(crate) fn into_error(self) -> InsertionError {
+    fn into_error(self) -> InsertionError {
         match self {
             EngineInterrupt::Error(e) => e,
             EngineInterrupt::Pressure => {
@@ -759,14 +687,10 @@ impl EngineInterrupt {
 /// frozen probe that never mutates the caller's governor and raises
 /// [`EngineInterrupt::Pressure`] the moment a degradation *would*
 /// happen ([`crate::pool`]).
-///
-/// `'r` is the lifetime of a caller-supplied static rule, deliberately
-/// independent of `&self` so a fetched [`RuleHandle`] does not freeze
-/// the supervisor against later `&mut` calls.
-pub(crate) trait Supervisor<'r> {
+pub(crate) trait Supervisor {
     /// The active pruning rule. Cheap; fetch again after any call that
     /// may have advanced the fallback cascade.
-    fn rule(&self) -> RuleHandle<'r>;
+    fn rule(&self) -> Arc<dyn PruningRule>;
     /// Current epsilon-sparsification level.
     fn epsilon(&self) -> f64;
     /// Whether integrity screening (sanitize + re-admission) applies.
@@ -787,39 +711,31 @@ pub(crate) trait Supervisor<'r> {
     fn note_memory(&mut self, stored: &[StatSolution], freed: usize);
 }
 
-/// The sequential supervisor: a thin veneer over the caller's governor,
-/// preserving the exact call sequence the degradation tests pin down.
-pub(crate) struct GovSupervisor<'r, 'g> {
-    pub(crate) static_rule: Option<&'r dyn PruningRule>,
-    pub(crate) governor: &'g mut Governor,
-}
-
-impl<'r> Supervisor<'r> for GovSupervisor<'r, '_> {
-    fn rule(&self) -> RuleHandle<'r> {
-        match self.static_rule {
-            Some(r) => RuleHandle::Static(r),
-            None => RuleHandle::Shared(self.governor.active_rule()),
-        }
+/// The sequential supervisor is the governor itself, so the engine
+/// makes exactly the call sequence the degradation tests pin down.
+impl Supervisor for Governor {
+    fn rule(&self) -> Arc<dyn PruningRule> {
+        self.active_rule()
     }
 
     fn epsilon(&self) -> f64 {
-        self.governor.epsilon()
+        Governor::epsilon(self)
     }
 
     fn is_governed(&self) -> bool {
-        self.governor.is_governed()
+        Governor::is_governed(self)
     }
 
     fn panicking(&self) -> bool {
-        self.governor.panicking()
+        Governor::panicking(self)
     }
 
     fn check_time(&mut self) -> Result<(), EngineInterrupt> {
-        self.governor.check_time().map_err(Into::into)
+        Governor::check_time(self).map_err(Into::into)
     }
 
     fn admit(&mut self, node: NodeId, solutions: usize) -> Result<Admission, EngineInterrupt> {
-        self.governor.admit(node, solutions).map_err(Into::into)
+        Governor::admit(self, node, solutions).map_err(Into::into)
     }
 
     fn sanitize(
@@ -827,11 +743,11 @@ impl<'r> Supervisor<'r> for GovSupervisor<'r, '_> {
         node: NodeId,
         sols: &mut Vec<StatSolution>,
     ) -> Result<(), EngineInterrupt> {
-        self.governor.sanitize(node, sols).map_err(Into::into)
+        Governor::sanitize(self, node, sols).map_err(Into::into)
     }
 
     fn note_memory(&mut self, stored: &[StatSolution], freed: usize) {
-        self.governor.note_memory(stored, freed);
+        Governor::note_memory(self, stored, freed);
     }
 }
 
@@ -949,7 +865,7 @@ impl SolPool {
         }
     }
 
-    pub(crate) fn put(&mut self, mut v: Vec<StatSolution>) {
+    fn put(&mut self, mut v: Vec<StatSolution>) {
         if self.sols.len() < Self::KEEP_SOLS {
             let room = Self::KEEP_SOLS - self.sols.len();
             let keep = v.len().min(room);
@@ -982,25 +898,32 @@ impl SolPool {
     }
 }
 
-/// The shared DP engine behind both the strict and the governed entry
-/// points. Every resource decision is delegated to `governor`; when
-/// [`DpOptions::jobs`] > 1 and the run is eligible, a speculative
-/// parallel phase runs first (see [`crate::pool`]) and the sequential
-/// loop below is the authoritative fallback.
+/// The shared DP engine behind every entry point. Every resource
+/// decision is delegated to `governor`. A run with no fault injector,
+/// no memo and no cuts first tries the speculative parallel phase when
+/// [`DpOptions::jobs`] > 1 (see [`crate::pool`]); [`walk`] is the
+/// authoritative sequential engine. Returns the design plus the
+/// decomposition report (zero unless `hier` produced cuts).
 #[allow(clippy::too_many_arguments)]
 fn run_engine(
     tree: &RoutingTree,
     model: &ProcessModel,
     mode: VariationMode,
-    static_rule: Option<&dyn PruningRule>,
     sizing: &WireSizing,
     options: &DpOptions,
     governor: &mut Governor,
-    mut faults: Option<&mut FaultInjector>,
-) -> Result<StatResult, InsertionError> {
+    faults: Option<&mut FaultInjector>,
+    memo: Option<&mut Memo<'_>>,
+    hier: Option<&HierOptions>,
+) -> Result<(StatResult, HierReport), InsertionError> {
     tree.validate()?;
     if tree.sink_count() == 0 {
         return Err(InsertionError::NoSinks);
+    }
+    if memo.as_ref().is_some_and(|m| m.sigs.len() != tree.len()) {
+        return Err(InsertionError::InvalidTree(
+            varbuf_rctree::TreeError::Unreachable(tree.root()),
+        ));
     }
 
     let ctx = RunCtx::new(
@@ -1012,62 +935,119 @@ fn run_engine(
         governor,
         faults.is_some(),
     );
+    let mut cuts = hier.and_then(|h| Cuts::plan(tree, h));
 
     // Speculative parallel phase: `None` means ineligible or aborted on
-    // pressure — fall through to the sequential engine with the
-    // governor untouched, so results stay bit-identical.
-    if faults.is_none() {
-        if let Some(outcome) = crate::pool::try_parallel_tree(&ctx, static_rule, options, governor)
-        {
-            return match outcome {
-                Ok((mut root_list, mut stats)) => {
-                    stats.runtime = governor.elapsed();
-                    stats.jobs_requested = options.jobs.max(1);
-                    stats.jobs_effective = options.effective_jobs();
-                    Ok(select_winner(tree, options, &mut root_list, stats))
-                }
-                Err(e) => Err(e),
-            };
-        }
-    }
+    // pressure — fall through to the walk with the governor untouched,
+    // so results stay bit-identical.
+    let parallel = if faults.is_none() && memo.is_none() && cuts.is_none() {
+        crate::pool::try_parallel_tree(&ctx, options, governor)
+    } else {
+        None
+    };
+    let (mut root_list, mut stats) = match parallel {
+        Some(outcome) => outcome?,
+        None => walk(&ctx, governor, faults, memo, cuts.as_mut())
+            .map_err(EngineInterrupt::into_error)?,
+    };
+    stats.runtime = governor.elapsed();
+    stats.jobs_requested = options.jobs.max(1);
+    let report = match cuts {
+        Some(c) => c.report(governor.peak_chunk_bytes()),
+        None => HierReport {
+            final_frontier_cap: hier.map_or(0, |h| h.frontier_cap),
+            ..HierReport::default()
+        },
+    };
+    Ok((select_winner(tree, options, &mut root_list, stats), report))
+}
 
+/// The engine's one sequential walk. It visits `tree` in
+/// [`RoutingTree::postorder`] order (last child first) — the order the
+/// parallel phase's smallest-position error rule assumes — and runs
+/// [`process_node`] at each node, leaving the node's list in its slot
+/// until the parent takes it. With a memo, a signature hit replays the
+/// cached list instead and skips the whole subtree, so a warm run
+/// visits only the dirty path; a miss stores its fresh list back. With
+/// cuts, a cut node's list is spliced before it is stored and stays
+/// parked in its slot. Returns the root's list and the run's counters.
+fn walk(
+    ctx: &RunCtx<'_>,
+    governor: &mut Governor,
+    mut faults: Option<&mut FaultInjector>,
+    mut memo: Option<&mut Memo<'_>>,
+    mut cuts: Option<&mut Cuts>,
+) -> Result<(Vec<StatSolution>, DpStats), EngineInterrupt> {
+    let tree = ctx.tree;
     let mut stats = DpStats::default();
     let mut lists: Vec<Vec<StatSolution>> = vec![Vec::new(); tree.len()];
     let mut pool = SolPool::default();
-    let mut sup = GovSupervisor {
-        static_rule,
-        governor,
-    };
-
-    for id in tree.postorder() {
-        let children: Vec<Vec<StatSolution>> = tree
-            .node(id)
-            .children
-            .iter()
-            .map(|c| std::mem::take(&mut lists[c.index()]))
-            .collect();
-        let sols = process_node(
-            &ctx,
-            &mut sup,
-            id,
-            children,
-            faults.as_deref_mut(),
-            &mut pool,
-            &mut stats,
-        )
-        .map_err(EngineInterrupt::into_error)?;
+    if let Some(m) = memo.as_deref_mut() {
+        m.cache.begin_run(m.run_sig, tree.len());
+    }
+    // `(node, children done)`: a node goes back on the stack below its
+    // children, pushed in child order so the last child pops first.
+    let mut stack = vec![(tree.root(), false)];
+    while let Some((id, expanded)) = stack.pop() {
+        let cached = if expanded {
+            None
+        } else {
+            memo.as_deref()
+                .and_then(|m| m.cache.lookup(id, m.sigs.get(id)))
+        };
+        let sols = if let Some(cached) = cached {
+            governor.check_time()?;
+            let mut list = pool.take(cached.len());
+            list.extend(cached.iter().cloned());
+            admit_list(governor, id, &mut list, &mut pool, &mut stats)?;
+            governor.note_memory(&list, 0);
+            stats.max_solutions_per_node = stats.max_solutions_per_node.max(list.len());
+            list
+        } else if !expanded {
+            stack.push((id, true));
+            stack.extend(tree.node(id).children.iter().map(|&c| (c, false)));
+            continue;
+        } else {
+            let children: Vec<Vec<StatSolution>> = tree
+                .node(id)
+                .children
+                .iter()
+                .map(|&c| {
+                    let list = std::mem::take(&mut lists[c.index()]);
+                    if let Some(cuts) = cuts.as_deref_mut() {
+                        cuts.release(c, &list);
+                    }
+                    list
+                })
+                .collect();
+            let mut sols = process_node(
+                ctx,
+                governor,
+                id,
+                children,
+                faults.as_deref_mut(),
+                &mut pool,
+                &mut stats,
+            )?;
+            if let Some(cuts) = cuts.as_deref_mut() {
+                cuts.splice(governor, id, &mut sols, &mut stats);
+            }
+            if let Some(m) = memo.as_deref_mut() {
+                m.cache.store(id, m.sigs.get(id), &sols);
+            }
+            sols
+        };
+        if let Some(cuts) = cuts.as_deref_mut() {
+            cuts.park(governor, id, &sols);
+        }
         lists[id.index()] = sols;
     }
-
-    stats.runtime = governor.elapsed();
-    stats.jobs_requested = options.jobs.max(1);
+    if memo.is_some() {
+        stats.cache_misses = stats.nodes_processed;
+        stats.cache_hits = tree.len() - stats.nodes_processed;
+    }
     stats.jobs_effective = 1;
-    Ok(select_winner(
-        tree,
-        options,
-        &mut lists[tree.root().index()],
-        stats,
-    ))
+    Ok((std::mem::take(&mut lists[tree.root().index()]), stats))
 }
 
 /// One node of the DP, shared verbatim by the sequential and parallel
@@ -1081,7 +1061,7 @@ fn run_engine(
 /// [`SolPool`] scratch, new solutions are recycled carcasses from the
 /// same pool, and pruning runs over the pool's batched-key scratch.
 #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-pub(crate) fn process_node<'r, S: Supervisor<'r>>(
+pub(crate) fn process_node<S: Supervisor>(
     ctx: &RunCtx<'_>,
     sup: &mut S,
     id: NodeId,
@@ -1172,8 +1152,7 @@ pub(crate) fn process_node<'r, S: Supervisor<'r>>(
                 // whole runs byte-identical to eager.
                 if ctx.lazy {
                     let term_keyed = {
-                        let rh = sup.rule();
-                        let rule = rh.get();
+                        let rule = sup.rule();
                         !rule.mean_keys() || rule.strategy() == MergeStrategy::CrossProduct
                     };
                     if term_keyed {
@@ -1182,7 +1161,7 @@ pub(crate) fn process_node<'r, S: Supervisor<'r>>(
                 }
                 let before = lifted.len();
                 let t_prune = Instant::now();
-                prune_solutions_keyed(sup.rule().get(), &mut lifted, &mut pool.scratch);
+                prune_solutions_keyed(&*sup.rule(), &mut lifted, &mut pool.scratch);
                 pool.reclaim_pruned();
                 stats.prune_time += t_prune.elapsed();
                 stats.solutions_pruned += before - lifted.len();
@@ -1209,8 +1188,7 @@ pub(crate) fn process_node<'r, S: Supervisor<'r>>(
         // the forms are read.
         let mut device = std::mem::take(&mut pool.device);
         {
-            let rh = sup.rule();
-            let rule = rh.get();
+            let rule = sup.rule();
             let forms = device.write(ctx, id);
             for (ty, bt) in ctx.model.library().iter() {
                 let (cap_form, delay_form) = &forms[ty.0];
@@ -1288,7 +1266,7 @@ pub(crate) fn process_node<'r, S: Supervisor<'r>>(
         admit_list(sup, id, &mut sols, pool, stats)?;
     }
     if sup.panicking() {
-        keep_best(sup.rule().get(), &mut sols);
+        keep_best(&*sup.rule(), &mut sols);
     }
 
     sup.note_memory(&sols, 0);
@@ -1302,7 +1280,7 @@ pub(crate) fn process_node<'r, S: Supervisor<'r>>(
 /// Takes the list mutably: any deferred wire transforms still pending on
 /// root candidates are materialized (and epsilon-sparsified) here, since
 /// both the selection key's σ and the reported root RAT read the terms.
-pub(crate) fn select_winner(
+fn select_winner(
     tree: &RoutingTree,
     options: &DpOptions,
     root_list: &mut [StatSolution],
@@ -1364,7 +1342,7 @@ pub(crate) fn materialize_list(sols: &mut [StatSolution], epsilon: f64, stats: &
 /// Offers a node's candidate list to the supervisor, applying whatever
 /// the verdict requires (re-prune under a fallback rule, spread-
 /// preserving truncation) until the list is admitted.
-pub(crate) fn admit_list<'r, S: Supervisor<'r>>(
+fn admit_list<S: Supervisor>(
     sup: &mut S,
     node: NodeId,
     sols: &mut Vec<StatSolution>,
@@ -1377,7 +1355,7 @@ pub(crate) fn admit_list<'r, S: Supervisor<'r>>(
             Admission::Reprune => {
                 let before = sols.len();
                 let t = Instant::now();
-                prune_solutions_keyed(sup.rule().get(), sols, &mut pool.scratch);
+                prune_solutions_keyed(&*sup.rule(), sols, &mut pool.scratch);
                 pool.reclaim_pruned();
                 stats.prune_time += t.elapsed();
                 stats.solutions_pruned += before - sols.len();
@@ -1390,7 +1368,7 @@ pub(crate) fn admit_list<'r, S: Supervisor<'r>>(
                 }
                 let before = sols.len();
                 let t = Instant::now();
-                truncate_spread(sup.rule().get(), sols, n);
+                truncate_spread(&*sup.rule(), sols, n);
                 stats.prune_time += t.elapsed();
                 stats.solutions_pruned += before - sols.len();
             }
@@ -1400,7 +1378,7 @@ pub(crate) fn admit_list<'r, S: Supervisor<'r>>(
 
 /// Merges two candidate lists at a branch node.
 #[allow(clippy::too_many_arguments)]
-fn merge_lists<'r, S: Supervisor<'r>>(
+fn merge_lists<S: Supervisor>(
     ctx: &RunCtx<'_>,
     sup: &mut S,
     mut a: Vec<StatSolution>,
@@ -1427,8 +1405,7 @@ fn merge_lists<'r, S: Supervisor<'r>>(
     // truncation could not shrink them further.
     let mut forced = false;
     let mut merged = loop {
-        let rh = sup.rule();
-        let rule = rh.get();
+        let rule = sup.rule();
         match rule.strategy() {
             MergeStrategy::SortedLinear => {
                 // Figure 1: both lists sorted ascending in (load key, RAT key);
@@ -1502,10 +1479,10 @@ fn merge_lists<'r, S: Supervisor<'r>>(
                     Admission::Reprune => {
                         let before = a.len() + b.len();
                         let t = Instant::now();
-                        let rh = sup.rule();
-                        prune_solutions_keyed(rh.get(), &mut a, &mut pool.scratch);
+                        let next = sup.rule();
+                        prune_solutions_keyed(&*next, &mut a, &mut pool.scratch);
                         pool.reclaim_pruned();
-                        prune_solutions_keyed(rh.get(), &mut b, &mut pool.scratch);
+                        prune_solutions_keyed(&*next, &mut b, &mut pool.scratch);
                         pool.reclaim_pruned();
                         stats.prune_time += t.elapsed();
                         stats.solutions_pruned += before - a.len() - b.len();
@@ -1520,8 +1497,8 @@ fn merge_lists<'r, S: Supervisor<'r>>(
                         }
                         let before = a.len() + b.len();
                         let t = Instant::now();
-                        truncate_spread(rule, &mut a, keep);
-                        truncate_spread(rule, &mut b, keep);
+                        truncate_spread(&*rule, &mut a, keep);
+                        truncate_spread(&*rule, &mut b, keep);
                         stats.prune_time += t.elapsed();
                         stats.solutions_pruned += before - a.len() - b.len();
                     }
@@ -1545,17 +1522,16 @@ fn merge_lists<'r, S: Supervisor<'r>>(
 /// non-dominated set is still valid, and the node-level reduction keeps
 /// one candidate anyway. In-place; the dominance flags live in the
 /// worker's [`SolPool`] scratch.
-fn prune_full<'r, S: Supervisor<'r>>(
+fn prune_full<S: Supervisor>(
     sup: &mut S,
     sols: &mut Vec<StatSolution>,
     pool: &mut SolPool,
     stats: &mut DpStats,
 ) -> Result<(), EngineInterrupt> {
-    let rh = sup.rule();
-    let rule = rh.get();
+    let rule = sup.rule();
     let t = Instant::now();
     if rule.strategy() == MergeStrategy::SortedLinear {
-        prune_solutions_keyed(rule, sols, &mut pool.scratch);
+        prune_solutions_keyed(&*rule, sols, &mut pool.scratch);
         pool.reclaim_pruned();
         stats.prune_time += t.elapsed();
         return Ok(());
@@ -1629,7 +1605,7 @@ mod tests {
             &tree,
             &model,
             VariationMode::WithinDie,
-            &TwoParam::default(),
+            Arc::new(TwoParam::default()),
             &DpOptions::default(),
         )
         .expect("optimize");
@@ -1654,7 +1630,7 @@ mod tests {
             &tree,
             &zero,
             VariationMode::WithinDie,
-            &TwoParam::default(),
+            Arc::new(TwoParam::default()),
             &DpOptions::default(),
         )
         .expect("stat");
@@ -1676,7 +1652,7 @@ mod tests {
             &tree,
             &model,
             VariationMode::DieToDie,
-            &TwoParam::default(),
+            Arc::new(TwoParam::default()),
             &DpOptions::default(),
         )
         .expect("optimize");
@@ -1697,7 +1673,7 @@ mod tests {
             &tree,
             &model,
             VariationMode::WithinDie,
-            &TwoParam::default(),
+            Arc::new(TwoParam::default()),
             &DpOptions::default(),
         )
         .expect("2P");
@@ -1705,7 +1681,7 @@ mod tests {
             &tree,
             &model,
             VariationMode::WithinDie,
-            &OneParam::default(),
+            Arc::new(OneParam::default()),
             &DpOptions::default(),
         )
         .expect("1P");
@@ -1729,7 +1705,7 @@ mod tests {
             &tree,
             &model,
             VariationMode::WithinDie,
-            &FourParam::default(),
+            Arc::new(FourParam::default()),
             &DpOptions::default(),
         )
         .expect("4P");
@@ -1737,7 +1713,7 @@ mod tests {
             &tree,
             &model,
             VariationMode::WithinDie,
-            &TwoParam::default(),
+            Arc::new(TwoParam::default()),
             &DpOptions::default(),
         )
         .expect("2P");
@@ -1765,7 +1741,7 @@ mod tests {
             &tree,
             &model,
             VariationMode::WithinDie,
-            &FourParam::default(),
+            Arc::new(FourParam::default()),
             &tight,
         )
         .unwrap_err();
@@ -1787,7 +1763,7 @@ mod tests {
             &tree,
             &model,
             VariationMode::WithinDie,
-            &TwoParam::default(),
+            Arc::new(TwoParam::default()),
             &opts,
         )
         .unwrap_err();
@@ -1802,7 +1778,7 @@ mod tests {
             &tree,
             &model,
             VariationMode::WithinDie,
-            &TwoParam::default(),
+            Arc::new(TwoParam::default()),
             &DpOptions::default(),
         )
         .expect("exact");
@@ -1810,7 +1786,7 @@ mod tests {
             &tree,
             &model,
             VariationMode::WithinDie,
-            &TwoParam::default(),
+            Arc::new(TwoParam::default()),
             &DpOptions {
                 sparsify_epsilon: 1e-3,
                 ..DpOptions::default()
@@ -1834,7 +1810,7 @@ mod tests {
             &tree,
             &model,
             VariationMode::WithinDie,
-            &TwoParam::default(),
+            Arc::new(TwoParam::default()),
             &DpOptions::default(),
         )
         .expect("plain");
@@ -1845,7 +1821,7 @@ mod tests {
             &tree,
             &model,
             VariationMode::WithinDie,
-            &TwoParam::default(),
+            Arc::new(TwoParam::default()),
             &sizing,
             &DpOptions::default(),
         )
@@ -1883,7 +1859,7 @@ mod tests {
             &tree,
             &model,
             VariationMode::WithinDie,
-            &TwoParam::default(),
+            Arc::new(TwoParam::default()),
             &sizing,
             &DpOptions::default(),
         )
@@ -1908,7 +1884,7 @@ mod tests {
             &tree,
             &model,
             VariationMode::WithinDie,
-            &TwoParam::default(),
+            Arc::new(TwoParam::default()),
             &DpOptions::default(),
         )
         .expect("base");
@@ -1917,7 +1893,7 @@ mod tests {
                 &tree,
                 &model,
                 VariationMode::WithinDie,
-                &TwoParam::new(p, p),
+                Arc::new(TwoParam::new(p, p)),
                 &DpOptions::default(),
             )
             .expect("sweep");
@@ -1934,7 +1910,7 @@ mod tests {
             &tree,
             &model,
             VariationMode::WithinDie,
-            &TwoParam::default(),
+            Arc::new(TwoParam::default()),
             &DpOptions::default(),
         )
         .expect("strict");
@@ -1975,11 +1951,16 @@ mod tests {
     /// sink bases, merged branches, buffered candidate nodes — is
     /// mean-ordered: load means non-decreasing and RAT means
     /// non-decreasing (the pruned staircase). Property-tested over 3
-    /// seeds × 64 random trees by driving the engine loop node by node.
+    /// seeds × 64 random trees: an unconstrained 2P run with an empty
+    /// memo stores every node's list, which is then read back node by
+    /// node.
     #[test]
     fn two_param_node_lists_stay_mean_ordered() {
-        let rule = TwoParam::default();
         let sizing = WireSizing::single();
+        let eager = DpOptions {
+            use_lazy_wire: false,
+            ..DpOptions::default()
+        };
         for seed in [0x9E37_79B9u64, 0x85EB_CA6B, 0xC2B2_AE35] {
             for t in 0..64u64 {
                 let sinks = 4 + (t as usize % 13);
@@ -1989,31 +1970,25 @@ mod tests {
                     seed.wrapping_add(t.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
                 ));
                 let model = model_for(&tree);
-                let mode = VariationMode::WithinDie;
-                let mut governor =
-                    Governor::strict(Budget::strict(2_000_000, Duration::from_secs(3600)), 0.0);
-                let eager = DpOptions {
-                    use_lazy_wire: false,
-                    ..DpOptions::default()
-                };
-                let ctx = RunCtx::new(&tree, &model, mode, &sizing, &eager, &governor, false);
-                let mut sup = GovSupervisor {
-                    static_rule: Some(&rule),
-                    governor: &mut governor,
-                };
-                let mut lists: Vec<Vec<StatSolution>> = vec![Vec::new(); tree.len()];
-                let mut pool = SolPool::default();
-                let mut stats = DpStats::default();
+                let sigs = NodeSigs::build(&tree);
+                let mut cache = SolutionCache::new();
+                optimize_incremental(
+                    &tree,
+                    &model,
+                    VariationMode::WithinDie,
+                    vec![Arc::new(TwoParam::default())],
+                    &sizing,
+                    &eager,
+                    None,
+                    &Budget::unlimited(),
+                    RunControls::default(),
+                    &sigs,
+                    &mut cache,
+                    0,
+                )
+                .expect("unconstrained run");
                 for id in tree.postorder() {
-                    let children: Vec<Vec<StatSolution>> = tree
-                        .node(id)
-                        .children
-                        .iter()
-                        .map(|c| std::mem::take(&mut lists[c.index()]))
-                        .collect();
-                    let sols =
-                        process_node(&ctx, &mut sup, id, children, None, &mut pool, &mut stats)
-                            .unwrap_or_else(|_| panic!("strict node interrupted"));
+                    let sols = cache.lookup(id, sigs.get(id)).expect("every list stored");
                     for w in sols.windows(2) {
                         assert!(
                             w[0].load_mean() <= w[1].load_mean(),
@@ -2026,7 +2001,6 @@ mod tests {
                             id.index()
                         );
                     }
-                    lists[id.index()] = sols;
                 }
             }
         }

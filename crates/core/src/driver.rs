@@ -6,6 +6,7 @@ use crate::dp::{optimize_with_rule, DpOptions};
 use crate::error::InsertionError;
 use crate::metrics::DpStats;
 use crate::prune::TwoParam;
+use std::sync::Arc;
 use varbuf_rctree::{NodeId, RoutingTree};
 use varbuf_stats::CanonicalForm;
 use varbuf_variation::{BufferTypeId, ProcessModel, VariationMode};
@@ -80,7 +81,7 @@ pub fn optimize_statistical(
     if matches!(mode, VariationMode::Nominal) {
         return optimize_nominal(tree, model, options);
     }
-    let r = optimize_with_rule(tree, model, mode, &options.rule, &options.dp)?;
+    let r = optimize_with_rule(tree, model, mode, Arc::new(options.rule), &options.dp)?;
     Ok(OptimizeResult {
         mode,
         root_rat: r.root_rat,

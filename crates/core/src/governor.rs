@@ -21,7 +21,7 @@
 //!
 //! The legacy strict behavior (breach ⇒ typed error) is the same engine
 //! with a [`Governor::strict`] policy whose soft and hard limits
-//! coincide and whose cascade is empty.
+//! coincide and whose cascade holds only the caller's rule.
 
 use crate::error::InsertionError;
 use crate::prune::PruningRule;
@@ -406,8 +406,8 @@ pub struct Degradation {
     /// guard, if any. Deliberately *not* part of [`Degradation::degraded`]:
     /// the substituted run completes within budget at full fidelity.
     pub guard: Option<GuardedFallback>,
-    /// Peak bytes simultaneously resident in streaming solution chunks
-    /// (hierarchical runs; `0` for flat runs, which hold no chunks).
+    /// Peak bytes simultaneously parked in spliced cut-node frontiers
+    /// (hierarchical runs; `0` for flat runs, which park nothing).
     pub peak_chunk_bytes: usize,
 }
 
@@ -533,11 +533,11 @@ pub fn solution_footprint(s: &StatSolution) -> usize {
 pub struct Governor {
     budget: Budget,
     clock: Box<dyn Clock>,
-    /// Fallback rules, cheapest last. `active` indexes into it; an empty
-    /// cascade means the engine's caller-supplied rule stays active.
+    /// Fallback rules, cheapest last; never empty. `active` indexes
+    /// into it (a strict governor holds one rule and never advances).
     cascade: Vec<Arc<dyn PruningRule>>,
     active: usize,
-    /// `None` ⇒ strict mode (breach = typed error, no degradation).
+    /// `false` ⇒ strict mode (breach = typed error, no degradation).
     governed: bool,
     epsilon: f64,
     max_epsilon: f64,
@@ -550,8 +550,8 @@ pub struct Governor {
     time_steps_taken: u32,
     mem_steps_taken: u32,
     live_bytes: usize,
-    /// High-water mark of bytes held in streaming solution chunks
-    /// (reported by the hierarchical engine via `note_chunk_bytes`).
+    /// High-water mark of bytes parked in cut-node frontiers (reported
+    /// by the engine walk via `note_chunk_bytes`).
     peak_chunk_bytes: usize,
     events: Vec<DegradationEvent>,
     initial_rule: String,
@@ -567,31 +567,14 @@ pub struct Governor {
 }
 
 impl Governor {
-    /// The legacy strict policy: the caller's rule stays active for the
-    /// whole run and the first breach of `budget`'s hard limits is a
-    /// typed error.
+    /// The legacy strict policy: `rule` stays active for the whole run
+    /// and the first breach of `budget`'s hard limits is a typed error.
     #[must_use]
-    pub fn strict(budget: Budget, base_epsilon: f64) -> Self {
+    pub fn strict(budget: Budget, rule: Arc<dyn PruningRule>, base_epsilon: f64) -> Self {
         Self {
-            budget: budget.normalized(),
-            clock: Box::new(MonotonicClock::new()),
-            cascade: Vec::new(),
-            active: 0,
             governed: false,
-            epsilon: base_epsilon,
             max_epsilon: base_epsilon,
-            panic_mode: false,
-            real_clock: true,
-            time_steps_taken: 0,
-            mem_steps_taken: 0,
-            live_bytes: 0,
-            peak_chunk_bytes: 0,
-            events: Vec::new(),
-            initial_rule: String::new(),
-            poisoned_total: 0,
-            cancel: None,
-            watchdog: None,
-            cancelled: false,
+            ..Self::governed(budget, vec![rule], base_epsilon)
         }
     }
 
@@ -680,11 +663,7 @@ impl Governor {
         self.events.is_empty() && !self.panic_mode && self.active == 0 && self.poisoned_total == 0
     }
 
-    /// The rule a governed run is currently pruning with.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a strict governor, whose rule lives with the caller.
+    /// The rule the run is currently pruning with.
     #[must_use]
     pub fn active_rule(&self) -> Arc<dyn PruningRule> {
         Arc::clone(&self.cascade[self.active])
@@ -948,13 +927,13 @@ impl Governor {
         self.live_bytes
     }
 
-    /// Reports the bytes currently resident in streaming solution
-    /// chunks; the governor keeps the high-water mark for the report.
+    /// Reports the bytes currently parked in cut-node frontiers; the
+    /// governor keeps the high-water mark for the report.
     pub fn note_chunk_bytes(&mut self, bytes: usize) {
         self.peak_chunk_bytes = self.peak_chunk_bytes.max(bytes);
     }
 
-    /// High-water mark of streaming-chunk bytes observed so far.
+    /// High-water mark of parked-frontier bytes observed so far.
     #[must_use]
     pub fn peak_chunk_bytes(&self) -> usize {
         self.peak_chunk_bytes
@@ -969,11 +948,7 @@ impl Governor {
     /// Consumes the governor into its degradation report.
     #[must_use]
     pub fn into_report(self) -> Degradation {
-        let final_rule = if self.cascade.is_empty() {
-            self.initial_rule.clone()
-        } else {
-            self.cascade[self.active].name().to_owned()
-        };
+        let final_rule = self.cascade[self.active].name().to_owned();
         Degradation {
             events: self.events,
             initial_rule: self.initial_rule,
@@ -1055,7 +1030,11 @@ mod tests {
 
     #[test]
     fn strict_governor_errors_on_capacity() {
-        let mut g = Governor::strict(Budget::strict(10, Duration::MAX), 0.0);
+        let mut g = Governor::strict(
+            Budget::strict(10, Duration::MAX),
+            Arc::new(TwoParam::default()),
+            0.0,
+        );
         assert!(matches!(g.admit(NodeId(1), 5), Ok(Admission::Ok)));
         let err = g.admit(NodeId(1), 11).unwrap_err();
         assert!(matches!(err, InsertionError::CapacityExceeded { .. }));
@@ -1063,7 +1042,11 @@ mod tests {
 
     #[test]
     fn strict_governor_errors_on_time() {
-        let mut g = Governor::strict(Budget::strict(usize::MAX, Duration::from_nanos(1)), 0.0);
+        let mut g = Governor::strict(
+            Budget::strict(usize::MAX, Duration::from_nanos(1)),
+            Arc::new(TwoParam::default()),
+            0.0,
+        );
         std::thread::sleep(Duration::from_millis(2));
         assert!(matches!(
             g.check_time(),
@@ -1258,8 +1241,8 @@ mod tests {
     #[test]
     fn strict_cancellation_is_a_typed_error() {
         let token = CancelToken::new();
-        let mut g =
-            Governor::strict(Budget::unlimited(), 0.0).with_cancellation(token.clone(), None);
+        let mut g = Governor::strict(Budget::unlimited(), Arc::new(TwoParam::default()), 0.0)
+            .with_cancellation(token.clone(), None);
         g.check_time().expect("uncancelled strict check passes");
         token.cancel();
         assert!(matches!(

@@ -6,41 +6,35 @@
 //!
 //! * [`plan_cuts`] partitions the routing tree at *cut nodes* chosen by
 //!   accumulated subtree size and fanout, so the tree becomes a forest
-//!   of bounded regions solved bottom-up by the existing
-//!   [`process_node`] engine;
+//!   of bounded regions solved bottom-up by the engine's one walk;
 //! * at each cut node the surviving Pareto frontier is **spliced**: an
 //!   epsilon-bounded thinning keeps a representative subset (the best-
 //!   RAT survivor always included) capped at
 //!   [`HierOptions::frontier_cap`] entries, so what a region exports
 //!   upward is a bounded frontier, not its full candidate list;
-//! * spliced frontiers are parked in chunked streaming lists
-//!   ([`ChunkedList`]) charged byte-by-byte to a shared
-//!   [`ChunkLedger`], making "frontier memory resident right now" one
-//!   ledger read; when the ledger crosses the budget's soft memory
-//!   limit the frontier cap halves for subsequent splices, and the
-//!   high-water mark is reported as
-//!   [`Degradation::peak_chunk_bytes`].
+//! * a spliced frontier stays parked in the cut node's list slot until
+//!   its parent takes it, and its bytes are counted while it waits;
+//!   when the parked bytes cross the budget's soft memory limit the
+//!   frontier cap halves for subsequent splices, and the high-water
+//!   mark is reported as [`Degradation::peak_chunk_bytes`].
 //!
 //! The contract with the flat engine: with decomposition disabled
 //! ([`HierOptions::disabled`], or a tree that produces no cuts) the run
-//! delegates to [`optimize_governed_detailed`] and is byte-identical to
-//! it; with decomposition on, the root objective is within an epsilon
-//! bounded by the splice parameters (pinned by the `hier_oracle`
-//! suite).
+//! is the flat walk of [`crate::dp::optimize_governed_detailed`] and
+//! byte-identical to it; with decomposition on, the root objective is
+//! within an epsilon bounded by the splice parameters (pinned by the
+//! `hier_oracle` suite).
 
 use crate::dp::{
-    finish_governed, governed_setup, materialize_list, optimize_governed_detailed, process_node,
-    select_winner, DpOptions, GovSupervisor, GovernedResult, RunControls, RunCtx, SolPool,
-    StatResult, Supervisor, WireSizing,
+    materialize_list, run_governed, DpOptions, GovernedResult, RunControls, StatResult, WireSizing,
 };
 use crate::error::InsertionError;
-use crate::faultinject::FaultInjector;
-use crate::governor::{solution_footprint, truncate_spread, Budget, Degradation};
+use crate::governor::{solution_footprint, truncate_spread, Budget, Degradation, Governor};
 use crate::metrics::DpStats;
 use crate::prune::PruningRule;
-use crate::solution::{ChunkLedger, ChunkedList, StatSolution};
+use crate::solution::StatSolution;
 use std::sync::Arc;
-use varbuf_rctree::RoutingTree;
+use varbuf_rctree::{NodeId, RoutingTree};
 use varbuf_variation::{ProcessModel, VariationMode};
 
 /// Decomposition knobs.
@@ -48,8 +42,8 @@ use varbuf_variation::{ProcessModel, VariationMode};
 pub struct HierOptions {
     /// Accumulated-subtree-size threshold: a node whose region has
     /// grown to at least this many nodes becomes a cut. `0` disables
-    /// decomposition entirely (byte-identical delegation to the flat
-    /// engine).
+    /// decomposition entirely (the run is the flat engine's, byte for
+    /// byte).
     pub cut_nodes: usize,
     /// Fanout threshold: a node with at least this many children
     /// becomes a cut regardless of region size (`0` = never by fanout).
@@ -66,7 +60,7 @@ pub struct HierOptions {
 }
 
 impl HierOptions {
-    /// Decomposition off: the run delegates to the flat engine.
+    /// Decomposition off: the run is the flat engine's.
     #[must_use]
     pub fn disabled() -> Self {
         Self {
@@ -101,7 +95,7 @@ pub struct HierReport {
     pub cut_count: usize,
     /// Solutions dropped by frontier splicing across all cuts.
     pub spliced_dropped: usize,
-    /// High-water mark of bytes parked in streaming chunks.
+    /// High-water mark of bytes parked in spliced cut-node frontiers.
     pub peak_chunk_bytes: usize,
     /// The frontier cap in force at the end of the run (smaller than
     /// the configured cap when memory pressure halved it).
@@ -114,7 +108,7 @@ pub struct HierReport {
 pub struct HierResult {
     /// The winning design.
     pub result: StatResult,
-    /// Budget-driven relaxations (as for [`optimize_governed_detailed`]).
+    /// Budget-driven relaxations (as for [`crate::dp::optimize_governed_detailed`]).
     pub degradation: Degradation,
     /// What the decomposition itself did.
     pub hier: HierReport,
@@ -221,20 +215,110 @@ fn splice_compact(
     before - sols.len()
 }
 
-/// Hierarchical governed optimization. With decomposition disabled (or
-/// a tree the planner leaves uncut) this *is*
-/// [`optimize_governed_detailed`] — same bytes out; with cuts, each
-/// region is solved by the flat per-node engine and exports an
-/// epsilon-spliced, capped frontier parked in budget-charged chunks.
+/// A hierarchical run's cut plan and splice state, threaded through the
+/// engine walk: the [`plan_cuts`] mask, the frontier cap in force, and
+/// the bytes parked in cut-node slots right now.
+pub(crate) struct Cuts {
+    mask: Vec<bool>,
+    count: usize,
+    splice_epsilon: f64,
+    cap: usize,
+    dropped: usize,
+    parked: usize,
+}
+
+impl Cuts {
+    /// The cut plan for `tree`, or `None` when the planner leaves it
+    /// uncut — the run is then flat.
+    pub(crate) fn plan(tree: &RoutingTree, hier: &HierOptions) -> Option<Self> {
+        let mask = plan_cuts(tree, hier);
+        let count = mask.iter().filter(|&&c| c).count();
+        (count > 0).then(|| Self {
+            mask,
+            count,
+            splice_epsilon: hier.splice_epsilon,
+            cap: hier.frontier_cap.max(1),
+            dropped: 0,
+            parked: 0,
+        })
+    }
+
+    /// Splices a freshly computed list at cut node `id` (other nodes
+    /// pass through): lands its deferred wire coupling, thins it, and
+    /// frees the dropped footprint from the governor's live estimate.
+    pub(crate) fn splice(
+        &mut self,
+        governor: &mut Governor,
+        id: NodeId,
+        sols: &mut Vec<StatSolution>,
+        stats: &mut DpStats,
+    ) {
+        if !self.mask[id.index()] {
+            return;
+        }
+        // A parked frontier outlives its region's DP, so the epsilon
+        // thinning and the parked bytes must both see settled
+        // solutions, not pending ones whose RAT terms (and footprint)
+        // are still about to grow.
+        materialize_list(sols, governor.epsilon(), stats);
+        let before: usize = sols.iter().map(solution_footprint).sum();
+        self.dropped += splice_compact(
+            &*governor.active_rule(),
+            sols,
+            self.splice_epsilon,
+            self.cap,
+        );
+        let after: usize = sols.iter().map(solution_footprint).sum();
+        governor.note_memory(&[], before - after);
+    }
+
+    /// Counts the list now in cut node `id`'s slot as parked, and halves
+    /// the frontier cap (floor 4) while parked bytes exceed the budget's
+    /// soft memory limit.
+    pub(crate) fn park(&mut self, governor: &mut Governor, id: NodeId, sols: &[StatSolution]) {
+        if !self.mask[id.index()] {
+            return;
+        }
+        self.parked += sols.iter().map(solution_footprint).sum::<usize>();
+        governor.note_chunk_bytes(self.parked);
+        if self.parked > governor.budget().soft_mem_bytes {
+            self.cap = (self.cap / 2).max(4);
+        }
+    }
+
+    /// Uncounts cut node `id`'s parked list as its parent takes it.
+    pub(crate) fn release(&mut self, id: NodeId, sols: &[StatSolution]) {
+        if self.mask[id.index()] {
+            self.parked -= sols.iter().map(solution_footprint).sum::<usize>();
+        }
+    }
+
+    /// The run's decomposition report, given the governor's high-water
+    /// mark of parked bytes.
+    pub(crate) fn report(&self, peak_chunk_bytes: usize) -> HierReport {
+        HierReport {
+            cut_count: self.count,
+            spliced_dropped: self.dropped,
+            peak_chunk_bytes,
+            final_frontier_cap: self.cap,
+        }
+    }
+}
+
+/// Hierarchical governed optimization: the engine walk of
+/// [`crate::dp::optimize_governed_detailed`] with the [`plan_cuts`] plan, where
+/// each cut node exports an epsilon-spliced, capped frontier. With
+/// decomposition disabled (or a tree the planner leaves uncut) this is
+/// the flat run — same bytes out.
 ///
 /// # Errors
 ///
-/// Same as [`optimize_governed_detailed`].
+/// Same as [`crate::dp::optimize_governed_detailed`].
 ///
 /// # Panics
 ///
 /// Panics if `cascade` is empty.
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
+#[allow(clippy::too_many_arguments)]
 pub fn optimize_hier(
     tree: &RoutingTree,
     model: &ProcessModel,
@@ -246,142 +330,18 @@ pub fn optimize_hier(
     budget: &Budget,
     controls: RunControls<'_>,
 ) -> Result<HierResult, InsertionError> {
-    let cuts = plan_cuts(tree, hier);
-    let cut_count = cuts.iter().filter(|&&c| c).count();
-    if cut_count == 0 {
-        // Byte-identity contract: no decomposition means the flat
-        // engine, not a reimplementation of it.
-        let flat = optimize_governed_detailed(
-            tree, model, mode, cascade, sizing, options, budget, controls,
-        )?;
-        return Ok(HierResult {
-            result: flat.result,
-            degradation: flat.degradation,
-            hier: HierReport {
-                final_frontier_cap: hier.frontier_cap,
-                ..HierReport::default()
-            },
-        });
-    }
-
-    tree.validate()?;
-    if tree.sink_count() == 0 {
-        return Err(InsertionError::NoSinks);
-    }
-
-    let (mut governor, guard, faults) = governed_setup(tree, cascade, options, budget, controls);
-    let ctx = RunCtx::new(
+    run_governed(
         tree,
         model,
         mode,
+        cascade,
         sizing,
         options,
-        &governor,
-        faults.is_some(),
-    );
-
-    let ledger = Arc::new(ChunkLedger::new());
-    let mut parked: Vec<Option<ChunkedList>> = Vec::new();
-    parked.resize_with(tree.len(), || None);
-    let mut lists: Vec<Vec<StatSolution>> = vec![Vec::new(); tree.len()];
-    let mut pool = SolPool::default();
-    let mut stats = DpStats::default();
-    let mut spliced_dropped = 0usize;
-    let mut live_cap = hier.frontier_cap.max(1);
-
-    let walk = |sup: &mut GovSupervisor<'_, '_>,
-                mut faults: Option<&mut FaultInjector>,
-                lists: &mut Vec<Vec<StatSolution>>,
-                parked: &mut Vec<Option<ChunkedList>>,
-                pool: &mut SolPool,
-                stats: &mut DpStats,
-                spliced_dropped: &mut usize,
-                live_cap: &mut usize|
-     -> Result<(), crate::dp::EngineInterrupt> {
-        for id in tree.postorder() {
-            let children: Vec<Vec<StatSolution>> = tree
-                .node(id)
-                .children
-                .iter()
-                .map(|&c| match parked[c.index()].take() {
-                    Some(frontier) => frontier.into_vec(),
-                    None => std::mem::take(&mut lists[c.index()]),
-                })
-                .collect();
-            let mut sols =
-                process_node(&ctx, sup, id, children, faults.as_deref_mut(), pool, stats)?;
-            if cuts[id.index()] {
-                // A parked frontier outlives its region's DP, so any
-                // deferred wire coupling must land *before* the splice:
-                // the epsilon thinning and the bytes charged to the
-                // chunk ledger must both see settled solutions, not
-                // pending ones whose RAT terms (and footprint) are
-                // still about to grow.
-                materialize_list(&mut sols, sup.epsilon(), stats);
-                // Splice: thin the region's frontier, free the dropped
-                // footprint from the governor's live estimate, park the
-                // survivors in budget-charged chunks.
-                let footprint_before: usize = sols.iter().map(solution_footprint).sum();
-                let rh = sup.rule();
-                *spliced_dropped +=
-                    splice_compact(rh.get(), &mut sols, hier.splice_epsilon, *live_cap);
-                let footprint_after: usize = sols.iter().map(solution_footprint).sum();
-                sup.note_memory(&[], footprint_before - footprint_after);
-                let mut frontier = ChunkedList::with_ledger(Arc::clone(&ledger));
-                for s in sols.drain(..) {
-                    let bytes = solution_footprint(&s);
-                    frontier.push(s, bytes);
-                }
-                pool.put(sols);
-                sup.governor.note_chunk_bytes(ledger.live());
-                if ledger.live() > sup.governor.budget().soft_mem_bytes {
-                    *live_cap = (*live_cap / 2).max(4);
-                }
-                parked[id.index()] = Some(frontier);
-            } else {
-                lists[id.index()] = sols;
-            }
-        }
-        Ok(())
-    };
-
-    {
-        let mut sup = GovSupervisor {
-            static_rule: None,
-            governor: &mut governor,
-        };
-        walk(
-            &mut sup,
-            faults,
-            &mut lists,
-            &mut parked,
-            &mut pool,
-            &mut stats,
-            &mut spliced_dropped,
-            &mut live_cap,
-        )
-        .map_err(crate::dp::EngineInterrupt::into_error)?;
-    }
-
-    stats.runtime = governor.elapsed();
-    stats.jobs_requested = options.jobs.max(1);
-    stats.jobs_effective = 1;
-    let result = select_winner(tree, options, &mut lists[tree.root().index()], stats);
-    let GovernedResult {
-        result,
-        mut degradation,
-    } = finish_governed(result, governor, guard);
-    degradation.peak_chunk_bytes = degradation.peak_chunk_bytes.max(ledger.peak());
-    Ok(HierResult {
-        result,
-        degradation,
-        hier: HierReport {
-            cut_count,
-            spliced_dropped,
-            peak_chunk_bytes: ledger.peak(),
-            final_frontier_cap: live_cap,
-        },
-    })
+        Some(hier),
+        budget,
+        controls,
+        None,
+    )
 }
 
 #[cfg(test)]

@@ -32,9 +32,9 @@
 //!   signatures + a per-session solution arena) behind the service's
 //!   incremental re-optimization path;
 //! * [`hier`] — hierarchical decomposition for full-chip scale: cut-node
-//!   partitioning, epsilon-bounded frontier splicing, and chunked
-//!   streaming solution lists charged against the governor's memory
-//!   budget (64k-sink clock trees);
+//!   partitioning and epsilon-bounded frontier splicing, with parked
+//!   frontier bytes charged against the governor's memory budget
+//!   (64k-sink clock trees);
 //! * [`service`] — the resident optimization service behind
 //!   `varbuf serve`: a generational-arena session store, per-request
 //!   crash isolation (`catch_unwind` + session poisoning), watchdog
@@ -93,5 +93,5 @@ pub use service::{
     EditOp, LibChoice, OptimizeParams, Request, Response, RuleChoice, Service, ServiceConfig,
     ServiceStats, SessionHandle,
 };
-pub use solution::{ChunkLedger, ChunkedList, StatSolution};
+pub use solution::StatSolution;
 pub use yield_eval::{YieldAnalysis, YieldEvaluator};

@@ -39,19 +39,19 @@
 //! between two sequential runs on different machines.
 //!
 //! Runs that are ineligible for the speculative phase fall back to one
-//! thread silently: fault injection active, a scripted [`Clock`]
-//! (reads are order-dependent), or a governed budget with finite
-//! memory limits (live-byte accounting is order-dependent).
+//! thread silently: fault injection active, a memo or a cut plan (the
+//! engine walk replays and splices), a scripted [`Clock`] (reads are
+//! order-dependent), or a governed budget with finite memory limits
+//! (live-byte accounting is order-dependent).
 //!
 //! [`Clock`]: crate::governor::Clock
 
 use crate::dp::{
-    fallback_cascade, optimize_governed_detailed, optimize_with_sizing, process_node, DpOptions,
-    EngineInterrupt, GovernedResult, RuleHandle, RunControls, RunCtx, SolPool, Supervisor,
-    WireSizing,
+    fallback_cascade, optimize_strict, process_node, run_governed, DpOptions, EngineInterrupt,
+    GovernedResult, RunControls, RunCtx, SolPool, Supervisor, WireSizing,
 };
 use crate::error::InsertionError;
-use crate::governor::{Admission, Budget, Degradation, Governor};
+use crate::governor::{Admission, Budget, Governor};
 use crate::hier::HierOptions;
 use crate::metrics::DpStats;
 use crate::prune::PruningRule;
@@ -74,8 +74,8 @@ pub fn default_jobs() -> usize {
 ///
 /// Strict requests (`strict == true`) take their limits from
 /// `options` (the legacy caps) and surface breaches as typed errors;
-/// governed requests degrade within `budget` and always carry a
-/// [`Degradation`] report.
+/// governed requests degrade within `budget`. Both carry a
+/// [`Degradation`](crate::governor::Degradation) report.
 pub struct BatchRequest<'a> {
     /// The net to optimize.
     pub tree: &'a RoutingTree,
@@ -138,48 +138,28 @@ impl<'a> BatchRequest<'a> {
             options.jobs = jobs;
         }
         if self.strict {
-            let result = optimize_with_sizing(
+            return optimize_strict(
                 self.tree,
                 self.model,
                 self.mode,
-                self.rule.as_ref(),
+                Arc::clone(&self.rule),
                 &self.sizing,
                 &options,
-            )?;
-            let name = self.rule.name().to_owned();
-            return Ok(GovernedResult {
-                result,
-                degradation: Degradation {
-                    initial_rule: name.clone(),
-                    final_rule: name,
-                    ..Degradation::default()
-                },
-            });
+            );
         }
-        if let Some(hier) = &self.hier {
-            return crate::hier::optimize_hier(
-                self.tree,
-                self.model,
-                self.mode,
-                fallback_cascade(Arc::clone(&self.rule)),
-                &self.sizing,
-                &options,
-                hier,
-                &self.budget,
-                RunControls::default(),
-            )
-            .map(crate::hier::HierResult::into_governed);
-        }
-        optimize_governed_detailed(
+        run_governed(
             self.tree,
             self.model,
             self.mode,
             fallback_cascade(Arc::clone(&self.rule)),
             &self.sizing,
             &options,
+            self.hier.as_ref(),
             &self.budget,
             RunControls::default(),
+            None,
         )
+        .map(crate::hier::HierResult::into_governed)
     }
 }
 
@@ -297,15 +277,15 @@ impl ProbeShared {
 /// Per-worker supervisor for the speculative phase: read-only against
 /// the frozen snapshot, raising [`EngineInterrupt::Pressure`] at the
 /// first event the real governor would have had to account for.
-struct ProbeSupervisor<'r, 's> {
+struct ProbeSupervisor<'s> {
     shared: &'s ProbeShared,
-    rule: RuleHandle<'r>,
+    rule: Arc<dyn PruningRule>,
     epsilon: f64,
 }
 
-impl<'r> Supervisor<'r> for ProbeSupervisor<'r, '_> {
-    fn rule(&self) -> RuleHandle<'r> {
-        self.rule.clone()
+impl Supervisor for ProbeSupervisor<'_> {
+    fn rule(&self) -> Arc<dyn PruningRule> {
+        Arc::clone(&self.rule)
     }
 
     fn epsilon(&self) -> f64 {
@@ -462,7 +442,6 @@ impl Scheduler {
 #[allow(clippy::type_complexity)]
 pub(crate) fn try_parallel_tree(
     ctx: &RunCtx<'_>,
-    static_rule: Option<&dyn PruningRule>,
     options: &DpOptions,
     governor: &Governor,
 ) -> Option<Result<(Vec<StatSolution>, DpStats), InsertionError>> {
@@ -484,10 +463,7 @@ pub(crate) fn try_parallel_tree(
         // Live-byte accounting is order-dependent; leave it sequential.
         return None;
     }
-    let rule: RuleHandle<'_> = match static_rule {
-        Some(r) => RuleHandle::Static(r),
-        None => RuleHandle::Shared(governor.active_rule()),
-    };
+    let rule = governor.active_rule();
     let epsilon = governor.epsilon();
     let shared = ProbeShared {
         base_elapsed: governor.elapsed(),
@@ -529,7 +505,7 @@ pub(crate) fn try_parallel_tree(
     std::thread::scope(|s| {
         let mut handles = Vec::with_capacity(workers - 1);
         for _ in 1..workers {
-            let rule = rule.clone();
+            let rule = Arc::clone(&rule);
             handles.push(
                 s.spawn(|| worker(ctx, &shared, rule, epsilon, &sched, &pos, &pending, &slots)),
             );
@@ -537,7 +513,7 @@ pub(crate) fn try_parallel_tree(
         worker_stats.push(worker(
             ctx,
             &shared,
-            rule.clone(),
+            Arc::clone(&rule),
             epsilon,
             &sched,
             &pos,
@@ -564,6 +540,7 @@ pub(crate) fn try_parallel_tree(
     for w in &worker_stats {
         stats.absorb(w);
     }
+    stats.jobs_effective = options.effective_jobs();
     Some(Ok((root_list, stats)))
 }
 
@@ -574,7 +551,7 @@ pub(crate) fn try_parallel_tree(
 fn worker(
     ctx: &RunCtx<'_>,
     shared: &ProbeShared,
-    rule: RuleHandle<'_>,
+    rule: Arc<dyn PruningRule>,
     epsilon: f64,
     sched: &Scheduler,
     pos: &[usize],

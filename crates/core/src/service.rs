@@ -39,14 +39,11 @@
 //! byte-compare meaningful.
 
 use crate::cache::{run_signature, NodeSigs, SolutionCache};
-use crate::dp::{
-    fallback_cascade, optimize_governed_detailed, optimize_incremental, DpOptions, RunControls,
-    WireSizing,
-};
+use crate::dp::{fallback_cascade, run_governed, DpOptions, Memo, RunControls, WireSizing};
 use crate::error::{InsertionError, RequestError};
 use crate::faultinject::{FaultInjector, FaultPlan, RequestFault, RequestFaults, SkewedClock};
 use crate::governor::{Budget, CancelToken};
-use crate::hier::{optimize_hier, HierOptions, HierResult};
+use crate::hier::{HierOptions, HierResult};
 use crate::prune::{FourParam, OneParam, PruningRule, TwoParam};
 use std::collections::VecDeque;
 use std::fmt;
@@ -374,8 +371,9 @@ pub struct OptimizeParams {
     /// Per-request budget override (`None` = the service baseline).
     pub budget: Option<Budget>,
     /// When set, the request runs through the hierarchical engine
-    /// (the `cts` verb; large resident clock trees). Hierarchical
-    /// requests bypass the session solution cache.
+    /// (the `cts` verb; large resident clock trees). Its cut plan is
+    /// part of the session cache's run signature, so flat and
+    /// hierarchical requests never replay each other's lists.
     pub hier: Option<HierOptions>,
 }
 
@@ -1099,8 +1097,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// `catch_unwind`, and map the outcome to a structured response.
 ///
 /// When the session cache is armed (service-enabled, no fault, an
-/// unconstraining budget), the DP runs through
-/// [`optimize_incremental`], replaying clean subtrees from the cache.
+/// unconstraining budget), the DP runs as in
+/// [`optimize_incremental`](crate::dp::optimize_incremental), replaying
+/// clean subtrees from the cache — for `cts` requests too, whose cut
+/// plan is part of the run signature.
 /// The cache mutex is locked *outside* `catch_unwind` and the closure
 /// only borrows the guard, so a contained panic can neither poison the
 /// mutex nor leave half-written entries live — the still-held guard
@@ -1152,10 +1152,9 @@ fn run_envelope(
     // unconstrained fixpoint: a fault-injected or budget-constrained
     // run may produce (or want to consume) lists that differ from the
     // cold result, so it takes the cold path untouched. Hierarchical
-    // runs splice cut-node frontiers, so their lists are not the flat
-    // fixpoint either — they bypass the cache the same way.
-    let armed =
-        config.use_cache && fault.is_none() && !budget.constrains_run() && params.hier.is_none();
+    // runs cache their spliced lists under a run signature that folds
+    // in the cut plan.
+    let armed = config.use_cache && fault.is_none() && !budget.constrains_run();
     let mut cache_guard =
         armed.then(|| session.cache.lock().unwrap_or_else(PoisonError::into_inner));
     let inv_before = cache_guard.as_ref().map_or(0, |c| c.invalidations());
@@ -1173,6 +1172,7 @@ fn run_envelope(
         options.sparsify_epsilon,
         sizing.widths().len(),
         options.use_lazy_wire,
+        params.hier.as_ref(),
         session.model_epoch,
     );
     let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -1187,47 +1187,28 @@ fn run_envelope(
             cancel: Some(CancelToken::new()),
             watchdog: config.watchdog,
         };
-        match (params.hier, cache_guard.as_mut()) {
-            (Some(hier), _) => optimize_hier(
-                tree,
-                model,
-                params.mode,
-                cascade,
-                &sizing,
-                &options,
-                &hier,
-                &budget,
-                controls,
-            )
-            .map(HierResult::into_governed),
-            (None, Some(cache)) => optimize_incremental(
-                tree,
-                model,
-                params.mode,
-                cascade,
-                &sizing,
-                &options,
-                &budget,
-                controls,
-                &session.sigs,
-                cache,
-                run_sig,
-            ),
-            (None, None) => optimize_governed_detailed(
-                tree,
-                model,
-                params.mode,
-                cascade,
-                &sizing,
-                &options,
-                &budget,
-                controls,
-            ),
-        }
+        let memo = cache_guard.as_mut().map(|cache| Memo {
+            sigs: &session.sigs,
+            cache,
+            run_sig,
+        });
+        run_governed(
+            tree,
+            model,
+            params.mode,
+            cascade,
+            &sizing,
+            &options,
+            params.hier.as_ref(),
+            &budget,
+            controls,
+            memo,
+        )
+        .map(HierResult::into_governed)
     }));
     // Any outcome other than a clean completion flushes the cache: a
     // typed error or contained panic may have stored partial entries,
-    // and `optimize_incremental` already cleared on degradation.
+    // and the engine already cleared on degradation.
     if let Some(cache) = cache_guard.as_mut() {
         match &outcome {
             Ok(Ok(_)) => {}
@@ -1430,12 +1411,12 @@ fn parse_opt_params(tokens: &[&str]) -> Result<OptimizeParams, RequestError> {
                 let secs: f64 = value
                     .parse()
                     .map_err(|_| malformed(format!("bad budget-time `{value}`")))?;
-                if !(secs.is_finite() && secs > 0.0) {
-                    return Err(malformed("budget-time must be positive seconds"));
-                }
+                let soft = positive_secs(secs).ok_or_else(|| {
+                    malformed("budget-time must be positive seconds (at most 1.8e19)")
+                })?;
                 let b = budget.get_or_insert_with(Budget::unlimited);
-                b.soft_time = Duration::from_secs_f64(secs);
-                b.hard_time = Duration::from_secs_f64(secs * 2.0);
+                b.soft_time = soft;
+                b.hard_time = soft.saturating_mul(2);
             }
             "cut-nodes" => {
                 let n: usize = value
@@ -1456,6 +1437,15 @@ fn parse_opt_params(tokens: &[&str]) -> Result<OptimizeParams, RequestError> {
     }
     params.budget = budget;
     Ok(params)
+}
+
+/// `secs` as a [`Duration`] when it is positive and fits one.
+fn positive_secs(secs: f64) -> Option<Duration> {
+    if secs > 0.0 {
+        Duration::try_from_secs_f64(secs).ok()
+    } else {
+        None
+    }
 }
 
 fn parse_edit(tokens: &[&str]) -> Result<Command, RequestError> {
@@ -1535,10 +1525,10 @@ fn parse_inject(tokens: &[&str]) -> Result<Command, RequestError> {
                 .ok_or_else(|| malformed("`inject delay` needs seconds"))?
                 .parse()
                 .map_err(|_| malformed("bad delay seconds"))?;
-            if !(secs.is_finite() && secs > 0.0) {
-                return Err(malformed("delay must be positive seconds"));
-            }
-            RequestFault::Delay(Duration::from_secs_f64(secs))
+            RequestFault::Delay(
+                positive_secs(secs)
+                    .ok_or_else(|| malformed("delay must be positive seconds (at most 1.8e19)"))?,
+            )
         }
         "spike" => {
             let count: usize = tokens
@@ -2058,6 +2048,55 @@ mod tests {
     }
 
     #[test]
+    fn cts_replays_from_the_session_cache() {
+        // An H-tree session driven through the line protocol: after an
+        // `edit rat`, a `cts` replays the subtrees the edit left clean
+        // (spliced frontiers included) and answers byte for byte what a
+        // cache-off service answers. The flat `opt` in between runs
+        // under another run signature, so it never replays cut lists.
+        let tree = generate_htree(&HTreeSpec::with_levels(6));
+        let cuts = HierOptions {
+            cut_nodes: 16,
+            ..HierOptions::default()
+        };
+        assert!(crate::hier::plan_cuts(&tree, &cuts).contains(&true));
+        let sink = tree.sinks().nth(5).expect("sink").0;
+        let script = [
+            "open htree:6 hetero".to_owned(),
+            "cts s0.0 cut-nodes=16".to_owned(),
+            format!("edit rat s0.0 {sink} 40"),
+            "cts s0.0 cut-nodes=16".to_owned(),
+            "opt s0.0".to_owned(),
+            "cts s0.0 cut-nodes=16".to_owned(),
+        ];
+        let run = |use_cache: bool| -> (Vec<String>, u64) {
+            let mut service = Service::new(ServiceConfig {
+                use_cache,
+                ..ServiceConfig::default()
+            });
+            let mut replies = Vec::new();
+            let mut hits_after_edit = 0;
+            for line in &script {
+                let Ok(Command::Req(request)) = parse_line(line) else {
+                    panic!("`{line}` is not a request");
+                };
+                let before = service.stats().cache_hits;
+                replies.push(service.execute(request).to_string());
+                if replies.len() == 4 {
+                    hits_after_edit = service.stats().cache_hits - before;
+                }
+            }
+            (replies, hits_after_edit)
+        };
+        let (warm, hits) = run(true);
+        let (cold, cold_hits) = run(false);
+        assert!(warm[3].starts_with("ok opt"), "{}", warm[3]);
+        assert!(hits > 0, "the cts after the edit replayed nothing");
+        assert_eq!(cold_hits, 0);
+        assert_eq!(warm, cold);
+    }
+
+    #[test]
     fn protocol_parses_and_rejects() {
         assert!(matches!(
             parse_line("open random:8:7 homog"),
@@ -2103,9 +2142,11 @@ mod tests {
             "open random:abc",
             "opt s0.0 mode=nominal",
             "opt s0.0 rule=5p",
+            "opt s0.0 budget-time=1e300",
             "opt notahandle",
             "inject panic",
             "inject fizzle 1",
+            "inject delay 1 1e300",
             "edit",
             "edit sink s0.0 n1",
             "edit sink s0.0 n1 abc",

@@ -273,6 +273,7 @@ mod tests {
     use crate::det::{assignment_with_nominal_values, optimize_deterministic};
     use crate::dp::{optimize_with_rule, DpOptions};
     use crate::prune::TwoParam;
+    use std::sync::Arc;
     use varbuf_rctree::generate::{generate_benchmark, BenchmarkSpec};
     use varbuf_stats::mc::sample_moments;
     use varbuf_variation::SpatialKind;
@@ -313,7 +314,7 @@ mod tests {
             &tree,
             &model,
             VariationMode::WithinDie,
-            &TwoParam::default(),
+            Arc::new(TwoParam::default()),
             &DpOptions::default(),
         )
         .expect("opt");
@@ -341,7 +342,7 @@ mod tests {
             &tree,
             &model,
             VariationMode::WithinDie,
-            &TwoParam::default(),
+            Arc::new(TwoParam::default()),
             &DpOptions::default(),
         )
         .expect("opt");
@@ -373,7 +374,7 @@ mod tests {
             &tree,
             &model,
             VariationMode::WithinDie,
-            &TwoParam::default(),
+            Arc::new(TwoParam::default()),
             &DpOptions::default(),
         )
         .expect("opt");
@@ -400,7 +401,7 @@ mod tests {
             &tree,
             &model,
             VariationMode::WithinDie,
-            &TwoParam::default(),
+            Arc::new(TwoParam::default()),
             &DpOptions::default(),
         )
         .expect("opt");
@@ -424,7 +425,7 @@ mod tests {
             &tree,
             &model,
             VariationMode::WithinDie,
-            &TwoParam::default(),
+            Arc::new(TwoParam::default()),
             &DpOptions::default(),
         )
         .expect("opt");
@@ -450,7 +451,7 @@ mod tests {
             &tree,
             &model,
             VariationMode::WithinDie,
-            &TwoParam::default(),
+            Arc::new(TwoParam::default()),
             &DpOptions::default(),
         )
         .expect("wid");

@@ -57,7 +57,7 @@ fn solution_cap_that_kills_strict_4p_degrades_to_2p_and_completes() {
         &tree,
         &model,
         VariationMode::WithinDie,
-        &FourParam::default(),
+        Arc::new(FourParam::default()),
         &options,
     );
     assert!(
@@ -302,7 +302,7 @@ fn fallback_cascade_never_worse_than_pure_two_param() {
             &tree,
             &model,
             VariationMode::WithinDie,
-            &TwoParam::default(),
+            Arc::new(TwoParam::default()),
             &options,
         )
         .expect("pure 2P");

@@ -111,7 +111,7 @@ fn strict_parallel_is_bit_identical_for_all_rules() {
                     &tree,
                     &model,
                     VariationMode::WithinDie,
-                    rule.as_ref(),
+                    Arc::clone(&rule),
                     &DpOptions {
                         jobs,
                         // Force the fan-out so single-thread hosts still
@@ -215,7 +215,7 @@ fn strict_capacity_error_is_deterministic_across_jobs() {
             &tree,
             &model,
             VariationMode::WithinDie,
-            &FourParam::default(),
+            Arc::new(FourParam::default()),
             &DpOptions {
                 max_solutions_per_node: 150,
                 jobs,
@@ -400,7 +400,7 @@ fn results_where_bound_pruning_fired_are_pinned() {
             &tree,
             &model,
             pin.mode,
-            rule.as_ref(),
+            Arc::clone(&rule),
             &sizing,
             &DpOptions::default(),
         )

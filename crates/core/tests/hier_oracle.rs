@@ -64,7 +64,7 @@ fn assert_results_identical(label: &str, hier: &StatResult, flat: &StatResult) {
     );
 }
 
-/// `cut_nodes == 0` must delegate to the flat engine bit-for-bit.
+/// `cut_nodes == 0` must run the flat engine bit-for-bit.
 #[test]
 fn decomposition_off_is_byte_identical() {
     let (tree, model) = setup(96, SEEDS[0]);

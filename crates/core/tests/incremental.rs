@@ -5,10 +5,10 @@
 //! returns — not the winning assignment, not the wire widths, not one
 //! bit of the root RAT's canonical form. This suite fuzzes mutation
 //! scripts (random sink-cap / sink-RAT / wire-length edits) across
-//! seeds × rules × tree sizes and, after every edit, compares the
-//! incremental replay byte-for-byte against a cold run, then checks
-//! the cache actually replayed something (a vacuous pass would prove
-//! nothing).
+//! seeds × rules × tree sizes × cut plans (flat, and hierarchical with
+//! cuts) and, after every edit, compares the incremental replay
+//! byte-for-byte against a cold run, then checks the cache actually
+//! replayed something (a vacuous pass would prove nothing).
 
 use std::sync::Arc;
 use varbuf_core::cache::{run_signature, NodeSigs, SolutionCache};
@@ -17,6 +17,7 @@ use varbuf_core::dp::{
     StatResult, WireSizing,
 };
 use varbuf_core::governor::Budget;
+use varbuf_core::hier::{optimize_hier, plan_cuts, HierOptions};
 use varbuf_core::prune::{FourParam, OneParam, PruningRule, TwoParam};
 use varbuf_rctree::generate::{generate_benchmark, BenchmarkSpec};
 use varbuf_rctree::tree::NodeKind;
@@ -99,6 +100,18 @@ fn random_edit(tree: &mut RoutingTree, rng: &mut SplitMix64) -> NodeId {
     }
 }
 
+/// The cut plans each script runs under: flat, and a hierarchical
+/// plan small enough to cut the 24- and 48-sink nets.
+fn cut_plans() -> [Option<HierOptions>; 2] {
+    [
+        None,
+        Some(HierOptions {
+            cut_nodes: 12,
+            ..HierOptions::default()
+        }),
+    ]
+}
+
 /// Replays a fuzzed mutation script, asserting after every edit that
 /// the incremental replay is byte-identical to a cold run.
 #[test]
@@ -108,64 +121,91 @@ fn mutation_fuzz_replay_matches_cold() {
     let budget = Budget::unlimited();
     let mut cases = 0usize;
     let mut total_hits = 0usize;
-    for seed in SEEDS {
-        for (rule_name, rule_tag, rule, sizes) in rules() {
-            for sinks in sizes {
-                let name = format!("fuzz-{seed:x}-{sinks}-{rule_name}");
-                let mut tree = generate_benchmark(&BenchmarkSpec::random(&name, sinks, seed));
-                let model =
-                    ProcessModel::paper_defaults(tree.bounding_box(), SpatialKind::Heterogeneous);
-                let mut rng = SplitMix64::new(seed ^ sinks as u64 ^ rule_tag);
-                let mut sigs = NodeSigs::build(&tree);
-                let mut cache = SolutionCache::new();
-                let run_sig = run_signature(
-                    rule_tag,
-                    2, // within-die
-                    options.sparsify_epsilon,
-                    sizing.widths().len(),
-                    options.use_lazy_wire,
-                    0,
-                );
-                for step in 0..EDITS_PER_SCRIPT {
-                    let edited = random_edit(&mut tree, &mut rng);
-                    for id in sigs.update_path(&tree, edited) {
-                        cache.invalidate(id);
+    for hier in cut_plans() {
+        for seed in SEEDS {
+            for (rule_name, rule_tag, rule, sizes) in rules() {
+                for sinks in sizes {
+                    let plan = if hier.is_some() { "cut" } else { "flat" };
+                    let name = format!("fuzz-{seed:x}-{sinks}-{rule_name}");
+                    let mut tree = generate_benchmark(&BenchmarkSpec::random(&name, sinks, seed));
+                    if let Some(h) = &hier {
+                        if sinks >= 24 {
+                            assert!(plan_cuts(&tree, h).contains(&true), "{name}: no cuts");
+                        }
                     }
-                    let inc = optimize_incremental(
-                        &tree,
-                        &model,
-                        VariationMode::WithinDie,
-                        fallback_cascade(rule.clone()),
-                        &sizing,
-                        &options,
-                        &budget,
-                        RunControls::default(),
-                        &sigs,
-                        &mut cache,
-                        run_sig,
-                    )
-                    .expect("incremental run succeeds");
-                    let cold = optimize_governed_detailed(
-                        &tree,
-                        &model,
-                        VariationMode::WithinDie,
-                        fallback_cascade(rule.clone()),
-                        &sizing,
-                        &options,
-                        &budget,
-                        RunControls::default(),
-                    )
-                    .expect("cold run succeeds");
-                    let label = format!("{name} step {step}");
-                    assert!(!inc.degradation.degraded(), "{label}: degraded");
-                    assert_results_identical(&label, &inc.result, &cold.result);
-                    assert_eq!(
-                        inc.result.stats.cache_hits + inc.result.stats.cache_misses,
-                        tree.len(),
-                        "{label}: hit/miss partition"
+                    let name = format!("{name}-{plan}");
+                    let model = ProcessModel::paper_defaults(
+                        tree.bounding_box(),
+                        SpatialKind::Heterogeneous,
                     );
-                    total_hits += inc.result.stats.cache_hits;
-                    cases += 1;
+                    let mut rng = SplitMix64::new(seed ^ sinks as u64 ^ rule_tag);
+                    let mut sigs = NodeSigs::build(&tree);
+                    let mut cache = SolutionCache::new();
+                    let run_sig = run_signature(
+                        rule_tag,
+                        2, // within-die
+                        options.sparsify_epsilon,
+                        sizing.widths().len(),
+                        options.use_lazy_wire,
+                        hier.as_ref(),
+                        0,
+                    );
+                    for step in 0..EDITS_PER_SCRIPT {
+                        let edited = random_edit(&mut tree, &mut rng);
+                        for id in sigs.update_path(&tree, edited) {
+                            cache.invalidate(id);
+                        }
+                        let inc = optimize_incremental(
+                            &tree,
+                            &model,
+                            VariationMode::WithinDie,
+                            fallback_cascade(rule.clone()),
+                            &sizing,
+                            &options,
+                            hier.as_ref(),
+                            &budget,
+                            RunControls::default(),
+                            &sigs,
+                            &mut cache,
+                            run_sig,
+                        )
+                        .expect("incremental run succeeds");
+                        let cold = match &hier {
+                            None => optimize_governed_detailed(
+                                &tree,
+                                &model,
+                                VariationMode::WithinDie,
+                                fallback_cascade(rule.clone()),
+                                &sizing,
+                                &options,
+                                &budget,
+                                RunControls::default(),
+                            ),
+                            Some(h) => optimize_hier(
+                                &tree,
+                                &model,
+                                VariationMode::WithinDie,
+                                fallback_cascade(rule.clone()),
+                                &sizing,
+                                &options,
+                                h,
+                                &budget,
+                                RunControls::default(),
+                            )
+                            .map(|r| r.into_governed()),
+                        }
+                        .expect("cold run succeeds");
+                        let label = format!("{name} step {step}");
+                        assert!(!inc.degradation.degraded(), "{label}: degraded");
+                        assert_results_identical(&label, &inc.result, &cold.result);
+                        assert_eq!(
+                            inc.result.stats.cache_hits + inc.result.stats.cache_misses,
+                            tree.len(),
+                            "{label}: hit/miss partition"
+                        );
+                        total_hits += inc.result.stats.cache_hits;
+                        cases += 1;
+                    }
                 }
             }
         }
@@ -195,6 +235,7 @@ fn replay_without_edit_is_all_hits() {
         options.sparsify_epsilon,
         sizing.widths().len(),
         options.use_lazy_wire,
+        None,
         0,
     );
     let run = |cache: &mut SolutionCache| {
@@ -205,6 +246,7 @@ fn replay_without_edit_is_all_hits() {
             fallback_cascade(Arc::new(TwoParam::default())),
             &sizing,
             &options,
+            None,
             &budget,
             RunControls::default(),
             &sigs,
@@ -240,6 +282,7 @@ fn run_signature_mismatch_flushes() {
         options.sparsify_epsilon,
         sizing.widths().len(),
         options.use_lazy_wire,
+        None,
         0,
     );
     let sig_b = run_signature(
@@ -248,6 +291,7 @@ fn run_signature_mismatch_flushes() {
         options.sparsify_epsilon,
         sizing.widths().len(),
         options.use_lazy_wire,
+        None,
         0,
     );
     assert_ne!(sig_a, sig_b);
@@ -259,6 +303,7 @@ fn run_signature_mismatch_flushes() {
             fallback_cascade(rule),
             &sizing,
             &options,
+            None,
             &budget,
             RunControls::default(),
             &sigs,

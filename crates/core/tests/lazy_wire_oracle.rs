@@ -95,7 +95,7 @@ fn run_case(
         ..DpOptions::default()
     };
     match gov {
-        Gov::Strict => optimize_with_sizing(tree, model, mode, rule.as_ref(), sizing, &options)
+        Gov::Strict => optimize_with_sizing(tree, model, mode, Arc::clone(rule), sizing, &options)
             .expect("strict run"),
         Gov::Governed | Gov::Pressured => {
             let budget = match gov {

@@ -3,6 +3,7 @@
 //! soundness, and key-operation consistency. Cases are drawn from the
 //! in-tree deterministic [`SplitMix64`] generator.
 
+use std::sync::Arc;
 use varbuf_core::det::{assignment_with_nominal_values, optimize_deterministic};
 use varbuf_core::dp::{optimize_with_rule, DpOptions};
 use varbuf_core::prune::{prune_solutions, OneParam, PruningRule, TwoParam};
@@ -93,7 +94,7 @@ fn stat_dp_zero_budgets_equals_det() {
             &tree,
             &model,
             VariationMode::WithinDie,
-            &TwoParam::default(),
+            Arc::new(TwoParam::default()),
             &DpOptions::default(),
         )
         .expect("stat");
@@ -203,7 +204,7 @@ fn more_variation_never_improves_yield_rat() {
                 &tree,
                 &model,
                 VariationMode::WithinDie,
-                &TwoParam::default(),
+                Arc::new(TwoParam::default()),
                 &DpOptions::default(),
             )
             .expect("opt");

@@ -4,6 +4,7 @@
 //!
 //! Run with: `cargo run --release --example pruning_ablation -- [sinks]`
 
+use std::sync::Arc;
 use std::time::Duration;
 use varbuf::core::dp::{optimize_with_rule, DpOptions};
 use varbuf::prelude::*;
@@ -33,19 +34,13 @@ fn main() {
         "rule", "time", "mean RAT", "buffers", "peak solutions"
     );
 
-    let rules: Vec<(&str, Box<dyn PruningRule>)> = vec![
-        ("2P", Box::new(TwoParam::default())),
-        ("1P", Box::new(OneParam::default())),
-        ("4P", Box::new(FourParam::default())),
+    let rules: Vec<(&str, Arc<dyn PruningRule>)> = vec![
+        ("2P", Arc::new(TwoParam::default())),
+        ("1P", Arc::new(OneParam::default())),
+        ("4P", Arc::new(FourParam::default())),
     ];
     for (name, rule) in rules {
-        match optimize_with_rule(
-            &tree,
-            &model,
-            VariationMode::WithinDie,
-            rule.as_ref(),
-            &opts,
-        ) {
+        match optimize_with_rule(&tree, &model, VariationMode::WithinDie, rule, &opts) {
             Ok(r) => println!(
                 "{:<6} {:>9.2}s {:>12.1} {:>10} {:>14}",
                 name,

@@ -4,6 +4,7 @@
 //!
 //! Run with: `cargo run --release --example wire_sizing`
 
+use std::sync::Arc;
 use varbuf::prelude::*;
 
 fn main() -> Result<(), InsertionError> {
@@ -27,7 +28,7 @@ fn main() -> Result<(), InsertionError> {
         &tree,
         &model,
         VariationMode::WithinDie,
-        &options.rule,
+        Arc::new(options.rule),
         &sizing,
         &options.dp,
     )?;

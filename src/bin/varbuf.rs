@@ -327,6 +327,13 @@ fn parse_rule(args: &[String]) -> Result<Arc<dyn PruningRule>, String> {
     }
 }
 
+/// A positive number of seconds that fits a [`Duration`] (`None` for
+/// anything else, `1e300` included).
+fn positive_secs(v: &str) -> Option<Duration> {
+    let secs: f64 = v.parse().ok().filter(|&s| s > 0.0)?;
+    Duration::try_from_secs_f64(secs).ok()
+}
+
 /// Soft budgets from the `--budget-*` flags; hard limits sit a fixed
 /// factor above each soft limit (4x solutions/memory, 2x time).
 fn parse_budget(args: &[String]) -> Result<Budget, String> {
@@ -348,13 +355,9 @@ fn parse_budget(args: &[String]) -> Result<Budget, String> {
         budget.hard_solutions = n.saturating_mul(4);
     }
     if let Some(v) = flag_value(args, "--budget-time") {
-        let secs: f64 = v
-            .parse()
-            .ok()
-            .filter(|&s| s > 0.0 && f64::is_finite(s))
-            .ok_or("--budget-time needs a positive number of seconds")?;
-        budget.soft_time = Duration::from_secs_f64(secs);
-        budget.hard_time = Duration::from_secs_f64(secs * 2.0);
+        let soft = positive_secs(v).ok_or("--budget-time needs a positive number of seconds")?;
+        budget.soft_time = soft;
+        budget.hard_time = soft.saturating_mul(2);
     }
     if let Some(v) = flag_value(args, "--budget-mem") {
         let mb: usize = v
@@ -491,7 +494,7 @@ fn cmd_opt(args: &[String]) -> Result<Outcome, String> {
         (r.assignment, widths, desc)
     } else if has_flag(args, "--sizing") {
         let sizing = WireSizing::default_three();
-        let r = optimize_with_sizing(&tree, &model, mode, rule.as_ref(), &sizing, &options.dp)
+        let r = optimize_with_sizing(&tree, &model, mode, Arc::clone(&rule), &sizing, &options.dp)
             .map_err(|e| e.to_string())?;
         let desc = format!(
             "RAT {:.1} ± {:.2} ps ({} widened edges)",
@@ -504,7 +507,7 @@ fn cmd_opt(args: &[String]) -> Result<Outcome, String> {
         if matches!(mode, VariationMode::Nominal) {
             return Err("--rule applies to statistical modes (d2d or wid)".to_owned());
         }
-        let r = optimize_with_rule(&tree, &model, mode, rule.as_ref(), &options.dp)
+        let r = optimize_with_rule(&tree, &model, mode, Arc::clone(&rule), &options.dp)
             .map_err(|e| e.to_string())?;
         let desc = format!(
             "RAT {:.1} ± {:.2} ps",
@@ -593,12 +596,8 @@ fn parse_serve_config(args: &[String]) -> Result<(ServiceConfig, usize), String>
         ..ServiceConfig::default()
     };
     if let Some(v) = flag_value(args, "--watchdog") {
-        let secs: f64 = v
-            .parse()
-            .ok()
-            .filter(|&s| s > 0.0 && f64::is_finite(s))
-            .ok_or("--watchdog needs a positive number of seconds")?;
-        config.watchdog = Some(Duration::from_secs_f64(secs));
+        let secs = positive_secs(v).ok_or("--watchdog needs a positive number of seconds")?;
+        config.watchdog = Some(secs);
     }
     if let Some(v) = flag_value(args, "--max-sessions") {
         config.max_sessions = v

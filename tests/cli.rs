@@ -173,9 +173,15 @@ fn budget_flags_are_validated() {
     assert_eq!(code, 1);
     assert!(stderr.contains("needs a value"), "{stderr}");
 
-    let (code, _, stderr) = run_code(&["opt", tree, "--budget-time", "-3"]);
-    assert_eq!(code, 1);
-    assert!(stderr.contains("--budget-time"), "{stderr}");
+    for secs in ["-3", "1e300"] {
+        let (code, _, stderr) = run_code(&["opt", tree, "--budget-time", secs]);
+        assert_eq!(code, 1, "--budget-time {secs}: {stderr}");
+        assert!(stderr.contains("--budget-time"), "{stderr}");
+    }
+    // Near the top of the range the 2x hard limit saturates instead of
+    // overflowing.
+    let (code, _, stderr) = run_code(&["opt", tree, "--budget-time", "1e19"]);
+    assert_eq!(code, 0, "--budget-time 1e19: {stderr}");
 
     let (code, _, stderr) = run_code(&["opt", tree, "--rule", "5p"]);
     assert_eq!(code, 1);
@@ -393,9 +399,11 @@ fn serve_loads_an_inline_tree() {
 
 #[test]
 fn serve_validates_startup_flags() {
-    let (code, _, stderr) = serve(&["--watchdog", "-1"], "quit\n");
-    assert_eq!(code, 1);
-    assert!(stderr.contains("--watchdog"), "{stderr}");
+    for secs in ["-1", "1e300"] {
+        let (code, _, stderr) = serve(&["--watchdog", secs], "quit\n");
+        assert_eq!(code, 1, "--watchdog {secs}: {stderr}");
+        assert!(stderr.contains("--watchdog"), "{stderr}");
+    }
 
     let (code, _, stderr) = serve(&["--queue-soft", "100", "--queue-hard", "50"], "quit\n");
     assert_eq!(code, 1);

@@ -2,6 +2,7 @@
 //! generation through optimization to yield analysis and Monte Carlo
 //! validation, exercised through the public facade.
 
+use std::sync::Arc;
 use varbuf::core::det::assignment_with_nominal_values;
 use varbuf::core::dp::{optimize_with_rule, DpOptions, RootSelection};
 use varbuf::prelude::*;
@@ -84,17 +85,17 @@ fn pruning_rules_agree_on_tiny_nets() {
     let model = ProcessModel::paper_defaults(tree.bounding_box(), SpatialKind::Homogeneous);
     let opts = DpOptions::default();
     let mut means = Vec::new();
-    let rules: Vec<Box<dyn PruningRule>> = vec![
-        Box::new(TwoParam::default()),
-        Box::new(OneParam::default()),
-        Box::new(FourParam::default()),
+    let rules: Vec<Arc<dyn PruningRule>> = vec![
+        Arc::new(TwoParam::default()),
+        Arc::new(OneParam::default()),
+        Arc::new(FourParam::default()),
     ];
     for rule in &rules {
         let r = optimize_with_rule(
             &tree,
             &model,
             VariationMode::WithinDie,
-            rule.as_ref(),
+            Arc::clone(rule),
             &opts,
         )
         .expect("completes");
@@ -113,7 +114,7 @@ fn root_selection_criteria_trade_mean_for_sigma() {
         &tree,
         &model,
         VariationMode::WithinDie,
-        &TwoParam::default(),
+        Arc::new(TwoParam::default()),
         &DpOptions {
             root_selection: RootSelection::MeanRat,
             ..DpOptions::default()
@@ -124,7 +125,7 @@ fn root_selection_criteria_trade_mean_for_sigma() {
         &tree,
         &model,
         VariationMode::WithinDie,
-        &TwoParam::default(),
+        Arc::new(TwoParam::default()),
         &DpOptions::default(),
     )
     .expect("yield");
@@ -174,7 +175,6 @@ fn htree_capacity_smoke() {
 
 #[test]
 fn governed_facade_survives_budget_the_strict_engine_cannot() {
-    use std::sync::Arc;
     // Through the public facade: a solution budget that makes strict 4P
     // abort is absorbed by the governed engine via rule fallback, and
     // the degraded design still scores sanely under the silicon model.
@@ -187,7 +187,7 @@ fn governed_facade_survives_budget_the_strict_engine_cannot() {
         &tree,
         &model,
         VariationMode::WithinDie,
-        &FourParam::default(),
+        Arc::new(FourParam::default()),
         &tight,
     );
     assert!(strict.is_err(), "strict 4P must abort under this cap");

@@ -2,6 +2,7 @@
 //! simultaneous wire sizing, cross-validated against Monte Carlo and the
 //! deterministic Elmore evaluator.
 
+use std::sync::Arc;
 use varbuf::prelude::*;
 use varbuf::rctree::elmore::{BufferValues, ElmoreEvaluator};
 use varbuf::stats::mc::{sample_moments, MonteCarlo};
@@ -99,7 +100,7 @@ fn sized_design_matches_sized_elmore_at_nominal() {
         &tree,
         &model,
         VariationMode::WithinDie,
-        &TwoParam::default(),
+        Arc::new(TwoParam::default()),
         &sizing,
         &DpOptions::default(),
     )
