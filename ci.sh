@@ -10,12 +10,15 @@
 #                         run: the service must contain both crashes and
 #                         shut down cleanly)
 #   6. smoke bench       (scaling bench, shrunk via VARBUF_BENCH_SMOKE,
-#                         must emit a parseable target/BENCH_dp.smoke.json
-#                         whose headline ratio — the median of
-#                         interleaved stat/det pair ratios — stays under
-#                         the checked-in results/ratchet.json ceiling;
-#                         the committed full-size BENCH_dp.json is never
-#                         touched)
+#                         at --jobs 1 so the statistical and the
+#                         deterministic side of each pair run on one
+#                         thread alike and a stolen second vCPU slows
+#                         neither alone; must emit a parseable
+#                         target/BENCH_dp.smoke.json whose headline
+#                         ratio — the median of interleaved stat/det pair
+#                         ratios — stays under the checked-in
+#                         results/ratchet.json ceiling; the committed
+#                         full-size BENCH_dp.json is never touched)
 #   7. cts capacity      (64k-sink varbuf cts under --budget-mem 512; its
 #                         peak RSS must stay under the results/ratchet.json
 #                         ceiling, and it must report a global skew)
@@ -54,10 +57,10 @@ echo "$SERVE_OUT" | grep -q '^err poisoned'      || { echo "serve smoke: poisone
 echo "$SERVE_OUT" | grep -q 'panics=2'           || { echo "serve smoke: stats missed a contained panic (the hierarchical cts run must fire its fault too)" >&2; exit 1; }
 echo "$SERVE_OUT" | tail -1 | grep -q '^ok bye$' || { echo "serve smoke: no clean shutdown" >&2; exit 1; }
 
-echo "==> smoke bench (VARBUF_BENCH_SMOKE=1 cargo bench --bench scaling)"
+echo "==> smoke bench (VARBUF_BENCH_SMOKE=1 cargo bench --bench scaling -- --jobs 1)"
 SMOKE_JSON=target/BENCH_dp.smoke.json
 rm -f "$SMOKE_JSON"
-VARBUF_BENCH_SMOKE=1 cargo bench --bench scaling -- --jobs 2
+VARBUF_BENCH_SMOKE=1 cargo bench --bench scaling -- --jobs 1
 test -s "$SMOKE_JSON" || { echo "$SMOKE_JSON missing or empty" >&2; exit 1; }
 if command -v python3 >/dev/null 2>&1; then
   python3 - "$SMOKE_JSON" <<'EOF'

@@ -18,6 +18,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use varbuf_bench::harness::{alloc_counter, black_box, BenchConfig, Bencher, JsonReport};
+use varbuf_bench::KernelOperands;
 use varbuf_core::det::optimize_deterministic;
 use varbuf_core::dp::DpOptions;
 use varbuf_core::governor::Budget;
@@ -28,6 +29,7 @@ use varbuf_core::service::{EditOp, OptimizeParams, Request, Response, Service, S
 use varbuf_core::RequestError;
 use varbuf_rctree::generate::{generate_benchmark, generate_htree, BenchmarkSpec, HTreeSpec};
 use varbuf_rctree::RoutingTree;
+use varbuf_stats::clark::stat_min_assign;
 use varbuf_stats::{prob_greater_normal, CanonicalForm, SourceId};
 use varbuf_variation::{ProcessModel, SpatialKind, VariationMode};
 
@@ -314,10 +316,14 @@ fn main() {
     );
 
     // Microbenches of the statistical kernels the DP spends its time
-    // in: the sparse linear combination (one per wire/buffer step), its
-    // in-place variant, covariance over a 64-form list (sparse merge
-    // walk), and the tightness probability underneath every
-    // statistical min.
+    // in. The `window/` cases run the engine's own operand shapes —
+    // region windows folded from the process model's device forms
+    // (`KernelOperands`): a merge's load sum and Clark blend, the
+    // difference moments under them, a buffering step and a wire step.
+    // The sparse cases time the tail path (D2D forms, and every form
+    // built with `with_terms`): the linear combination, its in-place
+    // variant, covariance over a 64-form list, and the tightness
+    // probability underneath every statistical min.
     let kernel_config = if smoke {
         BenchConfig {
             warmup: Duration::from_millis(5),
@@ -328,8 +334,28 @@ fn main() {
         BenchConfig::default()
     };
     let mut kern = Bencher::new("canonical_kernels").with_config(kernel_config);
-    // Two overlapping ~32-term forms over a 48-source universe — the
-    // shape of a WID solution's RAT form on a mid-size net.
+    let ops = KernelOperands::build();
+    let ([load_a, load_b], [rat_a, rat_b]) = (&ops.loads, &ops.rats);
+    let mut dest = CanonicalForm::constant(0.0);
+    kern.bench("window/lin_comb_into", || {
+        dest.lin_comb_into(load_a, 1.0, load_b, 1.0);
+        dest.mean()
+    });
+    kern.bench("window/stat_min_assign", || {
+        stat_min_assign(&mut dest, rat_a, rat_b)
+    });
+    kern.bench("window/sub_stats", || rat_a.sub_stats(rat_b));
+    kern.bench("window/lin_comb_sub_into", || {
+        dest.lin_comb_sub_into(rat_a, 1.0, load_a, -0.4, &ops.delay);
+        dest.mean()
+    });
+    let mut rat = rat_a.clone();
+    kern.bench("window/add_scaled_assign", || {
+        rat.add_scaled_assign(load_a, -1e-6);
+        rat.mean()
+    });
+    // Two overlapping ~32-term sparse forms over a 48-source universe —
+    // the shape a D2D RAT's device tail takes on a mid-size net.
     let form_a = CanonicalForm::with_terms(
         -120.0,
         (0..32u32)
@@ -345,7 +371,6 @@ fn main() {
     kern.bench("linear_combination/32t", || {
         form_a.linear_combination(1.0, &form_b, -0.5)
     });
-    let mut dest = CanonicalForm::constant(0.0);
     kern.bench("lin_comb_into/32t", || {
         dest.lin_comb_into(&form_a, 1.0, &form_b, -0.5);
         dest.mean()

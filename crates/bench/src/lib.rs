@@ -18,6 +18,7 @@ pub mod harness;
 use varbuf_core::driver::Options;
 use varbuf_rctree::generate::{generate_benchmark, BenchmarkSpec};
 use varbuf_rctree::RoutingTree;
+use varbuf_stats::CanonicalForm;
 use varbuf_variation::{ProcessModel, SpatialKind};
 
 /// The wire-segment refinement used by the optimization experiments
@@ -174,6 +175,90 @@ pub fn rat_optimization_row_jobs(name: &str, kind: SpatialKind, jobs: usize) -> 
     RatRow {
         bench: name.to_owned(),
         algos: algos.try_into().expect("exactly three algorithms"),
+    }
+}
+
+/// Canonical-form operands shaped like the statistical DP's own, for the
+/// kernel micro-benchmarks: the load and RAT of two neighbouring
+/// subtrees, each folded from the WID device forms of six buffers placed
+/// within ~0.7 mm of its centre (the two centres 1 mm apart), plus the
+/// delay form of a buffer between them. The forms carry region windows,
+/// as the engine's do; [`sparse`](Self::sparse) gives the same values
+/// with every term in the sparse tail.
+#[derive(Debug, Clone)]
+pub struct KernelOperands {
+    /// The two subtree loads: sums of the buffers' input-cap forms.
+    pub loads: [CanonicalForm; 2],
+    /// The two subtree RATs: each buffer's delay and load coupling
+    /// subtracted in turn.
+    pub rats: [CanonicalForm; 2],
+    /// A buffer's delay form at the merge point: the buffering
+    /// subtrahend.
+    pub delay: CanonicalForm,
+}
+
+impl KernelOperands {
+    /// Builds the operands on a 16 mm die (a 32 × 32 region grid).
+    #[must_use]
+    pub fn build() -> Self {
+        use varbuf_rctree::geom::{BoundingBox, Point};
+        use varbuf_rctree::NodeId;
+        use varbuf_stats::rng::SplitMix64;
+        use varbuf_variation::{BufferTypeId, VariationMode};
+
+        let die = BoundingBox {
+            min: Point::new(0.0, 0.0),
+            max: Point::new(16_000.0, 16_000.0),
+        };
+        let model = ProcessModel::paper_defaults(die, SpatialKind::Heterogeneous);
+        let mut rng = SplitMix64::new(0x5EED);
+        let mut node = 0u32;
+        let mut subtree = |cx: f64| {
+            let mut load = CanonicalForm::constant(12.0);
+            let mut rat = CanonicalForm::constant(-400.0);
+            for i in 0..6 {
+                let loc = Point::new(
+                    cx + rng.uniform(-700.0, 700.0),
+                    8000.0 + rng.uniform(-700.0, 700.0),
+                );
+                node += 1;
+                let (cap, delay) = model.buffer_forms(
+                    BufferTypeId(i % model.library().len()),
+                    NodeId(node),
+                    loc,
+                    VariationMode::WithinDie,
+                );
+                let mut next = CanonicalForm::default();
+                next.lin_comb_sub_into(&rat, 1.0, &load, -0.4, &delay);
+                rat = next;
+                load.add_scaled_assign(&cap, 1.0);
+            }
+            (load, rat)
+        };
+        let (load_a, rat_a) = subtree(7500.0);
+        let (load_b, rat_b) = subtree(8500.0);
+        let (_, delay) = model.buffer_forms(
+            BufferTypeId(0),
+            NodeId(node + 1),
+            Point::new(8000.0, 8000.0),
+            VariationMode::WithinDie,
+        );
+        Self {
+            loads: [load_a, load_b],
+            rats: [rat_a, rat_b],
+            delay,
+        }
+    }
+
+    /// The same values with every term in the sparse tail.
+    #[must_use]
+    pub fn sparse(&self) -> Self {
+        let sparse = |f: &CanonicalForm| CanonicalForm::with_terms(f.mean(), f.terms().collect());
+        Self {
+            loads: [sparse(&self.loads[0]), sparse(&self.loads[1])],
+            rats: [sparse(&self.rats[0]), sparse(&self.rats[1])],
+            delay: sparse(&self.delay),
+        }
     }
 }
 

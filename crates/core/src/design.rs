@@ -113,7 +113,7 @@ impl Design {
         // Union of every source any net references.
         let mut sources = BTreeSet::new();
         for net in &self.nets {
-            sources.extend(net.silicon_rat.term_ids().iter().copied());
+            sources.extend(net.silicon_rat.terms().map(|(id, _)| id));
         }
         let sources: Vec<_> = sources.into_iter().collect();
 

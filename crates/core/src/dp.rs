@@ -1574,7 +1574,9 @@ fn prune_full<S: Supervisor>(
     let mut w = 0usize;
     for (r, &dom) in dominated.iter().enumerate() {
         if !dom {
-            sols.swap(w, r);
+            if w != r {
+                sols.swap(w, r);
+            }
             w += 1;
         }
     }
@@ -1657,7 +1659,7 @@ mod tests {
         )
         .expect("optimize");
         let layout = model.layout();
-        for &id in r.root_rat.term_ids() {
+        for (id, _) in r.root_rat.terms() {
             assert!(
                 !layout.is_region(id),
                 "D2D form must not reference spatial regions"

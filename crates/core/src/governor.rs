@@ -889,12 +889,15 @@ impl Governor {
     ) -> Result<(), InsertionError> {
         let before = sols.len();
         sols.retain(|s| {
+            // Each variance is one ordered pass over the form's terms:
+            // take it once.
+            let (load_var, rat_var) = (s.load.variance(), s.rat.variance());
             s.load.mean().is_finite()
                 && s.rat.mean().is_finite()
-                && s.load.variance().is_finite()
-                && s.rat.variance().is_finite()
-                && s.load.variance() >= 0.0
-                && s.rat.variance() >= 0.0
+                && load_var.is_finite()
+                && rat_var.is_finite()
+                && load_var >= 0.0
+                && rat_var >= 0.0
                 && s.wire_pending.is_finite()
         });
         let dropped = before - sols.len();

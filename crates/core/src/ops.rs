@@ -15,7 +15,7 @@ use crate::trace::Trace;
 use varbuf_rctree::wire::WireSegment;
 use varbuf_rctree::NodeId;
 use varbuf_stats::clark::stat_min_assign;
-use varbuf_stats::{stat_min, CanonicalForm};
+use varbuf_stats::CanonicalForm;
 use varbuf_variation::BufferTypeId;
 
 /// Wire extension, statistical (eqs. (33)–(34)):
@@ -282,9 +282,13 @@ pub fn merge_pair_stat(a: &StatSolution, b: &StatSolution) -> StatSolution {
         a.wire_pending == 0.0 && b.wire_pending == 0.0,
         "merge's statistical min reads both RATs' terms; materialize first"
     );
+    // `stat_min_assign` writes `stat_min(..).form` bit for bit without
+    // the residual moments a merge never reads.
+    let mut rat = CanonicalForm::default();
+    stat_min_assign(&mut rat, &a.rat, &b.rat);
     StatSolution {
         load: a.load.add(&b.load),
-        rat: stat_min(&a.rat, &b.rat).form,
+        rat,
         wire_pending: 0.0,
         trace: Trace::join(a.trace.clone(), b.trace.clone()),
     }

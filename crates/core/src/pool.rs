@@ -344,12 +344,15 @@ impl Supervisor for ProbeSupervisor<'_> {
         // it would drop is pressure, because the drop must be recorded
         // by the real governor.
         let clean = sols.iter().all(|s| {
+            // Each variance is one ordered pass over the form's terms:
+            // take it once.
+            let (load_var, rat_var) = (s.load.variance(), s.rat.variance());
             s.load.mean().is_finite()
                 && s.rat.mean().is_finite()
-                && s.load.variance().is_finite()
-                && s.rat.variance().is_finite()
-                && s.load.variance() >= 0.0
-                && s.rat.variance() >= 0.0
+                && load_var.is_finite()
+                && rat_var.is_finite()
+                && load_var >= 0.0
+                && rat_var >= 0.0
                 && s.wire_pending.is_finite()
         });
         if clean {

@@ -659,8 +659,13 @@ pub fn prune_solutions_keyed(
                 if w > 0 && rule.dominates_keyed(&scratch.keys, w - 1, r, sols) {
                     continue;
                 }
-                sols.swap(w, r);
-                scratch.keys.swap(w, r);
+                // Until the first elimination every survivor is already
+                // in place, and a solution is too wide for a self-swap
+                // to be free.
+                if w != r {
+                    sols.swap(w, r);
+                    scratch.keys.swap(w, r);
+                }
                 w += 1;
             }
             scratch.retired.extend(sols.drain(w..));
@@ -695,8 +700,10 @@ pub fn prune_solutions_keyed(
                 if dom {
                     continue;
                 }
-                sols.swap(w, r);
-                scratch.keys.swap(w, r);
+                if w != r {
+                    sols.swap(w, r);
+                    scratch.keys.swap(w, r);
+                }
                 w += 1;
             }
             scratch.retired.extend(sols.drain(w..));

@@ -564,14 +564,12 @@ mod tests {
 
     fn assert_form_bits(x: &CanonicalForm, y: &CanonicalForm, ctx: &str) {
         assert_eq!(x.mean().to_bits(), y.mean().to_bits(), "{ctx}: nominal");
-        assert_eq!(x.term_ids(), y.term_ids(), "{ctx}: term ids");
         let bits = |f: &CanonicalForm| {
-            f.term_coeffs()
-                .iter()
-                .map(|c| c.to_bits())
+            f.terms()
+                .map(|(id, c)| (id, c.to_bits()))
                 .collect::<Vec<_>>()
         };
-        assert_eq!(bits(x), bits(y), "{ctx}: coefficients");
+        assert_eq!(bits(x), bits(y), "{ctx}: terms");
     }
 
     /// A tree built breadth-first, so node ids are not in DFS order:
@@ -679,7 +677,7 @@ mod tests {
     fn monte_carlo_global_skew(arrivals: &SinkArrivals, draws: usize, seed: u64) -> (f64, f64) {
         const LANES: usize = 16;
         fn ids(f: &CanonicalForm) -> impl Iterator<Item = usize> + '_ {
-            f.term_ids().iter().map(|id| id.0 as usize)
+            f.terms().map(|(id, _)| id.0 as usize)
         }
         let mut used: Vec<usize> = arrivals.sinks.iter().flat_map(|(_, f)| ids(f)).collect();
         used.sort_unstable();
@@ -694,7 +692,8 @@ mod tests {
             let (mut hi, mut lo) = ([f64::NEG_INFINITY; LANES], [f64::INFINITY; LANES]);
             for (_, f) in &arrivals.sinks {
                 let mut v = [f.mean(); LANES];
-                for (i, a) in ids(f).zip(f.term_coeffs()) {
+                for (id, a) in f.terms() {
+                    let i = id.0 as usize;
                     for (v, x) in v.iter_mut().zip(&x[i]) {
                         *v += a * x;
                     }

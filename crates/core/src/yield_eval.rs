@@ -15,7 +15,7 @@
 //! variation model* in Tables 3–5: they chose their buffers while blind to
 //! some variation categories, but the silicon varies anyway.
 
-use crate::ops::{buffer_extend_stat, driver_rat_stat, merge_pair_stat, wire_extend_stat};
+use crate::ops::{buffer_extend_stat, driver_rat_stat, merge_pair_stat, wire_extend_stat_in_place};
 use crate::solution::StatSolution;
 use std::collections::HashMap;
 use varbuf_rctree::elmore::{BufferAssignment, EdgeWidths, ElmoreEvaluator};
@@ -106,8 +106,10 @@ impl<'a> YieldEvaluator<'a> {
                         let mut seg = wire.segment(self.tree.node(c).edge_length);
                         seg.resistance /= w;
                         seg.capacitance *= w;
-                        let lifted =
-                            wire_extend_stat(forms[c.index()].as_ref().expect("post-order"), &seg);
+                        // Each child is read once, by its parent: take it
+                        // and extend it where it sits.
+                        let mut lifted = forms[c.index()].take().expect("post-order");
+                        wire_extend_stat_in_place(&mut lifted, &seg);
                         acc = Some(match acc {
                             None => lifted,
                             Some(prev) => merge_pair_stat(&prev, &lifted),
@@ -207,7 +209,7 @@ impl<'a> YieldEvaluator<'a> {
         // Pinning all sources at +z lowers the RAT by z·Σ|aᵢ| when the
         // worst sign is taken per source; the conventional corner instead
         // moves every source in its locally-worst direction:
-        let l1: f64 = rat.term_coeffs().iter().map(|&a| a.abs()).sum();
+        let l1: f64 = rat.terms().map(|(_, a)| a.abs()).sum();
         rat.mean() - z * l1
     }
 
@@ -230,7 +232,7 @@ impl<'a> YieldEvaluator<'a> {
             let loc = self.tree.node(node).location;
             let (cap, delay) = self.model.buffer_forms(ty, node, loc, self.mode);
             for form in [cap, delay] {
-                used.extend(form.term_ids().iter().copied());
+                used.extend(form.terms().map(|(id, _)| id));
             }
         }
         let mut mc = MonteCarlo::new(seed, used.into_iter().collect());

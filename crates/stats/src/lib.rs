@@ -7,10 +7,11 @@
 //! * [`gaussian`] — the standard normal PDF `φ`, CDF `Φ`, its inverse
 //!   (quantile), the error function, and the closed-form probability
 //!   `P(T1 > T2)` for jointly normal variables (eq. (8)–(9) of the paper).
-//! * [`canonical`] — sparse **first-order canonical forms**
+//! * [`canonical`] — **first-order canonical forms**
 //!   `v = v0 + Σ aᵢ·Xᵢ` over independent standard normal sources, the
 //!   representation used for every statistical solution in the dynamic
-//!   program (eqs. (31)–(32)).
+//!   program (eqs. (31)–(32)): spatial-region terms in a dense window
+//!   over the region [`Grid`], every other term sparse.
 //! * [`clark`] — the statistical `min`/`max` of two canonical forms via
 //!   tightness probabilities (Clark's approximation, eqs. (38)–(43)).
 //! * [`mc`] — a Monte Carlo engine that samples the underlying sources and
@@ -47,7 +48,7 @@ pub mod linfit;
 pub mod mc;
 pub mod rng;
 
-pub use canonical::{CanonicalForm, SourceId};
+pub use canonical::{CanonicalForm, Grid, SourceId};
 pub use clark::{stat_max, stat_min, MinMaxResult};
 pub use gaussian::{norm_cdf, norm_pdf, norm_quantile, prob_at_least_normal, prob_greater_normal};
 pub use histogram::Histogram;

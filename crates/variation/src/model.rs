@@ -17,12 +17,12 @@
 
 use crate::library::{BufferLibrary, BufferType, BufferTypeId};
 use crate::sources::SourceLayout;
-use crate::spatial::{SpatialKind, SpatialModel};
+use crate::spatial::{SpatialKind, SpatialModel, Taper};
 use varbuf_rctree::elmore::BufferValues;
 use varbuf_rctree::geom::{BoundingBox, Point};
 use varbuf_rctree::NodeId;
 use varbuf_stats::mc::SampleVector;
-use varbuf_stats::{CanonicalForm, SourceId};
+use varbuf_stats::{CanonicalForm, Grid};
 
 /// Per-category standard-deviation budgets, as fractions of the nominal
 /// value (the paper budgets 5% each, Section 5.1).
@@ -101,20 +101,18 @@ impl VariationMode {
 }
 
 /// One candidate site's share of eqs. (23)–(24): its node and mode,
-/// the WID nominal factor, and its spatial taper split into a region-id
-/// column and a weight column. [`ProcessModel::device_site`] loads it
-/// once per candidate and [`ProcessModel::device_forms_into`] reads it
-/// once per buffer type; reusing one site keeps both calls
-/// allocation-free.
+/// the WID nominal factor, and its spatial taper as a dense window over
+/// the region grid. [`ProcessModel::device_site`] loads it once per
+/// candidate and [`ProcessModel::device_forms_into`] reads it once per
+/// buffer type; reusing one site keeps both calls allocation-free.
 #[derive(Debug)]
 pub struct DeviceSite {
     node: NodeId,
     mode: VariationMode,
     /// `1 + systematic shift` at the site; applied in `WithinDie` only.
     factor: f64,
-    taper: Vec<(usize, f64)>,
-    regions: Vec<SourceId>,
-    weights: Vec<f64>,
+    /// The taper at the site; read in `WithinDie` only.
+    taper: Taper,
 }
 
 impl Default for DeviceSite {
@@ -123,9 +121,7 @@ impl Default for DeviceSite {
             node: NodeId(0),
             mode: VariationMode::Nominal,
             factor: 1.0,
-            taper: Vec::new(),
-            regions: Vec::new(),
-            weights: Vec::new(),
+            taper: Taper::default(),
         }
     }
 }
@@ -136,6 +132,9 @@ pub struct ProcessModel {
     budgets: VariationBudgets,
     spatial: SpatialModel,
     layout: SourceLayout,
+    /// The region sources as a grid of ids, the layout of every WID
+    /// form's region window.
+    grid: Grid,
     library: BufferLibrary,
 }
 
@@ -150,8 +149,10 @@ impl ProcessModel {
     ) -> Self {
         let spatial = SpatialModel::paper_defaults(die, kind);
         let layout = SourceLayout::new(spatial.region_count(), library.len());
+        let (cols, rows) = spatial.grid_dims();
         Self {
             budgets,
+            grid: Grid::new(layout.region(0), cols, rows),
             spatial,
             layout,
             library,
@@ -262,10 +263,10 @@ impl ProcessModel {
     }
 
     /// Loads `site` with candidate `node` located at `loc` under `mode`:
-    /// in `WithinDie`, one spatial taper scan, its region ids mapped once
-    /// and its weights copied into a column, plus the systematic nominal
-    /// factor. Every buffer type's forms at the candidate then read the
-    /// site through [`device_forms_into`](Self::device_forms_into).
+    /// in `WithinDie`, one spatial taper scan written as a dense window,
+    /// plus the systematic nominal factor. Every buffer type's forms at
+    /// the candidate then read the site through
+    /// [`device_forms_into`](Self::device_forms_into).
     pub fn device_site(
         &self,
         node: NodeId,
@@ -275,15 +276,9 @@ impl ProcessModel {
     ) {
         site.node = node;
         site.mode = mode;
-        site.regions.clear();
-        site.weights.clear();
         if matches!(mode, VariationMode::WithinDie) {
             site.factor = 1.0 + self.systematic_shift(loc);
-            self.spatial.weights_into(loc, &mut site.taper);
-            let layout = self.layout;
-            site.regions
-                .extend(site.taper.iter().map(|&(region, _)| layout.region(region)));
-            site.weights.extend(site.taper.iter().map(|&(_, w)| w));
+            self.spatial.taper_into(loc, &mut site.taper);
         }
     }
 
@@ -291,12 +286,12 @@ impl ProcessModel {
     /// [`device_site`](Self::device_site)): `C_b,t` into `out.0` and
     /// `T_b,t` into `out.1`, reusing their term buffers.
     ///
-    /// Terms are written in ascending id order — global (`0`), regions
-    /// (`1..=R`, the taper's order), device (`>R`) — with the region
-    /// terms as one slice write of the site's id column and one scaled
-    /// pass over its weight column, and exact zeros are dropped, so each
-    /// form is bitwise what `CanonicalForm::with_terms` builds from the
-    /// same list.
+    /// The global (`0`) and device (`>R`) terms go to the form's sparse
+    /// tail; in `WithinDie` the region terms (`1..=R`) are the site's
+    /// taper window scaled in one pass, written as the form's region
+    /// window. Exact zeros are dropped (left holes), so each form equals
+    /// what `CanonicalForm::with_terms` builds from the same list, bit
+    /// for bit; D2D and nominal forms carry no window.
     pub fn device_forms_into(
         &self,
         site: &DeviceSite,
@@ -325,7 +320,17 @@ impl ProcessModel {
             // Inter-die global source, spatially correlated sources
             // (none outside WID), random per-device source.
             form.push_term(self.layout.global(), self.budgets.inter_die * base);
-            form.push_scaled_terms(&site.regions, &site.weights, self.budgets.intra_die * base);
+            if matches!(site.mode, VariationMode::WithinDie) {
+                let taper = &site.taper;
+                form.set_regions(
+                    self.grid,
+                    taper.row,
+                    taper.col,
+                    taper.width,
+                    &taper.weights,
+                    self.budgets.intra_die * base,
+                );
+            }
             form.push_term(
                 self.layout.device(site.node, ty.0),
                 self.budgets.random * base,
@@ -552,10 +557,11 @@ mod tests {
     ) {
         for (got, want) in [(&got.0, &want.0), (&got.1, &want.1)] {
             assert_eq!(got.mean().to_bits(), want.mean().to_bits(), "{what}: mean");
-            assert_eq!(got.term_ids(), want.term_ids(), "{what}: ids");
-            for (a, b) in got.term_coeffs().iter().zip(want.term_coeffs()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{what}: coefficient");
-            }
+            assert_eq!(got.term_count(), want.term_count(), "{what}: term count");
+            let bits = |f: &CanonicalForm| -> Vec<_> {
+                f.terms().map(|(id, c)| (id, c.to_bits())).collect()
+            };
+            assert_eq!(bits(got), bits(want), "{what}: terms");
         }
     }
 

@@ -37,6 +37,18 @@ pub struct SpatialModel {
     die_diag: f64,
 }
 
+/// One device's taper as a dense row-major window over the grid, written
+/// by [`SpatialModel::taper_into`]: the cells of the `width`-wide
+/// rectangle whose top-left cell is `(row, col)`, each holding its
+/// normalized weight, or `0.0` outside the taper radius.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Taper {
+    pub(crate) row: usize,
+    pub(crate) col: usize,
+    pub(crate) width: usize,
+    pub(crate) weights: Vec<f64>,
+}
+
 impl SpatialModel {
     /// Builds a grid covering `die` with `cell_um`-sized cells and a
     /// Gaussian weight taper that reaches ≈`e⁻²` at `taper_um`.
@@ -171,8 +183,8 @@ impl SpatialModel {
     /// Multiplying each coefficient by the per-category sigma budget gives
     /// the canonical-form sensitivities of eq. (21)–(24).
     ///
-    /// Allocates a fresh vector per call; the hot path uses
-    /// [`weights_into`](Self::weights_into) with a recycled buffer.
+    /// Allocates a fresh vector per call; the process model's hot path
+    /// writes the same weights as a dense window instead.
     #[must_use]
     pub fn weights_at(&self, p: Point) -> Vec<(usize, f64)> {
         let mut weights = Vec::new();
@@ -181,20 +193,45 @@ impl SpatialModel {
     }
 
     /// [`weights_at`](Self::weights_at) writing into a caller-provided
-    /// buffer (cleared first), so repeated queries reuse one allocation.
-    ///
-    /// The weights are pushed in ascending region-index order (the grid
-    /// scan is row-major), which downstream code relies on for sorted
-    /// merges.
+    /// buffer (cleared first): the nonzero cells of the dense taper
+    /// window the process model writes its device forms from, in
+    /// ascending region-index order (the window is row-major), which
+    /// downstream code relies on for sorted merges.
     pub fn weights_into(&self, p: Point, weights: &mut Vec<(usize, f64)>) {
+        let mut taper = Taper::default();
+        self.taper_into(p, &mut taper);
         weights.clear();
+        let width = taper.width.max(1);
+        weights.extend(
+            taper
+                .weights
+                .iter()
+                .enumerate()
+                .filter(|&(_, &w)| w != 0.0)
+                .map(|(i, &w)| {
+                    (
+                        (taper.row + i / width) * self.cols + taper.col + i % width,
+                        w,
+                    )
+                }),
+        );
+    }
+
+    /// Writes the taper of a device at `p` into `taper` as a dense
+    /// row-major window: the bounding rectangle of the cells within the
+    /// taper radius, each cell's normalized weight, and `0.0` for a cell
+    /// of the rectangle outside the radius. The weights are bitwise
+    /// those of [`weights_at`](Self::weights_at), which reads them from
+    /// here.
+    pub(crate) fn taper_into(&self, p: Point, taper: &mut Taper) {
+        taper.weights.clear();
         // Visit the cells within the taper radius of p.
         let sigma = self.taper_um / 2.0; // weight = e^{-2} at the taper edge
         let reach = (self.taper_um / self.cell_um).ceil() as isize;
         let pc = self.region_of(p);
         let (pcol, prow) = ((pc % self.cols) as isize, (pc / self.cols) as isize);
 
-        // The in-range window, clamped to the grid up front so the inner
+        // The in-range square, clamped to the grid up front so the inner
         // loop carries no bounds checks. Row-major, exactly the order the
         // old `-reach..=reach` double loop visited its surviving cells.
         let col_lo = pcol.saturating_sub(reach).max(0) as usize;
@@ -210,26 +247,46 @@ impl SpatialModel {
         // the exact bits of the original per-cell scan.
         let denom = 2.0 * sigma * sigma;
         let mut sum_sq = 0.0;
+        let (mut rows, mut cols) = ((usize::MAX, 0), (usize::MAX, 0));
         for row in row_lo..=row_hi {
             let cy = self.origin.y + (row as f64 + 0.5) * self.cell_um;
             let dy = p.y - cy;
             let dy2 = dy * dy;
-            let base = row * self.cols;
             for col in col_lo..=col_hi {
                 let cx = self.origin.x + (col as f64 + 0.5) * self.cell_um;
                 let dx = p.x - cx;
                 let d = (dx * dx + dy2).sqrt();
                 if d > self.taper_um {
+                    taper.weights.push(0.0);
                     continue;
                 }
                 let w = (-d * d / denom).exp();
                 sum_sq += w * w;
-                weights.push((base + col, w));
+                taper.weights.push(w);
+                rows = (rows.0.min(row), rows.1.max(row));
+                cols = (cols.0.min(col), cols.1.max(col));
             }
         }
-        // The containing cell is always within the taper, so sum_sq > 0.
+        if rows.0 == usize::MAX {
+            // Nothing within the radius (a taper shorter than half a cell).
+            taper.weights.clear();
+            (taper.row, taper.col, taper.width) = (0, 0, 0);
+            return;
+        }
+        // Trim to the in-radius cells' bounding box; each cell moves to
+        // an index no later than its own, so the copy runs in place.
+        let square_width = col_hi - col_lo + 1;
+        let width = cols.1 - cols.0 + 1;
+        let mut k = 0;
+        for row in rows.0..=rows.1 {
+            let from = (row - row_lo) * square_width + cols.0 - col_lo;
+            taper.weights.copy_within(from..from + width, k);
+            k += width;
+        }
+        taper.weights.truncate(k);
+        (taper.row, taper.col, taper.width) = (rows.0, cols.0, width);
         let norm = self.scale_at(p) / sum_sq.sqrt();
-        for (_, w) in weights.iter_mut() {
+        for w in taper.weights.iter_mut().filter(|w| **w != 0.0) {
             *w *= norm;
         }
     }

@@ -422,6 +422,20 @@ fn cmd_info(args: &[String]) -> Result<Outcome, String> {
 
 fn cmd_opt(args: &[String]) -> Result<Outcome, String> {
     let path = args.first().ok_or("opt needs a FILE")?;
+    // Flags that only the post-analysis reads are checked before any
+    // work, so a bad one costs no optimization run.
+    let mc_samples = match flag_value(args, "--mc") {
+        None => None,
+        Some(v) => Some(
+            v.parse::<usize>()
+                .ok()
+                .filter(|&n| n > 0)
+                .ok_or_else(|| format!("bad --mc sample count `{v}`: needs a positive integer"))?,
+        ),
+    };
+    if mc_samples.is_some() && has_flag(args, "--sizing") {
+        return Err("--mc is not supported together with --sizing".to_owned());
+    }
     let tree = load_tree(path)?;
     let model = ProcessModel::paper_defaults(tree.bounding_box(), spatial_kind(args)?);
     let mode = match flag_value(args, "--mode") {
@@ -557,19 +571,7 @@ fn cmd_opt(args: &[String]) -> Result<Outcome, String> {
         }
     };
 
-    let mc_samples = match flag_value(args, "--mc") {
-        None => None,
-        Some(v) => Some(
-            v.parse::<usize>()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| format!("bad --mc sample count `{v}`: needs a positive integer"))?,
-        ),
-    };
     if let Some(samples) = mc_samples {
-        if widths.is_some() {
-            return Err("--mc is not supported together with --sizing".to_owned());
-        }
         let mc = silicon.monte_carlo(&assignment, samples, 42);
         let (mean, var) = sample_moments(&mc);
         println!(
@@ -741,6 +743,14 @@ fn cmd_cts(args: &[String]) -> Result<Outcome, String> {
             .ok_or_else(|| format!("--levels must be in 1..=24, got `{v}`"))?,
         None => 10,
     };
+    let skew_target = flag_value(args, "--skew-target")
+        .map(|v| {
+            v.parse::<f64>()
+                .ok()
+                .filter(|t| t.is_finite() && *t > 0.0)
+                .ok_or_else(|| format!("--skew-target needs a positive number of ps, got `{v}`"))
+        })
+        .transpose()?;
     let tree = generate_htree(&HTreeSpec::with_levels(levels));
     tree.validate().map_err(|e| e.to_string())?;
     let model = ProcessModel::paper_defaults(tree.bounding_box(), spatial_kind(args)?);
@@ -795,12 +805,8 @@ fn cmd_cts(args: &[String]) -> Result<Outcome, String> {
         SkewAnalyzer::new(&tree, &model, VariationMode::WithinDie).analyze(&r.assignment);
     let skew = analysis.global_skew();
     println!("global skew {:.2} ± {:.2} ps", skew.mean(), skew.std_dev());
-    let targets: Vec<f64> = match flag_value(args, "--skew-target") {
-        Some(v) => vec![v
-            .parse::<f64>()
-            .ok()
-            .filter(|t| t.is_finite() && *t > 0.0)
-            .ok_or_else(|| format!("--skew-target needs a positive number of ps, got `{v}`"))?],
+    let targets: Vec<f64> = match skew_target {
+        Some(target) => vec![target],
         None => [1.0, 1.5, 2.0]
             .iter()
             .map(|m| skew.mean() * m + 1e-9)

@@ -269,6 +269,21 @@ fn malformed_specs_and_flags_exit_one_without_panicking() {
         assert!(stderr.contains(needle), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
+    // Flags the post-analysis reads are rejected before the optimizer
+    // or the H-tree pipeline runs, so nothing reaches stdout.
+    for (args, needle) in [
+        (&["opt", tree, "--mc", "0"][..], "bad --mc"),
+        (&["opt", tree, "--mc", "5", "--sizing"], "--sizing"),
+        (
+            &["cts", "--levels", "3", "--skew-target", "nan"],
+            "--skew-target",
+        ),
+    ] {
+        let (code, stdout, stderr) = run_code(args);
+        assert_eq!(code, 1, "{args:?}: {stderr}");
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?} did work first: {stdout}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

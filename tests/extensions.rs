@@ -32,8 +32,8 @@ fn pair_skew_form_matches_monte_carlo() {
             let loc = tree.node(node).location;
             let cap = model.buffer_cap_form(ty, node, loc, VariationMode::WithinDie);
             let delay = model.buffer_delay_form(ty, node, loc, VariationMode::WithinDie);
-            used.extend(cap.term_ids().iter().copied());
-            used.extend(delay.term_ids().iter().copied());
+            used.extend(cap.terms().map(|(id, _)| id));
+            used.extend(delay.terms().map(|(id, _)| id));
             (node, cap, delay, model.buffer_resistance(ty))
         })
         .collect();
