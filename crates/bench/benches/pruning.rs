@@ -3,7 +3,10 @@
 //! (quadratic) on synthetic candidate lists.
 
 use varbuf_bench::harness::{black_box, Bencher};
-use varbuf_core::prune::{prune_solutions, FourParam, OneParam, PruningRule, TwoParam};
+use varbuf_core::prune::{
+    prune_solutions, prune_solutions_keyed, FourParam, OneParam, PruneScratch, PruningRule,
+    TwoParam,
+};
 use varbuf_core::solution::StatSolution;
 use varbuf_stats::{CanonicalForm, SourceId};
 
@@ -27,6 +30,26 @@ fn synthetic_solutions(n: usize) -> Vec<StatSolution> {
         .collect()
 }
 
+/// What a buffering step hands the prune: a sorted, pruned list of `n`
+/// entries followed by one buffered candidate per buffer type (3), each
+/// with a small load and a RAT that lands it inside the list.
+fn buffered_site(rule: &dyn PruningRule, n: usize) -> Vec<StatSolution> {
+    // Pruning a longer front keeps `n` survivors.
+    let mut sols: Vec<StatSolution> = prune_solutions(rule, synthetic_solutions(n * 5 / 4))
+        .into_iter()
+        .take(n)
+        .collect();
+    let rat_mid = sols[n / 2].rat_mean();
+    for ty in 0..3 {
+        let f = f64::from(ty);
+        sols.push(StatSolution::new(
+            CanonicalForm::with_terms(4.0 + f, vec![(SourceId(20 + ty), 0.2)]),
+            CanonicalForm::with_terms(rat_mid - 3.0 * f, vec![(SourceId(0), 1.0)]),
+        ));
+    }
+    sols
+}
+
 fn main() {
     let mut group = Bencher::new("prune");
     for &n in &[64usize, 256, 1024] {
@@ -42,6 +65,24 @@ fn main() {
                 prune_solutions(black_box(rule.as_ref()), black_box(sols.clone()))
             });
         }
+    }
+    // The engine's own call: the keyed prune over a recycled scratch, on
+    // the list shape a buffering step produces. Each iteration prunes a
+    // fresh clone; the `clone` row times the clone alone, so the prune
+    // costs the difference.
+    let mut scratch = PruneScratch::default();
+    for &n in &[32usize, 128] {
+        let rule = TwoParam::default();
+        let sols = buffered_site(&rule, n);
+        assert_eq!(sols.len(), n + 3, "the front must keep {n} survivors");
+        group.bench(&format!("2P-buffer-site/{n}+3"), || {
+            let mut list = black_box(sols.clone());
+            prune_solutions_keyed(&rule, &mut list, &mut scratch);
+            list
+        });
+        group.bench(&format!("2P-buffer-site/{n}+3/clone"), || {
+            black_box(sols.clone())
+        });
     }
     group.finish();
 }

@@ -121,10 +121,11 @@ fn main() {
         // annotation and doubles as the allocation-budget probe: it is
         // what every CLI `opt` and benchmark item pays. The engine's
         // recycling pool is per-run and device forms are written into
-        // its scratch, so the only per-candidate allocations left in the
-        // hot path are the trace `Arc`s recording lineage (one per merge
-        // pair / buffered candidate), far below one allocation per
-        // generated solution.
+        // its scratch, so the per-candidate allocations left in the hot
+        // path are the trace `Arc`s recording lineage (one per merge pair
+        // / buffered candidate) and the box of each solution the pool
+        // cannot supply from a recycled carcass: about one allocation per
+        // generated solution, under the bound of two.
         let allocs_before = alloc_counter::alloc_count();
         let stats = optimize_batch(&reqs, 1)
             .pop()

@@ -43,7 +43,10 @@ use crate::ops::{
     wire_defer_stat_in_place, wire_defer_stat_into, wire_extend_stat_in_place,
     wire_extend_stat_into,
 };
-use crate::prune::{prune_solutions_keyed, MergeStrategy, PruneScratch, PruningRule, TwoParam};
+use crate::prune::{
+    prune_solutions_keyed, prune_solutions_polled, MergeStrategy, PruneScratch, PruningRule,
+    TwoParam,
+};
 use crate::solution::StatSolution;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -110,9 +113,10 @@ pub struct DpOptions {
     /// *means* per segment (two scalar adds, bit-identical to the eager
     /// kernel's nominal path) and defers the O(terms) coupling
     /// `rat ← rat − r·load` by accumulating the segment resistances in
-    /// [`StatSolution::wire_pending`]; the whole deferred chain is paid
-    /// off with one term update at the points that read RAT
-    /// sensitivities (merges, buffering, winner selection).
+    /// [`wire_pending`](crate::solution::StatFields::wire_pending); the
+    /// whole deferred chain is paid off with one term update at the
+    /// points that read RAT sensitivities (merges, buffering, winner
+    /// selection).
     /// Mean-keyed pruning runs pre-materialization — dominance order is
     /// preserved under the shared transform (see DESIGN.md) — while
     /// non-mean-keyed rules materialize before every prune, which
@@ -832,15 +836,14 @@ impl DeviceScratch {
 /// Recycles the engine's transient allocations: candidate-list `Vec`s,
 /// the solution carcasses inside them (term vectors keep their
 /// capacity), the batched-key prune scratch, the sorted-merge key
-/// buffers, the dominance-flag scratch of the quadratic prune, and the
-/// buffering arm's device forms. One pool per worker — never shared.
+/// buffers and the buffering arm's device forms. One pool per worker —
+/// never shared.
 #[derive(Default)]
 pub(crate) struct SolPool {
     lists: Vec<Vec<StatSolution>>,
     sols: Vec<StatSolution>,
     pub(crate) scratch: PruneScratch,
     merge_keys: (Vec<f64>, Vec<f64>),
-    flags: Vec<bool>,
     device: DeviceScratch,
 }
 
@@ -1130,7 +1133,9 @@ pub(crate) fn process_node<S: Supervisor>(
                                 sparsify(&mut out, sup.epsilon());
                             }
                             if record_width {
-                                out.trace = crate::trace::Trace::wire(c, wi as u8, out.trace);
+                                // `out.trace` is a clone of `s.trace`, and
+                                // a field cannot be moved out of the box.
+                                out.trace = crate::trace::Trace::wire(c, wi as u8, s.trace.clone());
                             }
                             lifted.push(out);
                         }
@@ -1516,12 +1521,12 @@ fn merge_lists<S: Supervisor>(
 }
 
 /// Pruning with the engine's wall-clock limit enforced *inside* the
-/// quadratic cross-product sweep — an `O(N²)` prune on a six-figure
-/// candidate list can otherwise outlive any between-node time check.
-/// Under panic completion the sweep bails early: a superset of the
-/// non-dominated set is still valid, and the node-level reduction keeps
-/// one candidate anyway. In-place; the dominance flags live in the
-/// worker's [`SolPool`] scratch.
+/// quadratic cross-product sweep, every 256 rows: an `O(N²)` prune on a
+/// six-figure candidate list can otherwise outlive any between-node time
+/// check. Under panic completion the sweep bails early: a superset of
+/// the non-dominated set is still valid, and the node-level reduction
+/// keeps one candidate anyway. In-place, over the worker's [`SolPool`]
+/// scratch.
 fn prune_full<S: Supervisor>(
     sup: &mut S,
     sols: &mut Vec<StatSolution>,
@@ -1530,59 +1535,10 @@ fn prune_full<S: Supervisor>(
 ) -> Result<(), EngineInterrupt> {
     let rule = sup.rule();
     let t = Instant::now();
-    if rule.strategy() == MergeStrategy::SortedLinear {
-        prune_solutions_keyed(&*rule, sols, &mut pool.scratch);
-        pool.reclaim_pruned();
-        stats.prune_time += t.elapsed();
-        return Ok(());
-    }
-    // CrossProduct: the same batched-key sweep `prune_solutions_keyed`
-    // runs, but with the engine's wall-clock check and the panic-
-    // completion bail threaded through the quadratic loop. Keys are
-    // computed once per solution (4P's four percentiles) instead of
-    // per pairwise comparison.
-    rule.batch_keys(sols, &mut pool.scratch.keys);
-    let keys = &pool.scratch.keys;
-    let dominated = &mut pool.flags;
-    dominated.clear();
-    dominated.resize(sols.len(), false);
-    'outer: for i in 0..sols.len() {
-        if i % 256 == 0 {
-            sup.check_time()?;
-            if sup.panicking() {
-                break 'outer;
-            }
-        }
-        if dominated[i] {
-            continue;
-        }
-        // Index loop: `j` feeds the keyed dominance check while
-        // `dominated[j]` is written under an active read of
-        // `dominated[i]` — an iterator form would fight the borrow.
-        #[allow(clippy::needless_range_loop)]
-        for j in 0..sols.len() {
-            if i == j || dominated[j] {
-                continue;
-            }
-            if rule.dominates_keyed(keys, i, j, sols) {
-                dominated[j] = true;
-            }
-        }
-    }
-    // Order-preserving compaction (what `retain` does), keeping the
-    // dominated carcasses in the tail so the pool can reclaim them.
-    let mut w = 0usize;
-    for (r, &dom) in dominated.iter().enumerate() {
-        if !dom {
-            if w != r {
-                sols.swap(w, r);
-            }
-            w += 1;
-        }
-    }
-    let room = SolPool::KEEP_SOLS.saturating_sub(pool.sols.len());
-    pool.sols.extend(sols.drain(w..).take(room));
-    sols.sort_by(|a, b| rule.load_key(a).total_cmp(&rule.load_key(b)));
+    prune_solutions_polled(&*rule, sols, &mut pool.scratch, || {
+        sup.check_time().map(|()| sup.panicking())
+    })?;
+    pool.reclaim_pruned();
     stats.prune_time += t.elapsed();
     Ok(())
 }
@@ -1948,14 +1904,14 @@ mod tests {
         assert_eq!(from_one[0].name(), "1P");
     }
 
-    /// The invariant the presorted fast path in `prune_solutions_keyed`
-    /// banks on: under the 2P rule every list `process_node` emits —
-    /// sink bases, merged branches, buffered candidate nodes — is
-    /// mean-ordered: load means non-decreasing and RAT means
-    /// non-decreasing (the pruned staircase). Property-tested over 3
-    /// seeds × 64 random trees: an unconstrained 2P run with an empty
-    /// memo stores every node's list, which is then read back node by
-    /// node.
+    /// The invariant the sorted-prefix insertion in
+    /// `prune_solutions_keyed` banks on: under the 2P rule every list
+    /// `process_node` emits — sink bases, merged branches, buffered
+    /// candidate nodes — is mean-ordered: load means non-decreasing and
+    /// RAT means non-decreasing (the pruned staircase). Property-tested
+    /// over 3 seeds × 64 random trees: an unconstrained 2P run with an
+    /// empty memo stores every node's list, which is then read back node
+    /// by node.
     #[test]
     fn two_param_node_lists_stay_mean_ordered() {
         let sizing = WireSizing::single();

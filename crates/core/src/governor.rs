@@ -504,11 +504,13 @@ pub enum Admission {
 
 /// Estimated heap footprint of one candidate solution, in bytes.
 ///
-/// Canonical-form terms are `(u32, f64)` pairs in a `Vec` (16 aligned
-/// bytes each); the struct bodies, two `Vec` headers and the trace `Arc`
-/// cost roughly 128 bytes more. An estimate is all the budget needs —
-/// it is compared against user-supplied soft limits, not against an
-/// allocator.
+/// Each canonical-form term is charged 16 bytes (a `(u32, f64)` pair,
+/// aligned), and the solution's fixed part — its handle, the boxed
+/// fields with both form headers, and the trace `Arc` — roughly 128
+/// bytes more. An estimate is all the budget needs — it is compared
+/// against user-supplied soft limits, not against an allocator — so it
+/// did not follow the solution into its box: keeping it keeps every
+/// governor decision, degradation schedule and hierarchy chunk size.
 #[must_use]
 pub fn solution_footprint(s: &StatSolution) -> usize {
     // A pending lazy-wire transform will add up to the load's term set

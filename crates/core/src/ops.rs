@@ -10,7 +10,7 @@
 //! * **branch merge** (eqs. (37)–(38)): summing loads and taking the
 //!   statistical minimum of the RATs via tightness probabilities.
 
-use crate::solution::{DetSolution, StatSolution};
+use crate::solution::{DetSolution, StatFields, StatSolution};
 use crate::trace::Trace;
 use varbuf_rctree::wire::WireSegment;
 use varbuf_rctree::NodeId;
@@ -26,7 +26,7 @@ pub fn wire_extend_stat(sol: &StatSolution, seg: &WireSegment) -> StatSolution {
     // T' couples the load's sensitivities into the RAT: −r·l · L.
     let mut rat = sol.rat.linear_combination(1.0, &sol.load, -seg.resistance);
     rat.add_constant(-0.5 * seg.resistance * seg.capacitance);
-    StatSolution {
+    StatFields {
         load,
         rat,
         // A pending deferral survives an eager extension unchanged: this
@@ -35,6 +35,7 @@ pub fn wire_extend_stat(sol: &StatSolution, seg: &WireSegment) -> StatSolution {
         wire_pending: sol.wire_pending,
         trace: sol.trace.clone(),
     }
+    .into()
 }
 
 /// In-place [`wire_extend_stat`]: writes the extended solution into a
@@ -56,10 +57,11 @@ pub fn wire_extend_stat_into(dest: &mut StatSolution, sol: &StatSolution, seg: &
 /// *means* in immediately — bit-for-bit the same two nominal adds the
 /// eager kernel performs — and defers the O(terms) coupling
 /// `rat ← rat − r·load` (terms only) by accumulating `r` into
-/// [`StatSolution::wire_pending`]. Load terms are invariant under wire
+/// [`StatFields::wire_pending`]. Load terms are invariant under wire
 /// extension, so the deferred chain collapses exactly to one
 /// `−(Σrᵢ)·load` term update at materialization.
 pub fn wire_defer_stat_in_place(sol: &mut StatSolution, seg: &WireSegment) {
+    let sol: &mut StatFields = sol;
     // Same fadd sequence as `wire_extend_stat_in_place`'s nominal path:
     // `+= −r·L̄` (add_scaled_assign's nominal update), then `−½·r·c·l²`.
     sol.rat.add_constant(-seg.resistance * sol.load.mean());
@@ -86,12 +88,13 @@ pub fn wire_defer_stat_into(dest: &mut StatSolution, sol: &StatSolution, seg: &W
 
 /// Pays off a solution's deferred wire coupling: one
 /// `rat ← rat − p·load` over the *terms* alone (the means were kept
-/// current eagerly), clearing [`StatSolution::wire_pending`]. For a
+/// current eagerly), clearing [`StatFields::wire_pending`]. For a
 /// unit-length chain (`p` the single segment's `r·l`) the term update is
 /// the exact walk `wire_extend_stat_in_place` would have run, so the
 /// result is bit-identical to the eager kernel; longer chains reassociate
 /// the coefficient sum only.
 pub fn materialize_wire_stat(sol: &mut StatSolution) {
+    let sol: &mut StatFields = sol;
     if sol.wire_pending != 0.0 {
         let p = sol.wire_pending;
         sol.rat.add_scaled_terms_assign(&sol.load, -p);
@@ -109,6 +112,7 @@ pub fn materialize_wire_stat(sol: &mut StatSolution) {
 /// use. The trace is untouched — the same `Arc` the copying path
 /// clones.
 pub fn wire_extend_stat_in_place(sol: &mut StatSolution, seg: &WireSegment) {
+    let sol: &mut StatFields = sol;
     sol.rat.add_scaled_assign(&sol.load, -seg.resistance);
     sol.rat
         .add_constant(-0.5 * seg.resistance * seg.capacitance);
@@ -199,6 +203,7 @@ impl PendingWire {
     /// [`wire_extend_stat_in_place`]; the reference the lazy engine path
     /// (defer + [`materialize_wire_stat`]) is property-tested against.
     pub fn apply_stat(&self, sol: &mut StatSolution) {
+        let sol: &mut StatFields = sol;
         sol.rat.add_scaled_assign(&sol.load, -self.r);
         sol.rat.add_constant(-0.5 * self.r * self.c);
         sol.rat.add_constant(-self.d);
@@ -225,12 +230,13 @@ pub fn buffer_extend_stat(
         .rat
         .linear_combination(1.0, &sol.load, -resistance)
         .sub(delay_form);
-    StatSolution {
+    StatFields {
         load: cap_form.clone(),
         rat,
         wire_pending: 0.0,
         trace: Trace::buffer(node, ty, sol.trace.clone()),
     }
+    .into()
 }
 
 /// In-place [`buffer_extend_stat`]: writes into a recycled `dest`
@@ -286,12 +292,13 @@ pub fn merge_pair_stat(a: &StatSolution, b: &StatSolution) -> StatSolution {
     // the residual moments a merge never reads.
     let mut rat = CanonicalForm::default();
     stat_min_assign(&mut rat, &a.rat, &b.rat);
-    StatSolution {
+    StatFields {
         load: a.load.add(&b.load),
         rat,
         wire_pending: 0.0,
         trace: Trace::join(a.trace.clone(), b.trace.clone()),
     }
+    .into()
 }
 
 /// In-place [`merge_pair_stat`]: writes into a recycled `dest` (distinct

@@ -19,6 +19,8 @@
 //!   blind to correlations between solutions.
 
 use crate::solution::StatSolution;
+use std::cmp::Ordering;
+use std::convert::Infallible;
 use std::fmt;
 use varbuf_stats::norm_quantile;
 
@@ -70,6 +72,19 @@ impl KeyTable {
         for a in &mut self.aux {
             if !a.is_empty() {
                 a.swap(i, j);
+            }
+        }
+    }
+
+    /// Moves the keys at `from` to `to` (`to ≤ from`), shifting those at
+    /// `to..from` up one place, in every populated column (keeps the
+    /// table aligned when the list rotates the same range).
+    fn rotate_in(&mut self, to: usize, from: usize) {
+        self.load[to..=from].rotate_right(1);
+        self.rat[to..=from].rotate_right(1);
+        for a in &mut self.aux {
+            if !a.is_empty() {
+                a[to..=from].rotate_right(1);
             }
         }
     }
@@ -157,6 +172,70 @@ pub enum MergeStrategy {
     CrossProduct,
 }
 
+/// The comparison a rule's keyed dominance makes, named by
+/// [`PruningRule::keyed_dominance`] so that pruning sweeps can run it
+/// inline over the key columns instead of calling the rule for every
+/// pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KeyedDominance {
+    /// `a` dominates `b` iff `load[a] ≤ load[b]` and `rat[a] ≥ rat[b]`.
+    LoadRat,
+    /// Interval dominance over the percentile columns of the 4P rule:
+    /// `aux[1][a] < aux[0][b]` and `aux[2][a] > aux[3][b]`.
+    Intervals,
+    /// No key comparison decides it: the rule's
+    /// [`dominates`](PruningRule::dominates) reads the forms.
+    Forms,
+}
+
+impl KeyedDominance {
+    /// Whether solution `a` (by index) dominates solution `b` under
+    /// `rule`, whose comparison this is. `keys` must be aligned with
+    /// `sols` (same order).
+    #[inline]
+    fn holds<R: PruningRule + ?Sized>(
+        self,
+        rule: &R,
+        keys: &KeyTable,
+        a: usize,
+        b: usize,
+        sols: &[StatSolution],
+    ) -> bool {
+        match self {
+            Self::LoadRat => keys.load[a] <= keys.load[b] && keys.rat[a] >= keys.rat[b],
+            Self::Intervals => keys.aux[1][a] < keys.aux[0][b] && keys.aux[2][a] > keys.aux[3][b],
+            Self::Forms => rule.dominates(&sols[a], &sols[b]),
+        }
+    }
+
+    /// Marks in `dominated` every solution that solution `i` dominates,
+    /// `i` itself excepted: [`holds`](Self::holds) for a whole row. A mark
+    /// once set stays set and no verdict reads another, so the interval
+    /// comparisons run branch-free down the columns.
+    fn mark_row<R: PruningRule + ?Sized>(
+        self,
+        rule: &R,
+        keys: &KeyTable,
+        i: usize,
+        sols: &[StatSolution],
+        dominated: &mut [bool],
+    ) {
+        if self == Self::Intervals {
+            let (load_hi, rat_lo) = (keys.aux[1][i], keys.aux[2][i]);
+            let columns = keys.aux[0].iter().zip(&keys.aux[3]);
+            for (j, (d, (&load_lo, &rat_hi))) in dominated.iter_mut().zip(columns).enumerate() {
+                *d |= (load_hi < load_lo) & (rat_lo > rat_hi) & (j != i);
+            }
+            return;
+        }
+        for (j, d) in dominated.iter_mut().enumerate() {
+            if !*d && j != i && self.holds(rule, keys, i, j, sols) {
+                *d = true;
+            }
+        }
+    }
+}
+
 /// A dominance relation between statistical solutions.
 ///
 /// This trait is sealed in spirit: the three implementations in this
@@ -192,15 +271,14 @@ pub trait PruningRule: fmt::Debug + Send + Sync {
         keys.rat.extend(sols.iter().map(|s| self.rat_key(s)));
     }
 
-    /// [`dominates`](Self::dominates) evaluated through precomputed keys:
-    /// decides whether solution `a` (by index) dominates solution `b`.
-    /// `keys` must be aligned with `sols` (same order). The default
-    /// ignores the keys and delegates to the form-based check; rules
-    /// whose dominance is a pure key comparison override it so pruning
-    /// sweeps touch only flat `f64` columns.
-    fn dominates_keyed(&self, keys: &KeyTable, a: usize, b: usize, sols: &[StatSolution]) -> bool {
-        let _ = keys;
-        self.dominates(&sols[a], &sols[b])
+    /// How [`dominates`](Self::dominates) reads through the keys that
+    /// [`batch_keys`](Self::batch_keys) computes. Rules whose dominance
+    /// is a pure key comparison name it, so pruning sweeps touch only
+    /// flat `f64` columns; the default, [`KeyedDominance::Forms`], asks
+    /// `dominates` for every pair. Either way the verdict is bitwise the
+    /// form-based one.
+    fn keyed_dominance(&self) -> KeyedDominance {
+        KeyedDominance::Forms
     }
 
     /// Whether this rule's scalar keys are plain means — i.e.
@@ -295,15 +373,16 @@ impl PruningRule for TwoParam {
         a.load.prob_less(&b.load) >= self.p_load && a.rat.prob_greater(&b.rat) >= self.p_rat
     }
 
-    fn dominates_keyed(&self, keys: &KeyTable, a: usize, b: usize, sols: &[StatSolution]) -> bool {
-        if self.p_load == 0.5 && self.p_rat == 0.5 {
+    fn keyed_dominance(&self) -> KeyedDominance {
+        if self.mean_keys() {
             // The keys ARE the means — the whole check reads two flat
             // columns (the 2P hot path).
-            return keys.load[a] <= keys.load[b] && keys.rat[a] >= keys.rat[b];
+            KeyedDominance::LoadRat
+        } else {
+            // Thresholded 2P needs the probability integrals; prob_less /
+            // prob_greater are allocation-free via `sub_stats`.
+            KeyedDominance::Forms
         }
-        // Thresholded 2P needs the probability integrals; prob_less /
-        // prob_greater are allocation-free via `sub_stats`.
-        self.dominates(&sols[a], &sols[b])
     }
 
     fn mean_keys(&self) -> bool {
@@ -432,10 +511,10 @@ impl PruningRule for FourParam {
         }
     }
 
-    fn dominates_keyed(&self, keys: &KeyTable, a: usize, b: usize, _sols: &[StatSolution]) -> bool {
-        // aux[0] = π_{α_l}(L), aux[1] = π_{α_u}(L),
+    fn keyed_dominance(&self) -> KeyedDominance {
+        // `batch_keys` stores aux[0] = π_{α_l}(L), aux[1] = π_{α_u}(L),
         // aux[2] = π_{β_l}(T), aux[3] = π_{β_u}(T).
-        keys.aux[1][a] < keys.aux[0][b] && keys.aux[2][a] > keys.aux[3][b]
+        KeyedDominance::Intervals
     }
 }
 
@@ -505,10 +584,10 @@ impl PruningRule for OneParam {
         self.load_key(a) <= self.load_key(b) && self.rat_key(a) >= self.rat_key(b)
     }
 
-    fn dominates_keyed(&self, keys: &KeyTable, a: usize, b: usize, _sols: &[StatSolution]) -> bool {
+    fn keyed_dominance(&self) -> KeyedDominance {
         // The percentile keys were computed once by `batch_keys`; the
         // per-comparison sqrt/quantile work of the scalar path vanishes.
-        keys.load[a] <= keys.load[b] && keys.rat[a] >= keys.rat[b]
+        KeyedDominance::LoadRat
     }
 }
 
@@ -560,29 +639,51 @@ impl PruneScratch {
     }
 }
 
-/// Insertion-sort cutoff: below this length the argsort runs in place
-/// with zero allocation (and is near-linear on the almost-sorted lists
-/// the sorted-merge produces); above it, std's stable sort takes over.
-const INSERTION_SORT_MAX: usize = 64;
+/// Longest unsorted tail that [`sort_keyed`] binary-inserts entry by
+/// entry; a longer one is argsorted whole. A buffering step appends one
+/// candidate per buffer type to a sorted list.
+const INSERT_TAIL_MAX: usize = 16;
 
-/// Stable argsort of `order` (assumed to be `0..n`) by `less_eq`-style
-/// comparator `cmp`: after the call, `order[k]` is the index of the k-th
-/// element in sorted order, with equal elements keeping their original
-/// relative order (matching what `slice::sort_by` does on the solutions
-/// directly — any stable algorithm yields the same permutation).
-fn stable_argsort(order: &mut [u32], mut cmp: impl FnMut(u32, u32) -> std::cmp::Ordering) {
-    if order.len() < INSERTION_SORT_MAX {
-        for i in 1..order.len() {
-            let x = order[i];
-            let mut j = i;
-            while j > 0 && cmp(order[j - 1], x) == std::cmp::Ordering::Greater {
-                order[j] = order[j - 1];
-                j -= 1;
+/// Stable-sorts `sols`, and `keys` in lockstep, by `cmp` over key
+/// indices. The longest sorted prefix stays in place and each later
+/// entry is rotated in at its upper bound, after every entry that does
+/// not order after it: all of those came earlier in the input, so this
+/// is the position a stable sort gives it. Moving an entry moves 8-byte
+/// handles and key columns. A tail longer than [`INSERT_TAIL_MAX`] is
+/// argsorted whole instead (any stable sort yields the same order).
+fn sort_keyed(
+    sols: &mut [StatSolution],
+    keys: &mut KeyTable,
+    order: &mut Vec<u32>,
+    perm: &mut Vec<u32>,
+    cmp: impl Fn(&KeyTable, usize, usize) -> Ordering,
+) {
+    let n = sols.len();
+    let mut sorted = n.min(1);
+    while sorted < n && cmp(keys, sorted - 1, sorted) != Ordering::Greater {
+        sorted += 1;
+    }
+    if n - sorted > INSERT_TAIL_MAX {
+        order.clear();
+        order.extend(0..n as u32);
+        order.sort_by(|&a, &b| cmp(keys, a as usize, b as usize));
+        apply_order(sols, keys, order, perm);
+        return;
+    }
+    for i in sorted..n {
+        let (mut lo, mut hi) = (0, i);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if cmp(keys, mid, i) == Ordering::Greater {
+                hi = mid;
+            } else {
+                lo = mid + 1;
             }
-            order[j] = x;
         }
-    } else {
-        order.sort_by(|&a, &b| cmp(a, b));
+        if lo < i {
+            sols[lo..=i].rotate_right(1);
+            keys.rotate_in(lo, i);
+        }
     }
 }
 
@@ -607,13 +708,46 @@ fn apply_order(sols: &mut [StatSolution], keys: &mut KeyTable, order: &[u32], pe
     }
 }
 
+/// Moves the survivors (`keep(r)`) to the front of `sols`, in order and
+/// with `keys` aligned, and the rest into `retired`.
+fn compact(
+    sols: &mut Vec<StatSolution>,
+    keys: &mut KeyTable,
+    retired: &mut Vec<StatSolution>,
+    mut keep: impl FnMut(&KeyTable, &[StatSolution], usize, usize) -> bool,
+) {
+    // `w` is one past the last kept entry.
+    let mut w = 0usize;
+    for r in 0..sols.len() {
+        if !keep(keys, sols, w, r) {
+            continue;
+        }
+        // Until the first elimination every survivor is already in place.
+        if w != r {
+            sols.swap(w, r);
+            keys.swap(w, r);
+        }
+        w += 1;
+    }
+    retired.extend(sols.drain(w..));
+    keys.truncate(w);
+}
+
 /// [`prune_solutions_in_place`] driven by batched keys: the rule computes
 /// every solution's keys once ([`PruningRule::batch_keys`]), the sort and
-/// dominance sweeps then run over flat `f64` columns
-/// ([`PruningRule::dominates_keyed`]), and all scratch comes from the
-/// recycled `scratch`. Survivor set and output order are identical —
-/// bitwise — to the unkeyed path: the keys are the same deterministic
-/// values the scalar accessors produce, compared in the same order.
+/// dominance sweeps then run over flat `f64` columns, comparing them
+/// inline where the rule's [`PruningRule::keyed_dominance`] names the
+/// comparison, and all scratch comes from the recycled `scratch`.
+/// Survivor set and output order are identical — bitwise — to sorting
+/// with a stable sort on the rule's keys and sweeping with
+/// [`PruningRule::dominates`]: the keys are the same deterministic values
+/// the scalar accessors produce, compared in the same order.
+///
+/// A [`MergeStrategy::SortedLinear`] list is put in (load key ascending,
+/// RAT key descending) order by keeping its sorted prefix in place and
+/// binary-inserting the entries after it, so the sorted list plus a few
+/// buffered candidates that a buffering step prunes costs a few binary
+/// searches, not a sort.
 ///
 /// On return, `scratch.keys` holds the surviving solutions' keys, aligned
 /// with `sols`.
@@ -622,101 +756,77 @@ pub fn prune_solutions_keyed(
     sols: &mut Vec<StatSolution>,
     scratch: &mut PruneScratch,
 ) {
+    let Ok(()) = prune_solutions_polled(rule, sols, scratch, || Ok::<_, Infallible>(false));
+}
+
+/// [`prune_solutions_keyed`] with a `poll` that the quadratic
+/// [`MergeStrategy::CrossProduct`] sweep calls before every 256th row:
+/// an error aborts the prune and leaves `sols` as it was, and `Ok(true)`
+/// stops the sweep early, so the rows swept so far alone decide which
+/// solutions are eliminated (a superset of the non-dominated set
+/// survives). Linear rules never poll.
+pub(crate) fn prune_solutions_polled<E>(
+    rule: &dyn PruningRule,
+    sols: &mut Vec<StatSolution>,
+    scratch: &mut PruneScratch,
+    mut poll: impl FnMut() -> Result<bool, E>,
+) -> Result<(), E> {
     let n = sols.len();
     // Eliminated solutions from the previous prune that nobody drained
     // are dropped here, so a non-draining caller stays bounded.
     scratch.retired.clear();
     rule.batch_keys(sols, &mut scratch.keys);
     debug_assert_eq!(scratch.keys.len(), n, "rule keyed fewer solutions");
+    let dominance = rule.keyed_dominance();
     match rule.strategy() {
         MergeStrategy::SortedLinear => {
-            let keys = &scratch.keys;
-            // Sorted-merge fast path: the linear merge walk emits 2P lists
-            // already ordered by (load asc, rat desc), so most prunes see
-            // pre-sorted keys. A stable sort of a sorted list is the
-            // identity permutation, so skipping the argsort + apply is
-            // bitwise identical to running them.
-            let presorted = (1..n).all(|i| {
-                keys.load[i - 1]
-                    .total_cmp(&keys.load[i])
-                    .then(keys.rat[i].total_cmp(&keys.rat[i - 1]))
-                    != std::cmp::Ordering::Greater
-            });
-            if !presorted {
-                scratch.order.clear();
-                scratch.order.extend(0..n as u32);
-                stable_argsort(&mut scratch.order, |a, b| {
-                    let (a, b) = (a as usize, b as usize);
-                    keys.load[a]
-                        .total_cmp(&keys.load[b])
-                        .then(keys.rat[b].total_cmp(&keys.rat[a]))
-                });
-                apply_order(sols, &mut scratch.keys, &scratch.order, &mut scratch.perm);
-            }
-            // In-place compaction: `w` is one past the last kept entry.
-            let mut w = 0usize;
-            for r in 0..n {
-                if w > 0 && rule.dominates_keyed(&scratch.keys, w - 1, r, sols) {
-                    continue;
-                }
-                // Until the first elimination every survivor is already
-                // in place, and a solution is too wide for a self-swap
-                // to be free.
-                if w != r {
-                    sols.swap(w, r);
-                    scratch.keys.swap(w, r);
-                }
-                w += 1;
-            }
-            scratch.retired.extend(sols.drain(w..));
-            scratch.keys.truncate(w);
+            sort_keyed(
+                sols,
+                &mut scratch.keys,
+                &mut scratch.order,
+                &mut scratch.perm,
+                |k, a, b| {
+                    k.load[a]
+                        .total_cmp(&k.load[b])
+                        .then(k.rat[b].total_cmp(&k.rat[a]))
+                },
+            );
+            // Each entry is checked against the last one kept.
+            compact(
+                sols,
+                &mut scratch.keys,
+                &mut scratch.retired,
+                |k, s, w, r| w == 0 || !dominance.holds(rule, k, w - 1, r, s),
+            );
         }
         MergeStrategy::CrossProduct => {
             scratch.flags.clear();
             scratch.flags.resize(n, false);
-            let dominated = &mut scratch.flags;
             for i in 0..n {
-                if dominated[i] {
-                    continue;
+                if i % 256 == 0 && poll()? {
+                    break;
                 }
-                // Index loop: `j` feeds the keyed dominance check while
-                // `dominated[j]` is written under an active read of
-                // `dominated[i]` — an iterator form would fight the
-                // borrow.
-                #[allow(clippy::needless_range_loop)]
-                for j in 0..n {
-                    if i == j || dominated[j] {
-                        continue;
-                    }
-                    if rule.dominates_keyed(&scratch.keys, i, j, sols) {
-                        dominated[j] = true;
-                    }
+                if !scratch.flags[i] {
+                    dominance.mark_row(rule, &scratch.keys, i, sols, &mut scratch.flags);
                 }
             }
-            // Order-preserving compaction of the survivors (what `retain`
-            // does, but keeping the key columns aligned).
-            let mut w = 0usize;
-            for (r, &dom) in dominated.iter().enumerate() {
-                if dom {
-                    continue;
-                }
-                if w != r {
-                    sols.swap(w, r);
-                    scratch.keys.swap(w, r);
-                }
-                w += 1;
-            }
-            scratch.retired.extend(sols.drain(w..));
-            scratch.keys.truncate(w);
-            let keys = &scratch.keys;
-            scratch.order.clear();
-            scratch.order.extend(0..w as u32);
-            stable_argsort(&mut scratch.order, |a, b| {
-                keys.load[a as usize].total_cmp(&keys.load[b as usize])
-            });
-            apply_order(sols, &mut scratch.keys, &scratch.order, &mut scratch.perm);
+            let dominated = &scratch.flags;
+            compact(
+                sols,
+                &mut scratch.keys,
+                &mut scratch.retired,
+                |_, _, _, r| !dominated[r],
+            );
+            sort_keyed(
+                sols,
+                &mut scratch.keys,
+                &mut scratch.order,
+                &mut scratch.perm,
+                |k, a, b| k.load[a].total_cmp(&k.load[b]),
+            );
         }
     }
+    Ok(())
 }
 
 /// [`prune_solutions_keyed`] with a non-finite key guard: after batching
@@ -1043,7 +1153,7 @@ mod tests {
         for i in 0..sols.len() {
             for j in 0..sols.len() {
                 assert_eq!(
-                    rule.dominates_keyed(&keys, i, j, &sols),
+                    rule.keyed_dominance().holds(&rule, &keys, i, j, &sols),
                     rule.dominates(&sols[i], &sols[j])
                 );
             }

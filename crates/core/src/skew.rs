@@ -21,7 +21,7 @@ use varbuf_rctree::tree::NodeKind;
 use varbuf_rctree::{NodeId, RoutingTree};
 use varbuf_stats::clark::{stat_max_assign, stat_min_assign};
 use varbuf_stats::{prob_at_least_normal, CanonicalForm};
-use varbuf_variation::{BufferTypeId, ProcessModel, VariationMode};
+use varbuf_variation::{BufferTypeId, DeviceSite, ProcessModel, VariationMode};
 
 /// The statistical latest and earliest sink arrival of one buffered
 /// tree, and the skew quantities derived from them.
@@ -152,20 +152,44 @@ impl<'a> SkewAnalyzer<'a> {
         mut visit: impl FnMut(NodeId, usize, bool, &CanonicalForm),
     ) {
         let tree = self.tree;
+        let model = self.model;
         let wire = tree.wire();
         let n = tree.len();
-        let mut buffer: Vec<Option<BufferTypeId>> = vec![None; n];
+        // Each placed buffer's site: one taper scan, read in both passes.
+        // Its forms are written where they are read, so the walk holds a
+        // site per buffered node and never both of its forms.
+        let mut device: Vec<Option<(BufferTypeId, DeviceSite)>> = Vec::new();
+        device.resize_with(n, || None);
         for &(id, ty) in assignment {
-            if let Some(slot) = buffer.get_mut(id.index()) {
-                *slot = Some(ty);
+            if let Some(slot) = device.get_mut(id.index()) {
+                let mut site = DeviceSite::default();
+                model.device_site(id, tree.node(id).location, self.mode, &mut site);
+                *slot = Some((ty, site));
             }
         }
+        // The form a node presents to its parent: a placed buffer's input
+        // cap (written into `forms`, with its delay), else its subtree load.
+        fn upward<'f>(
+            model: &ProcessModel,
+            device: &[Option<(BufferTypeId, DeviceSite)>],
+            load: &'f [CanonicalForm],
+            forms: &'f mut (CanonicalForm, CanonicalForm),
+            id: NodeId,
+        ) -> &'f CanonicalForm {
+            match &device[id.index()] {
+                Some((ty, site)) => {
+                    model.device_forms_into(site, *ty, forms);
+                    &forms.0
+                }
+                None => &load[id.index()],
+            }
+        }
+        let mut forms = (CanonicalForm::default(), CanonicalForm::default());
 
         // Upward pass: the subtree load below each node (what a buffer
         // placed there drives). A buffered node presents its input-cap
         // form to its parent instead.
         let mut load = vec![CanonicalForm::default(); n];
-        let mut cap: Vec<Option<CanonicalForm>> = vec![None; n];
         for id in tree.postorder() {
             let node = tree.node(id);
             let mut l = CanonicalForm::constant(match node.kind {
@@ -173,16 +197,11 @@ impl<'a> SkewAnalyzer<'a> {
                 _ => 0.0,
             });
             for &c in &node.children {
-                l.add_scaled_assign(cap[c.index()].as_ref().unwrap_or(&load[c.index()]), 1.0);
+                l.add_scaled_assign(upward(model, &device, &load, &mut forms, c), 1.0);
                 l.add_constant(wire.cap_per_um * tree.node(c).edge_length);
-            }
-            if let Some(ty) = buffer[id.index()] {
-                cap[id.index()] =
-                    Some(self.model.buffer_cap_form(ty, id, node.location, self.mode));
             }
             load[id.index()] = l;
         }
-        let upward = |id: NodeId| cap[id.index()].as_ref().unwrap_or(&load[id.index()]);
 
         // Downward pass: a depth-first walk where `level[d]` holds the
         // arrival at the node being visited at depth `d`. Every node
@@ -192,7 +211,8 @@ impl<'a> SkewAnalyzer<'a> {
         let NodeKind::Source { driver_resistance } = tree.node(root).kind else {
             panic!("root must be a source");
         };
-        let mut level = vec![upward(root).scaled(driver_resistance)];
+        let mut level =
+            vec![upward(model, &device, &load, &mut forms, root).scaled(driver_resistance)];
         let mut stack: Vec<(NodeId, usize)> = tree
             .node(root)
             .children
@@ -209,14 +229,13 @@ impl<'a> SkewAnalyzer<'a> {
             let node = tree.node(id);
             let seg = wire.segment(node.edge_length);
             // Wire delay r·l·(c·l/2 + upward load of the node).
-            t.lin_comb_into(&above[depth - 1], 1.0, upward(id), seg.resistance);
+            let below = upward(model, &device, &load, &mut forms, id);
+            t.lin_comb_into(&above[depth - 1], 1.0, below, seg.resistance);
             t.add_constant(seg.resistance * seg.capacitance / 2.0);
-            if let Some(ty) = buffer[id.index()] {
-                let delay = self
-                    .model
-                    .buffer_delay_form(ty, id, node.location, self.mode);
-                t.add_scaled_assign(&delay, 1.0);
-                t.add_scaled_assign(&load[id.index()], self.model.buffer_resistance(ty));
+            if let Some((ty, _)) = device[id.index()] {
+                // `upward` just wrote this buffer's delay form.
+                t.add_scaled_assign(&forms.1, 1.0);
+                t.add_scaled_assign(&load[id.index()], model.buffer_resistance(ty));
             }
             visit(id, depth, matches!(node.kind, NodeKind::Sink { .. }), t);
             stack.extend(node.children.iter().rev().map(|&c| (c, depth + 1)));

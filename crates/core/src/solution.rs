@@ -1,6 +1,7 @@
 //! Candidate-solution types for the dynamic programs.
 
 use crate::trace::Trace;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 use varbuf_stats::CanonicalForm;
 
@@ -29,8 +30,18 @@ impl DetSolution {
 
 /// A statistical candidate: `(L, T)` as first-order canonical forms plus
 /// the decision trace (eqs. (31)–(32) of the paper).
+///
+/// One owning pointer to its [`StatFields`], which are reached through
+/// `Deref`/`DerefMut` (`s.load`, `s.rat`, `s.wire_pending`, `s.trace`).
+/// Candidate lists are permuted, compacted, recycled and copied far
+/// more often than a solution is built, and each of those moves this
+/// 8-byte handle instead of the fields.
 #[derive(Debug, Clone)]
-pub struct StatSolution {
+pub struct StatSolution(Box<StatFields>);
+
+/// The fields of a [`StatSolution`].
+#[derive(Debug, Clone)]
+pub struct StatFields {
     /// Downstream loading capacitance `L` as a canonical form, fF.
     pub load: CanonicalForm,
     /// Required arrival time `T` as a canonical form, ps.
@@ -49,16 +60,39 @@ pub struct StatSolution {
     pub trace: Arc<Trace>,
 }
 
+impl Deref for StatSolution {
+    type Target = StatFields;
+
+    #[inline]
+    fn deref(&self) -> &StatFields {
+        &self.0
+    }
+}
+
+impl DerefMut for StatSolution {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut StatFields {
+        &mut self.0
+    }
+}
+
+impl From<StatFields> for StatSolution {
+    fn from(fields: StatFields) -> Self {
+        Self(Box::new(fields))
+    }
+}
+
 impl StatSolution {
     /// A fresh solution with no decisions.
     #[must_use]
     pub fn new(load: CanonicalForm, rat: CanonicalForm) -> Self {
-        Self {
+        StatFields {
             load,
             rat,
             wire_pending: 0.0,
             trace: Trace::empty(),
         }
+        .into()
     }
 
     /// Mean of the load form (the 2P rule's primary sort key).
@@ -98,5 +132,19 @@ mod tests {
         assert_eq!(s.load_mean(), 20.0);
         assert_eq!(s.rat_mean(), -100.0);
         assert_eq!(s.trace.buffer_count(), 0);
+    }
+
+    #[test]
+    fn stat_solution_is_one_pointer() {
+        // Lists move solutions on every prune, merge and recycle; a field
+        // added to the struct itself would widen every one of those moves.
+        assert_eq!(
+            std::mem::size_of::<StatSolution>(),
+            std::mem::size_of::<usize>()
+        );
+        assert_eq!(
+            std::mem::size_of::<Option<StatSolution>>(),
+            std::mem::size_of::<usize>()
+        );
     }
 }

@@ -223,21 +223,6 @@ impl<'a> YieldEvaluator<'a> {
         samples: usize,
         seed: u64,
     ) -> Vec<f64> {
-        // Only the sources the placed buffers actually reference need
-        // sampling — unused device sources would just be multiplied by
-        // zero coefficients. This keeps each draw proportional to the
-        // design, not the candidate space.
-        let mut used = std::collections::BTreeSet::new();
-        for &(node, ty) in assignment {
-            let loc = self.tree.node(node).location;
-            let (cap, delay) = self.model.buffer_forms(ty, node, loc, self.mode);
-            for form in [cap, delay] {
-                used.extend(form.terms().map(|(id, _)| id));
-            }
-        }
-        let mut mc = MonteCarlo::new(seed, used.into_iter().collect());
-        let eval = ElmoreEvaluator::new(self.tree);
-
         // Precompute each placed buffer's forms once; per sample only the
         // cheap form evaluation and the Elmore pass remain.
         let prepared: Vec<_> = assignment
@@ -248,6 +233,17 @@ impl<'a> YieldEvaluator<'a> {
                 (node, cap, delay, self.model.buffer_resistance(ty))
             })
             .collect();
+        // Only the sources the placed buffers actually reference need
+        // sampling — unused device sources would just be multiplied by
+        // zero coefficients. This keeps each draw proportional to the
+        // design, not the candidate space.
+        let used: std::collections::BTreeSet<_> = prepared
+            .iter()
+            .flat_map(|(_, cap, delay, _)| cap.terms().chain(delay.terms()))
+            .map(|(id, _)| id)
+            .collect();
+        let mut mc = MonteCarlo::new(seed, used.into_iter().collect());
+        let eval = ElmoreEvaluator::new(self.tree);
 
         (0..samples)
             .map(|_| {

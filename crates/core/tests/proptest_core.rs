@@ -6,10 +6,15 @@
 use std::sync::Arc;
 use varbuf_core::det::{assignment_with_nominal_values, optimize_deterministic};
 use varbuf_core::dp::{optimize_with_rule, DpOptions};
-use varbuf_core::prune::{prune_solutions, OneParam, PruningRule, TwoParam};
+use varbuf_core::prune::{
+    prune_solutions, prune_solutions_keyed, FourParam, MergeStrategy, OneParam, PruneScratch,
+    PruningRule, TwoParam,
+};
 use varbuf_core::solution::StatSolution;
+use varbuf_core::trace::Trace;
 use varbuf_rctree::elmore::ElmoreEvaluator;
 use varbuf_rctree::generate::{generate_benchmark, BenchmarkSpec};
+use varbuf_rctree::NodeId;
 use varbuf_stats::rng::SplitMix64;
 use varbuf_stats::{CanonicalForm, SourceId};
 use varbuf_variation::{
@@ -145,6 +150,161 @@ fn pruned_set_is_mutually_nondominated() {
         // Survivors are sorted by the load key.
         for w in kept.windows(2) {
             assert!(rule.load_key(&w[0]) <= rule.load_key(&w[1]) + 1e-12);
+        }
+    }
+}
+
+/// The prune `prune_solutions_keyed` must reproduce, spelled out with
+/// the rule's scalar accessors: a linear rule stable-sorts by (load key
+/// ascending, RAT key descending) and keeps each solution its last kept
+/// predecessor does not dominate; a cross-product rule drops every
+/// solution some undropped one dominates, then stable-sorts the rest by
+/// load key.
+fn naive_prune(rule: &dyn PruningRule, mut sols: Vec<StatSolution>) -> Vec<StatSolution> {
+    match rule.strategy() {
+        MergeStrategy::SortedLinear => {
+            sols.sort_by(|a, b| {
+                rule.load_key(a)
+                    .total_cmp(&rule.load_key(b))
+                    .then(rule.rat_key(b).total_cmp(&rule.rat_key(a)))
+            });
+            let mut kept: Vec<StatSolution> = Vec::new();
+            for s in sols {
+                if !kept.last().is_some_and(|k| rule.dominates(k, &s)) {
+                    kept.push(s);
+                }
+            }
+            kept
+        }
+        MergeStrategy::CrossProduct => {
+            let mut dominated = vec![false; sols.len()];
+            for i in 0..sols.len() {
+                if dominated[i] {
+                    continue;
+                }
+                for j in 0..sols.len() {
+                    if i != j && !dominated[j] && rule.dominates(&sols[i], &sols[j]) {
+                        dominated[j] = true;
+                    }
+                }
+            }
+            let mut flags = dominated.into_iter();
+            sols.retain(|_| !flags.next().unwrap_or(true));
+            sols.sort_by(|a, b| rule.load_key(a).total_cmp(&rule.load_key(b)));
+            sols
+        }
+    }
+}
+
+/// A solution with one load and one RAT term and its own trace, so
+/// survivors can be matched to inputs by identity.
+fn tagged(tag: usize, load: f64, rat: f64, rng: &mut SplitMix64) -> StatSolution {
+    let mut s = StatSolution::new(
+        CanonicalForm::with_terms(
+            load,
+            vec![(SourceId(tag as u32 % 5), rng.uniform(0.0, 4.0))],
+        ),
+        CanonicalForm::with_terms(
+            rat,
+            vec![(SourceId(5 + tag as u32 % 5), rng.uniform(0.0, 6.0))],
+        ),
+    );
+    s.trace = Trace::buffer(NodeId(tag as u32), BufferTypeId(0), Trace::empty());
+    s
+}
+
+#[test]
+fn keyed_prune_matches_a_stable_sort_and_linear_sweep() {
+    let rules: [&dyn PruningRule; 5] = [
+        &TwoParam::default(),
+        &TwoParam::new(0.8, 0.8),
+        &TwoParam::new(0.9, 0.9),
+        &OneParam::default(),
+        &FourParam::default(),
+    ];
+    let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    let mut rng = SplitMix64::new(0xD5);
+    let mut scratch = PruneScratch::default();
+    for case in 0..8 * CASES {
+        let rule = rules[case % rules.len()];
+        let mut tag = 0usize;
+        // A list the engine would hold: the survivors of an earlier prune.
+        // The first cases start every rule from an empty list, then from
+        // one entry, so empty and one-element inputs are always covered.
+        let len = if case < 2 * rules.len() {
+            case / rules.len()
+        } else {
+            rng.below(48)
+        };
+        let base: Vec<StatSolution> = (0..len)
+            .map(|_| {
+                tag += 1;
+                let all_equal = case % 7 == 0;
+                let (l, t) = if all_equal {
+                    (10.0, -50.0)
+                } else {
+                    (rng.uniform(0.0, 100.0), rng.uniform(-500.0, 0.0))
+                };
+                tagged(tag, l, t, &mut rng)
+            })
+            .collect();
+        let mut sols = naive_prune(rule, base);
+        // Appended candidates, as a buffering step adds them: 0, 1 or 3
+        // of them, or more than the insertion path takes. Some tie an
+        // existing entry's keys exactly, some duplicate its forms, some
+        // carry non-finite means.
+        let appended = [0, 1, 3, rng.below(40)][case % 4];
+        for _ in 0..appended {
+            tag += 1;
+            let kind = rng.below(5);
+            let s = if kind == 0 && !sols.is_empty() {
+                let old = &sols[rng.below(sols.len())];
+                tagged(tag, old.load_mean(), old.rat_mean(), &mut rng)
+            } else if kind == 1 && !sols.is_empty() {
+                let mut dup = sols[rng.below(sols.len())].clone();
+                dup.trace = Trace::buffer(NodeId(tag as u32), BufferTypeId(0), Trace::empty());
+                dup
+            } else if kind == 2 && case % 3 == 0 {
+                let special = specials[rng.below(specials.len())];
+                let (l, t) = if rng.below(2) == 0 {
+                    (special, rng.uniform(-500.0, 0.0))
+                } else {
+                    (rng.uniform(0.0, 100.0), special)
+                };
+                tagged(tag, l, t, &mut rng)
+            } else {
+                tagged(
+                    tag,
+                    rng.uniform(0.0, 100.0),
+                    rng.uniform(-500.0, 0.0),
+                    &mut rng,
+                )
+            };
+            sols.push(s);
+        }
+        let expected = naive_prune(rule, sols.clone());
+        prune_solutions_keyed(rule, &mut sols, &mut scratch);
+        let label = format!("case {case} ({}, {appended} appended)", rule.name());
+        assert_eq!(sols.len(), expected.len(), "{label}: survivor count");
+        for (k, (got, want)) in sols.iter().zip(&expected).enumerate() {
+            assert!(
+                Arc::ptr_eq(&got.trace, &want.trace),
+                "{label}: survivor {k} is a different solution"
+            );
+        }
+        // The keys the prune leaves behind stay aligned with the list.
+        assert_eq!(scratch.keys.len(), sols.len(), "{label}: key count");
+        for (k, s) in sols.iter().enumerate() {
+            assert_eq!(
+                scratch.keys.load[k].to_bits(),
+                rule.load_key(s).to_bits(),
+                "{label}: load key {k}"
+            );
+            assert_eq!(
+                scratch.keys.rat[k].to_bits(),
+                rule.rat_key(s).to_bits(),
+                "{label}: RAT key {k}"
+            );
         }
     }
 }
