@@ -968,12 +968,15 @@ fn run_engine(
 /// The engine's one sequential walk. It visits `tree` in
 /// [`RoutingTree::postorder`] order (last child first) — the order the
 /// parallel phase's smallest-position error rule assumes — and runs
-/// [`process_node`] at each node, leaving the node's list in its slot
-/// until the parent takes it. With a memo, a signature hit replays the
-/// cached list instead and skips the whole subtree, so a warm run
-/// visits only the dirty path; a miss stores its fresh list back. With
-/// cuts, a cut node's list is spliced before it is stored and stays
-/// parked in its slot. Returns the root's list and the run's counters.
+/// [`process_node`] at each node, pushing the node's list on a stack of
+/// finished lists. Children finish last-first, so a parent pops its
+/// children's lists in child order, and the walk holds one list per
+/// finished subtree whose parent is still open, not a slot per node.
+/// With a memo, a signature hit replays the cached list instead and
+/// skips the whole subtree, so a warm run visits only the dirty path; a
+/// miss stores its fresh list back. With cuts, a cut node's list is
+/// spliced before it is stored and stays parked on the stack. Returns
+/// the root's list and the run's counters.
 fn walk(
     ctx: &RunCtx<'_>,
     governor: &mut Governor,
@@ -983,7 +986,7 @@ fn walk(
 ) -> Result<(Vec<StatSolution>, DpStats), EngineInterrupt> {
     let tree = ctx.tree;
     let mut stats = DpStats::default();
-    let mut lists: Vec<Vec<StatSolution>> = vec![Vec::new(); tree.len()];
+    let mut done: Vec<Vec<StatSolution>> = Vec::new();
     let mut pool = SolPool::default();
     if let Some(m) = memo.as_deref_mut() {
         m.cache.begin_run(m.run_sig, tree.len());
@@ -1016,7 +1019,7 @@ fn walk(
                 .children
                 .iter()
                 .map(|&c| {
-                    let list = std::mem::take(&mut lists[c.index()]);
+                    let list = done.pop().expect("a child finishes before its parent");
                     if let Some(cuts) = cuts.as_deref_mut() {
                         cuts.release(c, &list);
                     }
@@ -1043,14 +1046,16 @@ fn walk(
         if let Some(cuts) = cuts.as_deref_mut() {
             cuts.park(governor, id, &sols);
         }
-        lists[id.index()] = sols;
+        done.push(sols);
     }
     if memo.is_some() {
         stats.cache_misses = stats.nodes_processed;
         stats.cache_hits = tree.len() - stats.nodes_processed;
     }
     stats.jobs_effective = 1;
-    Ok((std::mem::take(&mut lists[tree.root().index()]), stats))
+    let root_list = done.pop().expect("the root finishes last");
+    debug_assert!(done.is_empty(), "every other list was taken by its parent");
+    Ok((root_list, stats))
 }
 
 /// One node of the DP, shared verbatim by the sequential and parallel
@@ -1297,18 +1302,23 @@ fn select_winner(
         NodeKind::Source { driver_resistance } => driver_resistance,
         _ => unreachable!("validated root is a source"),
     };
-    let winner = root_list
-        .iter()
-        .max_by(|a, b| {
-            let ka = options.root_selection.key(&driver_rat_stat(a, driver_res));
-            let kb = options.root_selection.key(&driver_rat_stat(b, driver_res));
-            ka.total_cmp(&kb)
-        })
-        .expect("at least one candidate always survives");
+    // Each candidate's driver form and key are built once. A later
+    // candidate whose key ties the best so far replaces it: the rule of
+    // `Iterator::max_by`, under which the last of equal maxima wins.
+    let mut best: Option<(f64, CanonicalForm, &StatSolution)> = None;
+    for s in root_list.iter() {
+        let rat = driver_rat_stat(s, driver_res);
+        let key = options.root_selection.key(&rat);
+        if best.as_ref().is_none_or(|(k, ..)| key.total_cmp(k).is_ge()) {
+            best = Some((key, rat, s));
+        }
+    }
+    let (_, root_rat, winner) = best.expect("at least one candidate always survives");
+    let (assignment, wire_widths) = winner.trace.decisions();
     StatResult {
-        root_rat: driver_rat_stat(winner, driver_res),
-        assignment: winner.trace.collect(),
-        wire_widths: winner.trace.collect_wires(),
+        root_rat,
+        assignment,
+        wire_widths,
         stats,
     }
 }
@@ -1889,6 +1899,76 @@ mod tests {
         );
         assert_eq!(governed.result.assignment, strict.assignment);
         assert!(!governed.result.stats.panic_completion);
+    }
+
+    /// The engine's tree check is remembered between runs only until a
+    /// node is attached: a childless internal node attached after a
+    /// clean run is still a typed `InvalidTree`, and a source-only tree
+    /// is still `NoSinks`.
+    #[test]
+    fn engine_rechecks_a_tree_after_an_attach() {
+        use varbuf_rctree::{Point, TreeError};
+        let mut tree = generate_benchmark(&BenchmarkSpec::random("chk", 8, 3));
+        let model = model_for(&tree);
+        let run = |t: &RoutingTree| {
+            optimize_with_rule(
+                t,
+                &model,
+                VariationMode::WithinDie,
+                Arc::new(TwoParam::default()),
+                &DpOptions::default(),
+            )
+        };
+        run(&tree).expect("valid tree");
+        let stub = tree.add_internal(tree.root(), Point::new(1.0, 1.0));
+        assert!(matches!(
+            run(&tree),
+            Err(InsertionError::InvalidTree(TreeError::DanglingInternal(id))) if id == stub
+        ));
+        let source_only = RoutingTree::new(Point::new(0.0, 0.0), 0.1, tree.wire());
+        assert!(matches!(run(&source_only), Err(InsertionError::NoSinks)));
+    }
+
+    /// Equal keys at the root keep `Iterator::max_by`'s rule: the last
+    /// of equal maxima wins, under both selection keys, and the winner's
+    /// buffers and wire widths come from its own trace.
+    #[test]
+    fn select_winner_breaks_ties_toward_the_later_candidate() {
+        use crate::trace::Trace;
+        use varbuf_rctree::{Point, WireParams};
+        use varbuf_stats::SourceId;
+        let mut tree = RoutingTree::new(Point::new(0.0, 0.0), 0.5, WireParams::default_65nm());
+        tree.add_sink(tree.root(), Point::new(10.0, 0.0), 1.0, 0.0);
+        let candidate = |n: u32, wi: u8| {
+            let mut s = StatSolution::new(
+                CanonicalForm::with_terms(4.0, vec![(SourceId(1), 0.5)]),
+                CanonicalForm::with_terms(100.0, vec![(SourceId(1), 2.0), (SourceId(2), 1.0)]),
+            );
+            s.trace = Trace::wire(
+                NodeId(n),
+                wi,
+                Trace::buffer(NodeId(n), BufferTypeId(0), Trace::empty()),
+            );
+            s
+        };
+        // The middle candidate has a lower key; the outer two tie.
+        let mut worse = candidate(2, 2);
+        worse.rat.add_constant(-1.0);
+        for selection in [RootSelection::MeanRat, RootSelection::YieldRat(0.95)] {
+            let options = DpOptions {
+                root_selection: selection,
+                ..DpOptions::default()
+            };
+            let mut list = vec![candidate(1, 1), worse.clone(), candidate(3, 3)];
+            let r = select_winner(&tree, &options, &mut list, DpStats::default());
+            assert_eq!(
+                r.assignment,
+                vec![(NodeId(3), BufferTypeId(0))],
+                "{selection:?}"
+            );
+            assert_eq!(r.wire_widths, vec![(NodeId(3), 3)], "{selection:?}");
+            assert_eq!(r.root_rat, driver_rat_stat(&list[2], 0.5), "{selection:?}");
+        }
     }
 
     #[test]

@@ -569,6 +569,12 @@ pub struct Governor {
 }
 
 impl Governor {
+    /// The integrity screen's coefficient bound: each square is at most
+    /// 1e200, so a serial variance over any term count a form can hold
+    /// (fewer than 1e108) stays finite, and as a sum of squares it is
+    /// non-negative.
+    const SCREEN: f64 = 1e100;
+
     /// The legacy strict policy: `rule` stays active for the whole run
     /// and the first breach of `budget`'s hard limits is a typed error.
     #[must_use]
@@ -880,6 +886,19 @@ impl Governor {
     /// Removes candidates with non-finite load/RAT statistics, recording
     /// a [`Action::PoisonedDropped`] event when any are found.
     ///
+    /// A candidate is valid when its means and `wire_pending` are finite
+    /// and both forms' variances are finite and non-negative. Each
+    /// candidate is first screened in one order-free pass
+    /// ([`CanonicalForm::coeffs_within`]): finite means and
+    /// `wire_pending`, and every coefficient at most 1e100 in magnitude,
+    /// which makes the serial variance finite and non-negative, so the
+    /// screen keeps only valid candidates. A candidate that fails it
+    /// pays the two serial variances, and the full rule decides: the
+    /// survivors and the poisoned counts are those of the full rule
+    /// alone.
+    ///
+    /// [`CanonicalForm::coeffs_within`]: varbuf_stats::CanonicalForm::coeffs_within
+    ///
     /// # Errors
     ///
     /// [`InsertionError::PoisonedSolutions`] if *every* candidate at the
@@ -891,16 +910,19 @@ impl Governor {
     ) -> Result<(), InsertionError> {
         let before = sols.len();
         sols.retain(|s| {
+            if !(s.load.mean().is_finite()
+                && s.rat.mean().is_finite()
+                && s.wire_pending.is_finite())
+            {
+                return false;
+            }
+            if s.load.coeffs_within(Self::SCREEN) && s.rat.coeffs_within(Self::SCREEN) {
+                return true;
+            }
             // Each variance is one ordered pass over the form's terms:
             // take it once.
             let (load_var, rat_var) = (s.load.variance(), s.rat.variance());
-            s.load.mean().is_finite()
-                && s.rat.mean().is_finite()
-                && load_var.is_finite()
-                && rat_var.is_finite()
-                && load_var >= 0.0
-                && rat_var >= 0.0
-                && s.wire_pending.is_finite()
+            load_var.is_finite() && rat_var.is_finite() && load_var >= 0.0 && rat_var >= 0.0
         });
         let dropped = before - sols.len();
         if dropped > 0 {
@@ -1129,6 +1151,144 @@ mod tests {
         let mut all_bad = vec![sol(f64::NAN, f64::NAN)];
         let err = g.sanitize(NodeId(8), &mut all_bad).unwrap_err();
         assert!(matches!(err, InsertionError::PoisonedSolutions { .. }));
+    }
+
+    /// The order-free screen changes no decision: over forms carrying
+    /// NaN, ±inf, 1e200 (whose square overflows), pairs of 1e154 (whose
+    /// squares overflow only as a sum), the 1e100 bound itself, 1e150
+    /// (past the screen, finite variance) and ordinary coefficients, in
+    /// the sparse tail and in the region window, plus NaN or infinite
+    /// means and `wire_pending`, `sanitize` keeps exactly the candidates
+    /// the serial-variance rule keeps, in order, and records the same
+    /// poisoned counts, events and errors.
+    #[test]
+    fn sanitize_screen_matches_the_serial_variance_rule() {
+        use crate::trace::Trace;
+        use varbuf_stats::{Grid, SourceId};
+        fn serial_valid(s: &StatSolution) -> bool {
+            let (load_var, rat_var) = (s.load.variance(), s.rat.variance());
+            s.load.mean().is_finite()
+                && s.rat.mean().is_finite()
+                && load_var.is_finite()
+                && rat_var.is_finite()
+                && load_var >= 0.0
+                && rat_var >= 0.0
+                && s.wire_pending.is_finite()
+        }
+        let grid = Grid::new(SourceId(1), 4, 4);
+        // Global source 0, a 2 × 2 window with one hole, device 100.
+        let form = |mean: f64, tail: f64, cells: [f64; 2]| {
+            let mut f = CanonicalForm::constant(mean);
+            f.push_term(SourceId(0), 0.25);
+            f.set_regions(grid, 1, 1, 2, &[cells[0], 0.0, -0.75, cells[1]], 1.0);
+            f.push_term(SourceId(100), tail);
+            f
+        };
+        let values = [
+            0.5,
+            -3.0,
+            1e100,
+            -1e100,
+            1e150,
+            1e200,
+            -1e200,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let ordinary = || form(2.0, 1.5, [0.5, -0.5]);
+        let mut cands: Vec<StatSolution> = Vec::new();
+        for &v in &values {
+            cands.push(StatSolution::new(form(2.0, v, [0.5, -0.5]), ordinary()));
+            cands.push(StatSolution::new(form(2.0, 1.5, [v, -0.5]), ordinary()));
+            cands.push(StatSolution::new(ordinary(), form(-40.0, v, [0.5, -0.5])));
+            cands.push(StatSolution::new(ordinary(), form(-40.0, 1.5, [0.5, v])));
+        }
+        cands.push(StatSolution::new(
+            form(2.0, 1.5, [1e154, 1e154]),
+            ordinary(),
+        ));
+        cands.push(StatSolution::new(
+            ordinary(),
+            form(-40.0, 1e154, [1e154, 0.5]),
+        ));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            cands.push(StatSolution::new(form(bad, 1.5, [0.5, -0.5]), ordinary()));
+            cands.push(StatSolution::new(ordinary(), form(bad, 1.5, [0.5, -0.5])));
+            let mut pending = StatSolution::new(ordinary(), ordinary());
+            pending.wire_pending = bad;
+            cands.push(pending);
+        }
+        let mut pending = StatSolution::new(ordinary(), ordinary());
+        pending.wire_pending = 0.125;
+        cands.push(pending);
+        for (i, s) in cands.iter_mut().enumerate() {
+            s.trace = Trace::buffer(
+                NodeId(i as u32),
+                varbuf_variation::BufferTypeId(0),
+                Trace::empty(),
+            );
+        }
+        let tag = |s: &StatSolution| s.trace.collect()[0].0;
+        let kept = cands.iter().filter(|s| serial_valid(s)).count();
+        assert!(
+            kept > 0 && kept < cands.len(),
+            "the cases mix valid and poisoned"
+        );
+        // Eight nodes dealt the candidates round-robin, so each mixes
+        // valid and poisoned ones, then one all-poisoned node.
+        let mut g = Governor::governed(Budget::unlimited(), governed_cascade(), 0.0);
+        let mut expected_events = Vec::new();
+        let (mut expected_total, mut event_total) = (0, 0);
+        let mut lists: Vec<Vec<StatSolution>> = (0..8)
+            .map(|n| cands.iter().skip(n).step_by(8).cloned().collect())
+            .collect();
+        lists.push(
+            cands
+                .iter()
+                .filter(|s| !serial_valid(s))
+                .take(4)
+                .cloned()
+                .collect(),
+        );
+        for (n, list) in lists.into_iter().enumerate() {
+            let node = NodeId(n as u32);
+            let want: Vec<NodeId> = list.iter().filter(|s| serial_valid(s)).map(tag).collect();
+            let dropped = list.len() - want.len();
+            let mut got = list;
+            let outcome = g.sanitize(node, &mut got);
+            expected_total += dropped;
+            if want.is_empty() {
+                assert!(
+                    matches!(outcome, Err(InsertionError::PoisonedSolutions { node: at }) if at == node),
+                    "node {n}: every candidate poisoned must be an error"
+                );
+                continue;
+            }
+            outcome.expect("a valid candidate survives");
+            assert_eq!(got.iter().map(tag).collect::<Vec<_>>(), want, "node {n}");
+            if dropped > 0 {
+                event_total += dropped;
+                expected_events.push((
+                    Trigger::PoisonedSolutions {
+                        node,
+                        count: dropped,
+                    },
+                    Action::PoisonedDropped { count: dropped },
+                ));
+            }
+        }
+        assert_eq!(g.poisoned_total(), expected_total);
+        let report = g.into_report();
+        // The all-poisoned node errors without an event.
+        assert_eq!(report.poisoned_dropped(), event_total);
+        assert_eq!(expected_total, event_total + 4);
+        let events: Vec<_> = report
+            .events
+            .into_iter()
+            .map(|e| (e.trigger, e.action))
+            .collect();
+        assert_eq!(events, expected_events);
     }
 
     #[test]

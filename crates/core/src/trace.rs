@@ -13,6 +13,10 @@ use std::sync::Arc;
 use varbuf_rctree::NodeId;
 use varbuf_variation::BufferTypeId;
 
+/// A trace's buffer decisions and its wire-sizing decisions, as
+/// [`Trace::collect`] and [`Trace::collect_wires`] list them.
+pub(crate) type Decisions = (Vec<(NodeId, BufferTypeId)>, Vec<(NodeId, u8)>);
+
 /// A persistent trace of buffer-insertion (and wire-sizing) decisions.
 #[derive(Debug, Clone)]
 pub enum Trace {
@@ -127,6 +131,37 @@ impl Trace {
         out
     }
 
+    /// Collects the buffer and the wire-sizing decisions in one walk:
+    /// `(self.collect(), self.collect_wires())`, each list in the same
+    /// order, for the winner's trace that both are read from.
+    #[must_use]
+    pub(crate) fn decisions(self: &Arc<Trace>) -> Decisions {
+        let (mut buffers, mut wires) = (Vec::new(), Vec::new());
+        let mut stack: Vec<&Trace> = vec![self];
+        while let Some(t) = stack.pop() {
+            match t {
+                Trace::Empty => {}
+                Trace::Buffer { node, ty, rest } => {
+                    buffers.push((*node, *ty));
+                    stack.push(rest);
+                }
+                Trace::Wire {
+                    node,
+                    width_index,
+                    rest,
+                } => {
+                    wires.push((*node, *width_index));
+                    stack.push(rest);
+                }
+                Trace::Join(a, b) => {
+                    stack.push(a);
+                    stack.push(b);
+                }
+            }
+        }
+        (buffers, wires)
+    }
+
     /// Number of buffer decisions in the trace.
     #[must_use]
     pub fn buffer_count(self: &Arc<Trace>) -> usize {
@@ -186,6 +221,46 @@ mod tests {
         let mut wires = j.collect_wires();
         wires.sort();
         assert_eq!(wires, vec![(NodeId(3), 2), (NodeId(4), 1)]);
+    }
+
+    /// `decisions` is both collectors in one walk: the same lists in the
+    /// same order, on chains, joins (nested and shared) and traces that
+    /// mix buffer and wire decisions.
+    #[test]
+    fn one_walk_matches_both_collectors() {
+        let b = |n: u32, ty: usize, rest| Trace::buffer(NodeId(n), BufferTypeId(ty), rest);
+        let w = |n: u32, wi: u8, rest| Trace::wire(NodeId(n), wi, rest);
+        let mut chain = Trace::empty();
+        for i in 0..20 {
+            chain = if i % 3 == 0 {
+                w(i, (i % 4) as u8, chain)
+            } else {
+                b(i, (i % 2) as usize, chain)
+            };
+        }
+        let left = b(30, 1, w(31, 2, b(32, 0, Trace::empty())));
+        let right = w(
+            40,
+            1,
+            Trace::join(b(41, 0, Trace::empty()), w(42, 3, Trace::empty())),
+        );
+        let nested = Trace::join(Trace::join(left.clone(), right.clone()), chain.clone());
+        let shared = Trace::join(nested.clone(), b(50, 1, nested.clone()));
+        let cases = [
+            Trace::empty(),
+            b(1, 0, Trace::empty()),
+            w(2, 1, Trace::empty()),
+            chain,
+            Trace::join(left.clone(), right.clone()),
+            Trace::join(right, left),
+            nested,
+            shared,
+        ];
+        for (i, t) in cases.iter().enumerate() {
+            let (buffers, wires) = t.decisions();
+            assert_eq!(buffers, t.collect(), "case {i}: buffers");
+            assert_eq!(wires, t.collect_wires(), "case {i}: wires");
+        }
     }
 
     #[test]

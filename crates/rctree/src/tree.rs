@@ -17,6 +17,7 @@ use crate::geom::{BoundingBox, Point};
 use crate::wire::WireParams;
 use std::error::Error;
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Index of a node inside a [`RoutingTree`] arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -132,7 +133,8 @@ impl Error for TreeError {}
 ///
 /// Construction is incremental: create the tree with its source, then
 /// attach internal nodes and sinks. All structural invariants are checked
-/// by [`RoutingTree::validate`].
+/// by [`RoutingTree::validate`], which remembers a pass until the next
+/// attach, so re-validating a tree that was only edited costs nothing.
 ///
 /// ```
 /// use varbuf_rctree::{RoutingTree, NodeKind, Point, WireParams};
@@ -145,11 +147,39 @@ impl Error for TreeError {}
 /// assert_eq!(t.sink_count(), 2);
 /// assert_eq!(t.candidate_count(), 3); // one per edge
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct RoutingTree {
     nodes: Vec<Node>,
     wire: WireParams,
     name: String,
+    /// Sink nodes attached so far: a sink stays a sink.
+    sinks: usize,
+    /// Whether [`RoutingTree::validate`] passed since the last attach.
+    /// Atomic because engine workers share the tree by reference.
+    /// `Relaxed` suffices: it publishes no other data, since the nodes
+    /// it vouches for change only through `&mut self`, which happens
+    /// before any shared reader can load it.
+    validated: AtomicBool,
+}
+
+impl Clone for RoutingTree {
+    fn clone(&self) -> Self {
+        Self {
+            nodes: self.nodes.clone(),
+            wire: self.wire,
+            name: self.name.clone(),
+            sinks: self.sinks,
+            validated: AtomicBool::new(self.validated.load(Ordering::Relaxed)),
+        }
+    }
+}
+
+/// Trees are equal by content; whether one has been validated yet is
+/// not part of it.
+impl PartialEq for RoutingTree {
+    fn eq(&self, other: &Self) -> bool {
+        self.nodes == other.nodes && self.wire == other.wire && self.name == other.name
+    }
 }
 
 impl RoutingTree {
@@ -167,6 +197,8 @@ impl RoutingTree {
             }],
             wire,
             name: String::new(),
+            sinks: 0,
+            validated: AtomicBool::new(false),
         }
     }
 
@@ -235,10 +267,11 @@ impl RoutingTree {
             .map(|(id, _)| id)
     }
 
-    /// Number of sinks.
+    /// Number of sinks, counted as they are attached.
+    #[inline]
     #[must_use]
     pub fn sink_count(&self) -> usize {
-        self.sinks().count()
+        self.sinks
     }
 
     /// Number of legal buffer positions.
@@ -311,6 +344,10 @@ impl RoutingTree {
         );
         let edge_length = self.nodes[parent.index()].location.manhattan(location);
         let id = NodeId(self.nodes.len() as u32);
+        self.sinks += usize::from(matches!(kind, NodeKind::Sink { .. }));
+        // A new node can break the structure (a childless internal node,
+        // an infinite Manhattan length), so the next validate re-checks.
+        *self.validated.get_mut() = false;
         self.nodes.push(Node {
             location,
             kind,
@@ -470,11 +507,30 @@ impl RoutingTree {
 
     /// Checks all structural invariants.
     ///
+    /// A pass is remembered: the next call returns `Ok` in O(1) until a
+    /// node is attached ([`add_internal`](Self::add_internal) or
+    /// [`add_sink`](Self::add_sink)), which clears it. The in-place
+    /// setters ([`set_sink`](Self::set_sink),
+    /// [`set_edge_length`](Self::set_edge_length),
+    /// [`set_candidate`](Self::set_candidate)) keep it, because they
+    /// assert the same conditions on their inputs that this check reads.
+    /// So a resident tree that is only edited is walked once.
+    ///
     /// # Errors
     ///
     /// Returns the first [`TreeError`] found; see the enum for the list of
     /// conditions.
     pub fn validate(&self) -> Result<(), TreeError> {
+        if self.validated.load(Ordering::Relaxed) {
+            return Ok(());
+        }
+        self.check()?;
+        self.validated.store(true, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// The full structural check behind [`validate`](Self::validate).
+    fn check(&self) -> Result<(), TreeError> {
         if self.nodes.is_empty() {
             return Err(TreeError::Empty);
         }
@@ -649,12 +705,78 @@ mod tests {
     #[test]
     fn validate_detects_bad_edge_length() {
         let mut t = two_sink_tree();
-        // Bypass set_edge_length's assert by mutating via serde round-trip
-        // is overkill; use the setter for a valid value then break it with
-        // a non-finite length through the public setter's panic path being
-        // separate, we check the validator on NaN injected via set + edit.
-        t.set_edge_length(NodeId(2), 50.0);
-        assert!(t.validate().is_ok());
+        // `attach` stores the Manhattan distance to a non-finite
+        // location as the edge length, bypassing the setter's assert.
+        let far = t.add_sink(NodeId(1), Point::new(f64::INFINITY, 0.0), 5.0, 0.0);
+        assert_eq!(t.node(far).edge_length, f64::INFINITY);
+        assert_eq!(t.validate(), Err(TreeError::BadEdgeLength(far)));
+    }
+
+    #[test]
+    fn attaching_a_bad_edge_after_a_pass_fails_again() {
+        let mut t = two_sink_tree();
+        t.validate().expect("valid");
+        let far = t.add_sink(NodeId(1), Point::new(0.0, f64::NEG_INFINITY), 5.0, 0.0);
+        assert_eq!(t.validate(), Err(TreeError::BadEdgeLength(far)));
+        // A failed check is not remembered as a pass.
+        assert_eq!(t.validate(), Err(TreeError::BadEdgeLength(far)));
+    }
+
+    #[test]
+    fn attaching_a_childless_internal_after_a_pass_fails_again() {
+        let mut t = two_sink_tree();
+        t.validate().expect("valid");
+        let stub = t.add_internal(NodeId(1), Point::new(150.0, 50.0));
+        assert_eq!(t.validate(), Err(TreeError::DanglingInternal(stub)));
+        // Giving it a sink repairs the tree, and the next check sees it.
+        t.add_sink(stub, Point::new(160.0, 50.0), 5.0, 0.0);
+        t.validate().expect("valid again");
+    }
+
+    #[test]
+    fn in_place_setters_keep_a_pass() {
+        let mut t = two_sink_tree();
+        t.validate().expect("valid");
+        t.set_sink(NodeId(2), 33.0, -12.0);
+        t.set_edge_length(NodeId(3), 250.0);
+        t.set_candidate(NodeId(1), false);
+        t.validate().expect("still valid");
+        // The remembered pass agrees with a full check of the edited tree.
+        assert_eq!(t.check(), Ok(()));
+        // A clone keeps the pass, and equality ignores it.
+        let copy = t.clone();
+        assert!(copy.validated.load(Ordering::Relaxed));
+        *t.validated.get_mut() = false;
+        assert_eq!(copy, t);
+    }
+
+    #[test]
+    fn sink_count_matches_a_scan() {
+        let scan = |t: &RoutingTree| t.sinks().count();
+        let mut t = RoutingTree::new(Point::new(0.0, 0.0), 0.1, WireParams::default_65nm());
+        assert_eq!(t.sink_count(), 0);
+        let mid = t.add_internal(t.root(), Point::new(100.0, 0.0));
+        assert_eq!(t.sink_count(), scan(&t));
+        let s = t.add_sink(mid, Point::new(200.0, 0.0), 10.0, 0.0);
+        let inner = t.add_internal(mid, Point::new(100.0, 300.0));
+        t.add_sink(inner, Point::new(50.0, 300.0), 4.0, 1.0);
+        t.add_sink(inner, Point::new(150.0, 300.0), 6.0, 2.0);
+        t.set_sink(s, 12.0, -3.0);
+        assert_eq!(t.sink_count(), 3);
+        assert_eq!(t.sink_count(), scan(&t));
+        let s = t.subdivided(40.0);
+        assert_eq!(s.sink_count(), 3);
+        assert_eq!(s.sink_count(), scan(&s));
+        let mut buf = Vec::new();
+        crate::io::write_tree(&s, &mut buf).expect("write");
+        let back = crate::io::read_tree(buf.as_slice()).expect("read");
+        assert_eq!(back.sink_count(), scan(&back));
+        assert_eq!(back.sink_count(), 3);
+        let generated = crate::generate::generate_benchmark(
+            &crate::generate::BenchmarkSpec::random("count", 37, 4),
+        );
+        assert_eq!(generated.sink_count(), scan(&generated));
+        assert_eq!(generated.sink_count(), 37);
     }
 
     #[test]

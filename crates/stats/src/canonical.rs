@@ -740,6 +740,15 @@ impl CanonicalForm {
         var
     }
 
+    /// Whether every coefficient is at most `bound` in magnitude (`false`
+    /// if one is NaN). One pass over the tail and the window's cells, in
+    /// no particular order: a screen, not a reduction.
+    #[must_use]
+    pub fn coeffs_within(&self, bound: f64) -> bool {
+        let within = |cs: &[f64]| cs.iter().fold(true, |ok, c| ok & (c.abs() <= bound));
+        within(&self.coeffs) && within(&self.win.get().cells)
+    }
+
     /// Standard deviation.
     #[inline]
     #[must_use]
