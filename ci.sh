@@ -9,12 +9,12 @@
 #                         injected panics in a flat and a hierarchical
 #                         run: the service must contain both crashes and
 #                         shut down cleanly)
-#   6. smoke bench       (scaling bench, shrunk via VARBUF_BENCH_SMOKE,
-#                         at --jobs 1 so the statistical and the
-#                         deterministic side of each pair run on one
-#                         thread alike and a stolen second vCPU slows
-#                         neither alone; must emit a parseable
-#                         target/BENCH_dp.smoke.json whose headline
+#   6. smoke bench       (scaling bench, shrunk via VARBUF_BENCH_SMOKE;
+#                         every net's DP is one sequential walk, so the
+#                         statistical and the deterministic side of each
+#                         pair run on one thread alike and a stolen
+#                         second vCPU slows neither alone; must emit a
+#                         parseable target/BENCH_dp.smoke.json whose headline
 #                         ratio — the median of interleaved stat/det pair
 #                         ratios — stays under the checked-in
 #                         results/ratchet.json ceiling; the committed
@@ -49,18 +49,18 @@ echo "==> service smoke (varbuf serve: scripted mix with injected panics)"
 SERVE_OUT=$(printf 'ping\nopen random:8:7\nedit wire s0.0 1 140\nopt s0.0\ncts s0.0 cut-nodes=12\ninject panic 3\nopt s0.0\nopt s0.0\nclose s0.0\nopen random:8:7\ninject panic 5\ncts s0.1 cut-nodes=12\nstats\nquit\n' \
   | ./target/debug/varbuf serve --faults --watchdog 10 2>/dev/null)
 echo "$SERVE_OUT" | sed 's/^/    /'
-echo "$SERVE_OUT" | grep -q '^ok edit'           || { echo "serve smoke: edit ack missing" >&2; exit 1; }
-echo "$SERVE_OUT" | grep -q '^ok opt id=1'       || { echo "serve smoke: clean optimize missing" >&2; exit 1; }
-echo "$SERVE_OUT" | grep -q '^ok opt id=2'       || { echo "serve smoke: hierarchical cts optimize missing" >&2; exit 1; }
-echo "$SERVE_OUT" | grep -q '^err internal'      || { echo "serve smoke: contained panic missing" >&2; exit 1; }
-echo "$SERVE_OUT" | grep -q '^err poisoned'      || { echo "serve smoke: poisoned-session error missing" >&2; exit 1; }
-echo "$SERVE_OUT" | grep -q 'panics=2'           || { echo "serve smoke: stats missed a contained panic (the hierarchical cts run must fire its fault too)" >&2; exit 1; }
-echo "$SERVE_OUT" | tail -1 | grep -q '^ok bye$' || { echo "serve smoke: no clean shutdown" >&2; exit 1; }
+grep -q '^ok edit'           <<<"$SERVE_OUT" || { echo "serve smoke: edit ack missing" >&2; exit 1; }
+grep -q '^ok opt id=1'       <<<"$SERVE_OUT" || { echo "serve smoke: clean optimize missing" >&2; exit 1; }
+grep -q '^ok opt id=2'       <<<"$SERVE_OUT" || { echo "serve smoke: hierarchical cts optimize missing" >&2; exit 1; }
+grep -q '^err internal'      <<<"$SERVE_OUT" || { echo "serve smoke: contained panic missing" >&2; exit 1; }
+grep -q '^err poisoned'      <<<"$SERVE_OUT" || { echo "serve smoke: poisoned-session error missing" >&2; exit 1; }
+grep -q 'panics=2'           <<<"$SERVE_OUT" || { echo "serve smoke: stats missed a contained panic (the hierarchical cts run must fire its fault too)" >&2; exit 1; }
+grep -q '^ok bye$' <<<"$(tail -1 <<<"$SERVE_OUT")" || { echo "serve smoke: no clean shutdown" >&2; exit 1; }
 
-echo "==> smoke bench (VARBUF_BENCH_SMOKE=1 cargo bench --bench scaling -- --jobs 1)"
+echo "==> smoke bench (VARBUF_BENCH_SMOKE=1 cargo bench --bench scaling)"
 SMOKE_JSON=target/BENCH_dp.smoke.json
 rm -f "$SMOKE_JSON"
-VARBUF_BENCH_SMOKE=1 cargo bench --bench scaling -- --jobs 1
+VARBUF_BENCH_SMOKE=1 cargo bench --bench scaling
 test -s "$SMOKE_JSON" || { echo "$SMOKE_JSON missing or empty" >&2; exit 1; }
 if command -v python3 >/dev/null 2>&1; then
   python3 - "$SMOKE_JSON" <<'EOF'
@@ -77,13 +77,10 @@ if not isinstance(r.get('pruned_by_dominance'), int) or r['pruned_by_dominance']
 v = r.get('pruned_by_dominance_ratio')
 if not isinstance(v, (int, float)) or not math.isfinite(v) or v < 0:
     sys.exit(f'{path}: pruned_by_dominance_ratio missing or not a finite non-negative number')
-# The headline ratio must say which size produced it, and the engine
-# must report both the requested and the effective worker count (the
-# thread clamp is invisible in the request otherwise).
-for key in ('stat_vs_det_ratio_sinks', 'jobs_requested', 'jobs_effective'):
-    v = r.get(key)
-    if not isinstance(v, (int, float)) or not math.isfinite(v) or v < 1:
-        sys.exit(f'{path}: {key} missing or not a finite positive number')
+# The headline ratio must say which size produced it.
+v = r.get('stat_vs_det_ratio_sinks')
+if not isinstance(v, (int, float)) or not math.isfinite(v) or v < 1:
+    sys.exit(f'{path}: stat_vs_det_ratio_sinks missing or not a finite positive number')
 # Ratchet: the statistical/deterministic gap must not regress past the
 # checked-in ceiling. The smoke ratio is the median of interleaved
 # (stat, det) pair ratios at a small N; the ceiling still carries
@@ -192,9 +189,9 @@ else
   echo "(python3 unavailable; skipped the cts peak-RSS ratchet)"
 fi
 echo "$CTS_OUT" | sed 's/^/    /'
-echo "$CTS_OUT" | grep -q '^htree16: 65536 sinks' || { echo "cts gate: 64k run did not complete" >&2; exit 1; }
-echo "$CTS_OUT" | grep -q 'peak chunk bytes'      || { echo "cts gate: frontier ledger peak missing" >&2; exit 1; }
-echo "$CTS_OUT" | grep -q '^global skew '         || { echo "cts gate: skew analysis did not report a global skew" >&2; exit 1; }
+grep -q '^htree16: 65536 sinks' <<<"$CTS_OUT" || { echo "cts gate: 64k run did not complete" >&2; exit 1; }
+grep -q 'peak chunk bytes'      <<<"$CTS_OUT" || { echo "cts gate: frontier ledger peak missing" >&2; exit 1; }
+grep -q '^global skew '         <<<"$CTS_OUT" || { echo "cts gate: skew analysis did not report a global skew" >&2; exit 1; }
 
 echo "==> profile smoke (profile_stat --json: phase attribution well-formed)"
 cargo build --release -p varbuf-bench --examples
@@ -218,8 +215,7 @@ if phase_sum > 1.5 * r['wall_ns']:
     sys.exit(f'profile_stat: phase timers ({phase_sum:.0f} ns) wildly exceed '
              f'the wall clock ({r["wall_ns"]:.0f} ns) — attribution is broken')
 for key in ('sinks', 'nodes_processed', 'solutions_generated',
-            'solutions_pruned', 'pruned_by_dominance', 'max_solutions_per_node',
-            'jobs_requested', 'jobs_effective'):
+            'solutions_pruned', 'pruned_by_dominance', 'max_solutions_per_node'):
     v = r.get(key)
     if not isinstance(v, (int, float)) or not math.isfinite(v) or v < 0:
         sys.exit(f'profile_stat: {key} missing or not a finite non-negative number')

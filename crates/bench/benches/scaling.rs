@@ -1,14 +1,14 @@
 //! Benchmark of the end-to-end DP across benchmark sizes — the measured
 //! backbone of Figure 5's linearity claim — plus the batch-throughput
-//! comparison for the parallel engine (`--jobs 1` vs `--jobs 4`).
+//! comparison for the batch pool (one worker vs four).
 //!
-//! All DP timings route through [`optimize_batch`], so the wall-clock
-//! columns reflect the engine the CLI and experiment binaries actually
-//! run; with one worker the batch path is the plain sequential loop, so
-//! `--jobs 1` reproduces the historical numbers. On top of the printed
-//! tables the run writes machine-readable `BENCH_dp.json` at the repo
-//! root (median ns, solutions/sec, peak list size per bench, plus the
-//! thread count the speedup must be judged against).
+//! All DP timings route through [`optimize_batch`] with one worker, so
+//! the wall-clock columns reflect the engine the CLI and experiment
+//! binaries actually run: the plain sequential loop, on one thread on
+//! both sides of every statistical/deterministic ratio. On top of the
+//! printed tables the run writes machine-readable `BENCH_dp.json` at
+//! the repo root (median ns, solutions/sec, peak list size per bench,
+//! plus the thread count the batch speedup must be judged against).
 //!
 //! `VARBUF_BENCH_SMOKE=1` shrinks sizes and budgets to a CI-friendly
 //! smoke run and writes `target/BENCH_dp.smoke.json` instead, so a
@@ -20,7 +20,6 @@ use std::time::{Duration, Instant};
 use varbuf_bench::harness::{alloc_counter, black_box, BenchConfig, Bencher, JsonReport};
 use varbuf_bench::KernelOperands;
 use varbuf_core::det::optimize_deterministic;
-use varbuf_core::dp::DpOptions;
 use varbuf_core::governor::Budget;
 use varbuf_core::hier::HierOptions;
 use varbuf_core::pool::{default_jobs, optimize_batch, optimize_batch_forced, BatchRequest};
@@ -38,7 +37,7 @@ use varbuf_variation::{ProcessModel, SpatialKind, VariationMode};
 #[global_allocator]
 static ALLOC: alloc_counter::CountingAlloc = alloc_counter::CountingAlloc;
 
-fn request<'a>(tree: &'a RoutingTree, model: &'a ProcessModel, jobs: usize) -> BatchRequest<'a> {
+fn request<'a>(tree: &'a RoutingTree, model: &'a ProcessModel) -> BatchRequest<'a> {
     let mut req = BatchRequest::new(
         tree,
         model,
@@ -46,10 +45,6 @@ fn request<'a>(tree: &'a RoutingTree, model: &'a ProcessModel, jobs: usize) -> B
         Arc::new(TwoParam::default()),
     );
     req.strict = true;
-    req.options = DpOptions {
-        jobs,
-        ..DpOptions::default()
-    };
     req
 }
 
@@ -79,19 +74,11 @@ fn paired_ratio(pairs: usize, mut num: impl FnMut(), mut den: impl FnMut()) -> f
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let jobs: usize = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .map_or(1, |n: usize| if n == 0 { default_jobs() } else { n });
     let smoke = std::env::var_os("VARBUF_BENCH_SMOKE").is_some();
 
     let mut report = JsonReport::new();
     report.meta_str("bench", "scaling");
     report.meta_num("threads_available", default_jobs() as f64);
-    report.meta_num("jobs", jobs as f64);
     report.meta_num("smoke", u32::from(smoke).into());
 
     // Per-size scaling, Figure 5 style.
@@ -116,7 +103,7 @@ fn main() {
         let tree = generate_benchmark(&BenchmarkSpec::random("scale", sinks, 77)).subdivided(500.0);
         let model = ProcessModel::paper_defaults(tree.bounding_box(), SpatialKind::Heterogeneous);
 
-        let reqs = vec![request(&tree, &model, jobs)];
+        let reqs = vec![request(&tree, &model)];
         // The first run on this fresh model collects the DP counters for
         // annotation and doubles as the allocation-budget probe: it is
         // what every CLI `opt` and benchmark item pays. The engine's
@@ -181,17 +168,13 @@ fn main() {
         generate_benchmark(&BenchmarkSpec::random("scale", attr_sinks, 77)).subdivided(500.0);
     let attr_model =
         ProcessModel::paper_defaults(attr_tree.bounding_box(), SpatialKind::Heterogeneous);
-    let attr_stats = optimize_batch(&[request(&attr_tree, &attr_model, jobs)], 1)
+    let attr_stats = optimize_batch(&[request(&attr_tree, &attr_model)], 1)
         .pop()
         .expect("one request")
         .expect("completes")
         .result
         .stats;
     let generated = attr_stats.solutions_generated.max(1) as f64;
-    // What the engine actually ran with, next to what was asked for —
-    // the clamp to available threads is invisible in the request.
-    report.meta_num("jobs_requested", attr_stats.jobs_requested as f64);
-    report.meta_num("jobs_effective", attr_stats.jobs_effective as f64);
     report.meta_num("pruned_by_dominance", attr_stats.pruned_by_dominance as f64);
     report.meta_num(
         "pruned_by_dominance_ratio",
@@ -224,8 +207,8 @@ fn main() {
         let tree =
             generate_benchmark(&BenchmarkSpec::random("wire-heavy", sinks, 77)).subdivided(pitch);
         let model = ProcessModel::paper_defaults(tree.bounding_box(), SpatialKind::Heterogeneous);
-        let on_reqs = vec![request(&tree, &model, jobs)];
-        let mut off_reqs = vec![request(&tree, &model, jobs)];
+        let on_reqs = vec![request(&tree, &model)];
+        let mut off_reqs = vec![request(&tree, &model)];
         off_reqs[0].options.use_lazy_wire = false;
         let probe = optimize_batch(&on_reqs, 1)
             .pop()
@@ -280,7 +263,7 @@ fn main() {
     let reqs: Vec<BatchRequest> = trees
         .iter()
         .zip(&models)
-        .map(|(t, m)| request(t, m, 1))
+        .map(|(t, m)| request(t, m))
         .collect();
 
     let sample: Vec<_> = optimize_batch(&reqs, 1)
@@ -474,7 +457,7 @@ fn main() {
             params: OptimizeParams::default(),
         });
     }
-    let burst_responses = burst.drain(jobs);
+    let burst_responses = burst.drain(1);
     let shed = burst_responses
         .iter()
         .filter(|r| matches!(r, Response::Error(RequestError::Overloaded { .. })))

@@ -1,6 +1,6 @@
 //! Phase-level profile of a single statistical DP run on the scaling
 //! bench's exact configuration (`random("scale", N, 77)` subdivided at
-//! 500 µm, Heterogeneous WID, 2P, jobs = 1).
+//! 500 µm, Heterogeneous WID, 2P).
 //!
 //! Usage:
 //! `cargo run --release -p varbuf-bench --example profile_stat [N] [--json FILE]`
@@ -88,8 +88,6 @@ fn main() {
             "max_solutions_per_node",
             r.stats.max_solutions_per_node as f64,
         );
-        report.meta_num("jobs_requested", r.stats.jobs_requested as f64);
-        report.meta_num("jobs_effective", r.stats.jobs_effective as f64);
         report.write(&path).expect("write profile JSON");
         println!("phase attribution written to {}", path.display());
     }

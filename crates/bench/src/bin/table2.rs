@@ -86,8 +86,7 @@ fn main() {
 
     // The paper frames [7]'s capacity as "the largest routing tree has
     // only nine (9) sinks". Find the largest synthetic net our 4P
-    // implementation completes under the same caps. A single request
-    // can't fan out, so `--jobs` becomes intra-tree workers here.
+    // implementation completes under the same caps, one net at a time.
     println!("\n4P capacity sweep (synthetic nets, same caps):");
     let mut largest_ok = 0;
     for sinks in [4usize, 6, 9, 12, 16, 24, 32, 48] {
@@ -103,7 +102,6 @@ fn main() {
         req.options = DpOptions {
             max_solutions_per_node: cap,
             time_limit: limit,
-            jobs,
             ..DpOptions::default()
         };
         let start = std::time::Instant::now();

@@ -102,13 +102,6 @@ pub struct DpOptions {
     pub sparsify_epsilon: f64,
     /// Winner criterion at the root.
     pub root_selection: RootSelection,
-    /// Worker threads for intra-tree parallelism (`1` = sequential).
-    /// Independent sibling subtrees are solved concurrently and joined
-    /// at branch nodes in fixed child order; results are bit-identical
-    /// to the sequential engine (see `pool` module docs for the
-    /// determinism contract and when the engine falls back to one
-    /// thread).
-    pub jobs: usize,
     /// Lazy list-level wire propagation: the wire lift updates only the
     /// *means* per segment (two scalar adds, bit-identical to the eager
     /// kernel's nominal path) and defers the O(terms) coupling
@@ -128,41 +121,6 @@ pub struct DpOptions {
     /// would shift *when* degradation triggers) and under fault
     /// injection. `--no-lazy-wire` on the CLI.
     pub use_lazy_wire: bool,
-    /// Honor `jobs` literally even when it exceeds the host's available
-    /// parallelism. By default a request for more workers than the
-    /// machine has hardware threads is clamped (oversubscribed pools
-    /// only add contention — on a single-thread host `jobs = 4` measured
-    /// ~0.8× of sequential), but benchmarks probing the pool machinery
-    /// itself can force the fan-out with `--jobs-force`.
-    pub jobs_force: bool,
-    /// Combinatorial-blowup guard for governed runs: when the requested
-    /// primary rule merges by cross product (4P), the budget puts no
-    /// ceiling on solutions or memory, and the tree has more sinks than
-    /// this threshold, the run starts directly under the cascade's first
-    /// linear-merge rule instead of discovering the `n·m` blowup nodes
-    /// deep into the run. Recorded as [`Degradation::guard`] — a typed
-    /// planning note, not a degradation event, since the substituted run
-    /// completes at full fidelity. `0` disables the guard. Strict runs
-    /// are never guarded (they own their rule and abort by contract),
-    /// and neither are runs whose budget constrains solutions or memory
-    /// (the governor's ladder handles those, with full event reporting).
-    pub guard_4p_sinks: usize,
-}
-
-impl DpOptions {
-    /// The worker count the engine will actually use: `jobs` clamped to
-    /// the host's available parallelism unless [`Self::jobs_force`] is
-    /// set. Recorded as `DpStats::jobs_effective` alongside the raw
-    /// request.
-    #[must_use]
-    pub fn effective_jobs(&self) -> usize {
-        let jobs = self.jobs.max(1);
-        if self.jobs_force {
-            jobs
-        } else {
-            jobs.min(crate::pool::default_jobs())
-        }
-    }
 }
 
 impl Default for DpOptions {
@@ -172,10 +130,7 @@ impl Default for DpOptions {
             time_limit: Duration::from_secs(4 * 3600),
             sparsify_epsilon: 0.0,
             root_selection: RootSelection::YieldRat(0.95),
-            jobs: 1,
             use_lazy_wire: true,
-            jobs_force: false,
-            guard_4p_sinks: 12,
         }
     }
 }
@@ -384,28 +339,39 @@ pub fn fallback_cascade(primary: Arc<dyn PruningRule>) -> Vec<Arc<dyn PruningRul
     cascade
 }
 
-/// The pre-run combinatorial-blowup guard (see
-/// [`DpOptions::guard_4p_sinks`]): rewrites `cascade` so a governed run
-/// that would start under a cross-product rule on a known-intractable
-/// tree starts under the first linear-merge fallback instead. Returns
-/// the [`GuardedFallback`] note to attach to the run's report, or
+/// The sink count above which the pre-run blowup guard
+/// ([`guard_cascade`]) substitutes a linear-merge rule for a
+/// cross-product primary.
+const GUARD_4P_SINKS: usize = 12;
+
+/// The pre-run combinatorial-blowup guard for governed runs: when the
+/// requested primary rule merges by cross product (4P), the budget puts
+/// no ceiling on solutions or memory, and the tree has more than
+/// [`GUARD_4P_SINKS`] sinks, `cascade` is rewritten so the run starts
+/// directly under its first linear-merge rule instead of discovering
+/// the `n·m` blowup nodes deep into the run. Strict runs are never
+/// guarded (they own their rule and abort by contract), and neither
+/// are runs whose budget constrains solutions or memory (the
+/// governor's ladder handles those, with full event reporting).
+///
+/// Returns the [`GuardedFallback`] note to attach to the run's report
+/// as [`Degradation::guard`] — a typed planning note, not a degradation
+/// event, since the substituted run completes at full fidelity — or
 /// `None` when the guard does not apply. Deterministic in the inputs,
 /// so the incremental and cold paths substitute identically.
 fn guard_cascade(
     tree: &RoutingTree,
     cascade: &mut Vec<Arc<dyn PruningRule>>,
-    options: &DpOptions,
     budget: &Budget,
 ) -> Option<GuardedFallback> {
-    let threshold = options.guard_4p_sinks;
-    if threshold == 0 || cascade.is_empty() {
+    if cascade.is_empty() {
         return None;
     }
     if cascade[0].strategy() != MergeStrategy::CrossProduct {
         return None;
     }
     let sinks = tree.sink_count();
-    if sinks <= threshold {
+    if sinks <= GUARD_4P_SINKS {
         return None;
     }
     // A finite solution or memory ceiling means the governor's own
@@ -430,7 +396,7 @@ fn guard_cascade(
         from,
         to: cascade[0].name().to_owned(),
         sinks,
-        threshold,
+        threshold: GUARD_4P_SINKS,
     })
 }
 
@@ -603,7 +569,7 @@ pub(crate) fn run_governed(
     controls: RunControls<'_>,
     memo: Option<Memo<'_>>,
 ) -> Result<HierResult, InsertionError> {
-    let guard = guard_cascade(tree, &mut cascade, options, budget);
+    let guard = guard_cascade(tree, &mut cascade, budget);
     let mut governor = Governor::governed(*budget, cascade, options.sparsify_epsilon);
     if controls.has_cancellation() {
         governor =
@@ -658,124 +624,26 @@ pub(crate) struct Memo<'m> {
     pub(crate) run_sig: u64,
 }
 
-/// Control-flow signal inside the engine: a typed error to surface to
-/// the caller, or *pressure* — the speculative parallel phase detected
-/// that the governor would have to degrade, so the whole run must be
-/// redone sequentially under the real governor (see [`crate::pool`]).
-pub(crate) enum EngineInterrupt {
-    /// A hard failure the caller sees as-is.
-    Error(InsertionError),
-    /// Raised only by the parallel probe; never escapes `run_engine`.
-    Pressure,
-}
-
-impl From<InsertionError> for EngineInterrupt {
-    fn from(e: InsertionError) -> Self {
-        EngineInterrupt::Error(e)
-    }
-}
-
-impl EngineInterrupt {
-    fn into_error(self) -> InsertionError {
-        match self {
-            EngineInterrupt::Error(e) => e,
-            EngineInterrupt::Pressure => {
-                unreachable!("pressure is raised only by the parallel probe")
-            }
-        }
-    }
-}
-
-/// The DP's resource-policy interface. The sequential engine wires it
-/// straight to the [`Governor`]; the parallel engine substitutes a
-/// frozen probe that never mutates the caller's governor and raises
-/// [`EngineInterrupt::Pressure`] the moment a degradation *would*
-/// happen ([`crate::pool`]).
-pub(crate) trait Supervisor {
-    /// The active pruning rule. Cheap; fetch again after any call that
-    /// may have advanced the fallback cascade.
-    fn rule(&self) -> Arc<dyn PruningRule>;
-    /// Current epsilon-sparsification level.
-    fn epsilon(&self) -> f64;
-    /// Whether integrity screening (sanitize + re-admission) applies.
-    fn is_governed(&self) -> bool;
-    /// Whether panic completion is engaged.
-    fn panicking(&self) -> bool;
-    /// Wall-clock policy check.
-    fn check_time(&mut self) -> Result<(), EngineInterrupt>;
-    /// Offers a candidate count (materialized or about to be).
-    fn admit(&mut self, node: NodeId, solutions: usize) -> Result<Admission, EngineInterrupt>;
-    /// Drops non-finite candidates per the governor's integrity policy.
-    fn sanitize(
-        &mut self,
-        node: NodeId,
-        sols: &mut Vec<StatSolution>,
-    ) -> Result<(), EngineInterrupt>;
-    /// Live-memory accounting after a list is stored/freed.
-    fn note_memory(&mut self, stored: &[StatSolution], freed: usize);
-}
-
-/// The sequential supervisor is the governor itself, so the engine
-/// makes exactly the call sequence the degradation tests pin down.
-impl Supervisor for Governor {
-    fn rule(&self) -> Arc<dyn PruningRule> {
-        self.active_rule()
-    }
-
-    fn epsilon(&self) -> f64 {
-        Governor::epsilon(self)
-    }
-
-    fn is_governed(&self) -> bool {
-        Governor::is_governed(self)
-    }
-
-    fn panicking(&self) -> bool {
-        Governor::panicking(self)
-    }
-
-    fn check_time(&mut self) -> Result<(), EngineInterrupt> {
-        Governor::check_time(self).map_err(Into::into)
-    }
-
-    fn admit(&mut self, node: NodeId, solutions: usize) -> Result<Admission, EngineInterrupt> {
-        Governor::admit(self, node, solutions).map_err(Into::into)
-    }
-
-    fn sanitize(
-        &mut self,
-        node: NodeId,
-        sols: &mut Vec<StatSolution>,
-    ) -> Result<(), EngineInterrupt> {
-        Governor::sanitize(self, node, sols).map_err(Into::into)
-    }
-
-    fn note_memory(&mut self, stored: &[StatSolution], freed: usize) {
-        Governor::note_memory(self, stored, freed);
-    }
-}
-
 /// Immutable per-run context: the run's inputs plus the lazy-wire
-/// switch, shared read-only by the sequential loop and every pool
-/// worker. Per-node values are computed where the walk uses them — each
-/// wire segment at its lift, each candidate's device forms in its
-/// buffering arm, into the worker's [`SolPool`] scratch — so a run pays
-/// only for what it reads and holds nothing per node.
-pub(crate) struct RunCtx<'a> {
-    pub(crate) tree: &'a RoutingTree,
-    pub(crate) model: &'a ProcessModel,
-    pub(crate) mode: VariationMode,
-    pub(crate) sizing: &'a WireSizing,
+/// switch, read by every node of the walk. Per-node values are computed
+/// where the walk uses them — each wire segment at its lift, each
+/// candidate's device forms in its buffering arm, into the run's
+/// [`SolPool`] scratch — so a run pays only for what it reads and holds
+/// nothing per node.
+struct RunCtx<'a> {
+    tree: &'a RoutingTree,
+    model: &'a ProcessModel,
+    mode: VariationMode,
+    sizing: &'a WireSizing,
     /// Whether lazy wire propagation is armed for this run (see
-    /// [`DpOptions::use_lazy_wire`] for the arming conditions). Shared by
-    /// the parallel workers and the sequential engine.
-    pub(crate) lazy: bool,
+    /// [`DpOptions::use_lazy_wire`] for the arming conditions).
+    lazy: bool,
 }
 
 impl<'a> RunCtx<'a> {
     /// Collects the run's inputs and arms lazy wire propagation for a
     /// run under `governor`, with a fault injector when `faults` is set.
-    pub(crate) fn new(
+    fn new(
         tree: &'a RoutingTree,
         model: &'a ProcessModel,
         mode: VariationMode,
@@ -800,7 +668,7 @@ impl<'a> RunCtx<'a> {
     }
 
     /// The RC segment of the edge above `node` scaled to width `wi`.
-    pub(crate) fn segment(&self, node: NodeId, wi: usize) -> WireSegment {
+    fn segment(&self, node: NodeId, wi: usize) -> WireSegment {
         let w = self.sizing.widths()[wi];
         let mut seg = self.tree.wire().segment(self.tree.node(node).edge_length);
         seg.resistance /= w;
@@ -809,9 +677,9 @@ impl<'a> RunCtx<'a> {
     }
 }
 
-/// One worker's device-form scratch: the candidate site being buffered
-/// and its `(C_b, T_b)` pair per buffer type, rewritten in place at
-/// every candidate.
+/// The buffering arm's device-form scratch: the candidate site being
+/// buffered and its `(C_b, T_b)` pair per buffer type, rewritten in
+/// place at every candidate.
 #[derive(Default)]
 struct DeviceScratch {
     site: DeviceSite,
@@ -836,13 +704,12 @@ impl DeviceScratch {
 /// Recycles the engine's transient allocations: candidate-list `Vec`s,
 /// the solution carcasses inside them (term vectors keep their
 /// capacity), the batched-key prune scratch, the sorted-merge key
-/// buffers and the buffering arm's device forms. One pool per worker —
-/// never shared.
+/// buffers and the buffering arm's device forms. One pool per run.
 #[derive(Default)]
-pub(crate) struct SolPool {
+struct SolPool {
     lists: Vec<Vec<StatSolution>>,
     sols: Vec<StatSolution>,
-    pub(crate) scratch: PruneScratch,
+    scratch: PruneScratch,
     merge_keys: (Vec<f64>, Vec<f64>),
     device: DeviceScratch,
 }
@@ -901,11 +768,9 @@ impl SolPool {
     }
 }
 
-/// The shared DP engine behind every entry point. Every resource
-/// decision is delegated to `governor`. A run with no fault injector,
-/// no memo and no cuts first tries the speculative parallel phase when
-/// [`DpOptions::jobs`] > 1 (see [`crate::pool`]); [`walk`] is the
-/// authoritative sequential engine. Returns the design plus the
+/// The shared DP engine behind every entry point: validates the
+/// inputs, runs [`walk`] with every resource decision delegated to
+/// `governor`, and picks the winner. Returns the design plus the
 /// decomposition report (zero unless `hier` produced cuts).
 #[allow(clippy::too_many_arguments)]
 fn run_engine(
@@ -939,22 +804,8 @@ fn run_engine(
         faults.is_some(),
     );
     let mut cuts = hier.and_then(|h| Cuts::plan(tree, h));
-
-    // Speculative parallel phase: `None` means ineligible or aborted on
-    // pressure — fall through to the walk with the governor untouched,
-    // so results stay bit-identical.
-    let parallel = if faults.is_none() && memo.is_none() && cuts.is_none() {
-        crate::pool::try_parallel_tree(&ctx, options, governor)
-    } else {
-        None
-    };
-    let (mut root_list, mut stats) = match parallel {
-        Some(outcome) => outcome?,
-        None => walk(&ctx, governor, faults, memo, cuts.as_mut())
-            .map_err(EngineInterrupt::into_error)?,
-    };
+    let (mut root_list, mut stats) = walk(&ctx, governor, faults, memo, cuts.as_mut())?;
     stats.runtime = governor.elapsed();
-    stats.jobs_requested = options.jobs.max(1);
     let report = match cuts {
         Some(c) => c.report(governor.peak_chunk_bytes()),
         None => HierReport {
@@ -965,9 +816,8 @@ fn run_engine(
     Ok((select_winner(tree, options, &mut root_list, stats), report))
 }
 
-/// The engine's one sequential walk. It visits `tree` in
-/// [`RoutingTree::postorder`] order (last child first) — the order the
-/// parallel phase's smallest-position error rule assumes — and runs
+/// The engine's one walk. It visits `tree` in
+/// [`RoutingTree::postorder`] order (last child first) and runs
 /// [`process_node`] at each node, pushing the node's list on a stack of
 /// finished lists. Children finish last-first, so a parent pops its
 /// children's lists in child order, and the walk holds one list per
@@ -983,7 +833,7 @@ fn walk(
     mut faults: Option<&mut FaultInjector>,
     mut memo: Option<&mut Memo<'_>>,
     mut cuts: Option<&mut Cuts>,
-) -> Result<(Vec<StatSolution>, DpStats), EngineInterrupt> {
+) -> Result<(Vec<StatSolution>, DpStats), InsertionError> {
     let tree = ctx.tree;
     let mut stats = DpStats::default();
     let mut done: Vec<Vec<StatSolution>> = Vec::new();
@@ -1052,33 +902,31 @@ fn walk(
         stats.cache_misses = stats.nodes_processed;
         stats.cache_hits = tree.len() - stats.nodes_processed;
     }
-    stats.jobs_effective = 1;
     let root_list = done.pop().expect("the root finishes last");
     debug_assert!(done.is_empty(), "every other list was taken by its parent");
     Ok((root_list, stats))
 }
 
-/// One node of the DP, shared verbatim by the sequential and parallel
-/// engines: builds the node's base list from its children (taken as
-/// owned lists in fixed child order), offers buffers, and applies the
-/// supervisor's admission/integrity policy. Returns the node's
-/// surviving candidate list.
+/// One node of the DP: builds the node's base list from its children
+/// (taken as owned lists in fixed child order), offers buffers, and
+/// applies the governor's admission/integrity policy. Returns the
+/// node's surviving candidate list.
 ///
 /// The hot path is allocation-free in steady state: wire segments are
-/// computed at the lift, device forms are written into the worker's
+/// computed at the lift, device forms are written into the run's
 /// [`SolPool`] scratch, new solutions are recycled carcasses from the
 /// same pool, and pruning runs over the pool's batched-key scratch.
 #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-pub(crate) fn process_node<S: Supervisor>(
+fn process_node(
     ctx: &RunCtx<'_>,
-    sup: &mut S,
+    gov: &mut Governor,
     id: NodeId,
     mut children: Vec<Vec<StatSolution>>,
     faults: Option<&mut FaultInjector>,
     pool: &mut SolPool,
     stats: &mut DpStats,
-) -> Result<Vec<StatSolution>, EngineInterrupt> {
-    sup.check_time()?;
+) -> Result<Vec<StatSolution>, InsertionError> {
+    gov.check_time()?;
     let node = ctx.tree.node(id);
     stats.nodes_processed += 1;
 
@@ -1120,11 +968,11 @@ pub(crate) fn process_node<S: Supervisor>(
                     } else {
                         for s in &mut lifted {
                             wire_extend_stat_in_place(s, seg);
-                            sparsify(s, sup.epsilon());
+                            sparsify(s, gov.epsilon());
                         }
                     }
                     stats.wire_time += t_lift.elapsed();
-                    sup.note_memory(&[], freed);
+                    gov.note_memory(&[], freed);
                     lifted
                 } else {
                     let mut lifted = pool.take(child_list.len() * widths);
@@ -1135,7 +983,7 @@ pub(crate) fn process_node<S: Supervisor>(
                                 wire_defer_stat_into(&mut out, s, &ctx.segment(c, wi));
                             } else {
                                 wire_extend_stat_into(&mut out, s, &ctx.segment(c, wi));
-                                sparsify(&mut out, sup.epsilon());
+                                sparsify(&mut out, gov.epsilon());
                             }
                             if record_width {
                                 // `out.trace` is a clone of `s.trace`, and
@@ -1148,7 +996,7 @@ pub(crate) fn process_node<S: Supervisor>(
                     stats.wire_time += t_lift.elapsed();
                     let freed: usize = child_list.iter().map(solution_footprint).sum();
                     pool.put(child_list);
-                    sup.note_memory(&[], freed);
+                    gov.note_memory(&[], freed);
                     lifted
                 };
                 stats.solutions_generated += lifted.len();
@@ -1162,16 +1010,16 @@ pub(crate) fn process_node<S: Supervisor>(
                 // whole runs byte-identical to eager.
                 if ctx.lazy {
                     let term_keyed = {
-                        let rule = sup.rule();
+                        let rule = gov.active_rule();
                         !rule.mean_keys() || rule.strategy() == MergeStrategy::CrossProduct
                     };
                     if term_keyed {
-                        materialize_list(&mut lifted, sup.epsilon(), stats);
+                        materialize_list(&mut lifted, gov.epsilon(), stats);
                     }
                 }
                 let before = lifted.len();
                 let t_prune = Instant::now();
-                prune_solutions_keyed(&*sup.rule(), &mut lifted, &mut pool.scratch);
+                prune_solutions_keyed(&*gov.active_rule(), &mut lifted, &mut pool.scratch);
                 pool.reclaim_pruned();
                 stats.prune_time += t_prune.elapsed();
                 stats.solutions_pruned += before - lifted.len();
@@ -1179,10 +1027,10 @@ pub(crate) fn process_node<S: Supervisor>(
 
                 acc = Some(match acc {
                     None => lifted,
-                    Some(prev) => merge_lists(ctx, sup, prev, lifted, id, pool, stats)?,
+                    Some(prev) => merge_lists(ctx, gov, prev, lifted, id, pool, stats)?,
                 });
                 if let Some(list) = acc.as_mut() {
-                    admit_list(sup, id, list, pool, stats)?;
+                    admit_list(gov, id, list, pool, stats)?;
                 }
             }
             acc.expect("validated internal nodes have children")
@@ -1191,14 +1039,14 @@ pub(crate) fn process_node<S: Supervisor>(
 
     // 2. Offer a buffer at legal positions.
     if node.is_candidate {
-        sup.check_time()?;
+        gov.check_time()?;
         let t_buf = Instant::now();
         let mut buffered = pool.take(0);
         // Moved out for the arm, so `take_sol` can borrow the pool while
         // the forms are read.
         let mut device = std::mem::take(&mut pool.device);
         {
-            let rule = sup.rule();
+            let rule = gov.active_rule();
             let forms = device.write(ctx, id);
             for (ty, bt) in ctx.model.library().iter() {
                 let (cap_form, delay_form) = &forms[ty.0];
@@ -1229,13 +1077,13 @@ pub(crate) fn process_node<S: Supervisor>(
                                 // The argmax key above is a mean, so the
                                 // choice does not move; the cost stays
                                 // inside this arm's `buffer_time` window.
-                                materialize_solution(&mut sols[bi], sup.epsilon());
+                                materialize_solution(&mut sols[bi], gov.epsilon());
                             }
                             let mut s = pool.take_sol();
                             buffer_extend_stat_into(
                                 &mut s, &sols[bi], cap_form, delay_form, resistance, id, ty,
                             );
-                            sparsify(&mut s, sup.epsilon());
+                            sparsify(&mut s, gov.epsilon());
                             buffered.push(s);
                             stats.solutions_generated += 1;
                         }
@@ -1248,7 +1096,7 @@ pub(crate) fn process_node<S: Supervisor>(
                             buffer_extend_stat_into(
                                 &mut b, s, cap_form, delay_form, resistance, id, ty,
                             );
-                            sparsify(&mut b, sup.epsilon());
+                            sparsify(&mut b, gov.epsilon());
                             buffered.push(b);
                             stats.solutions_generated += 1;
                         }
@@ -1260,9 +1108,9 @@ pub(crate) fn process_node<S: Supervisor>(
         sols.append(&mut buffered);
         pool.put(buffered);
         stats.buffer_time += t_buf.elapsed();
-        admit_list(sup, id, &mut sols, pool, stats)?;
+        admit_list(gov, id, &mut sols, pool, stats)?;
         let before = sols.len();
-        prune_full(sup, &mut sols, pool, stats)?;
+        prune_full(gov, &mut sols, pool, stats)?;
         stats.solutions_pruned += before - sols.len();
         stats.pruned_by_dominance += before - sols.len();
     }
@@ -1271,15 +1119,15 @@ pub(crate) fn process_node<S: Supervisor>(
     if let Some(inj) = faults {
         inj.on_node(id, &mut sols);
     }
-    if sup.is_governed() {
-        sup.sanitize(id, &mut sols)?;
-        admit_list(sup, id, &mut sols, pool, stats)?;
+    if gov.is_governed() {
+        gov.sanitize(id, &mut sols)?;
+        admit_list(gov, id, &mut sols, pool, stats)?;
     }
-    if sup.panicking() {
-        keep_best(&*sup.rule(), &mut sols);
+    if gov.panicking() {
+        keep_best(&*gov.active_rule(), &mut sols);
     }
 
-    sup.note_memory(&sols, 0);
+    gov.note_memory(&sols, 0);
     stats.max_solutions_per_node = stats.max_solutions_per_node.max(sols.len());
     Ok(sols)
 }
@@ -1354,23 +1202,23 @@ pub(crate) fn materialize_list(sols: &mut [StatSolution], epsilon: f64, stats: &
     }
 }
 
-/// Offers a node's candidate list to the supervisor, applying whatever
+/// Offers a node's candidate list to the governor, applying whatever
 /// the verdict requires (re-prune under a fallback rule, spread-
 /// preserving truncation) until the list is admitted.
-fn admit_list<S: Supervisor>(
-    sup: &mut S,
+fn admit_list(
+    gov: &mut Governor,
     node: NodeId,
     sols: &mut Vec<StatSolution>,
     pool: &mut SolPool,
     stats: &mut DpStats,
-) -> Result<(), EngineInterrupt> {
+) -> Result<(), InsertionError> {
     loop {
-        match sup.admit(node, sols.len())? {
+        match gov.admit(node, sols.len())? {
             Admission::Ok => return Ok(()),
             Admission::Reprune => {
                 let before = sols.len();
                 let t = Instant::now();
-                prune_solutions_keyed(&*sup.rule(), sols, &mut pool.scratch);
+                prune_solutions_keyed(&*gov.active_rule(), sols, &mut pool.scratch);
                 pool.reclaim_pruned();
                 stats.prune_time += t.elapsed();
                 stats.solutions_pruned += before - sols.len();
@@ -1383,7 +1231,7 @@ fn admit_list<S: Supervisor>(
                 }
                 let before = sols.len();
                 let t = Instant::now();
-                truncate_spread(&*sup.rule(), sols, n);
+                truncate_spread(&*gov.active_rule(), sols, n);
                 stats.prune_time += t.elapsed();
                 stats.solutions_pruned += before - sols.len();
             }
@@ -1393,15 +1241,15 @@ fn admit_list<S: Supervisor>(
 
 /// Merges two candidate lists at a branch node.
 #[allow(clippy::too_many_arguments)]
-fn merge_lists<S: Supervisor>(
+fn merge_lists(
     ctx: &RunCtx<'_>,
-    sup: &mut S,
+    gov: &mut Governor,
     mut a: Vec<StatSolution>,
     mut b: Vec<StatSolution>,
     node: NodeId,
     pool: &mut SolPool,
     stats: &mut DpStats,
-) -> Result<Vec<StatSolution>, EngineInterrupt> {
+) -> Result<Vec<StatSolution>, InsertionError> {
     if a.is_empty() || b.is_empty() {
         // The surviving list keeps its pending transforms; they ride on
         // to the next materialization point untouched.
@@ -1412,15 +1260,15 @@ fn merge_lists<S: Supervisor>(
     // places lazy runs pay the O(terms) wire cost — the others are the
     // buffering arm and winner selection.
     if ctx.lazy {
-        materialize_list(&mut a, sup.epsilon(), stats);
-        materialize_list(&mut b, sup.epsilon(), stats);
+        materialize_list(&mut a, gov.epsilon(), stats);
+        materialize_list(&mut b, gov.epsilon(), stats);
     }
     // Admission may switch the rule (re-prune and retry with a linear
     // merge) or shrink the operands; `forced` breaks the loop if a
     // truncation could not shrink them further.
     let mut forced = false;
     let mut merged = loop {
-        let rule = sup.rule();
+        let rule = gov.active_rule();
         match rule.strategy() {
             MergeStrategy::SortedLinear => {
                 // Figure 1: both lists sorted ascending in (load key, RAT key);
@@ -1463,15 +1311,15 @@ fn merge_lists<S: Supervisor>(
                 let admission = if forced {
                     Admission::Ok
                 } else {
-                    sup.admit(node, needed)?
+                    gov.admit(node, needed)?
                 };
                 match admission {
                     Admission::Ok => {
                         let t = Instant::now();
                         let mut out = pool.take(0);
                         'rows: for sa in &a {
-                            sup.check_time()?;
-                            if sup.panicking() {
+                            gov.check_time()?;
+                            if gov.panicking() {
                                 // A hard breach mid-merge: the pairs formed so
                                 // far are valid candidates; stop generating.
                                 break 'rows;
@@ -1494,7 +1342,7 @@ fn merge_lists<S: Supervisor>(
                     Admission::Reprune => {
                         let before = a.len() + b.len();
                         let t = Instant::now();
-                        let next = sup.rule();
+                        let next = gov.active_rule();
                         prune_solutions_keyed(&*next, &mut a, &mut pool.scratch);
                         pool.reclaim_pruned();
                         prune_solutions_keyed(&*next, &mut b, &mut pool.scratch);
@@ -1524,7 +1372,7 @@ fn merge_lists<S: Supervisor>(
     pool.put(a);
     pool.put(b);
     let before = merged.len();
-    prune_full(sup, &mut merged, pool, stats)?;
+    prune_full(gov, &mut merged, pool, stats)?;
     stats.solutions_pruned += before - merged.len();
     stats.pruned_by_dominance += before - merged.len();
     Ok(merged)
@@ -1535,18 +1383,18 @@ fn merge_lists<S: Supervisor>(
 /// six-figure candidate list can otherwise outlive any between-node time
 /// check. Under panic completion the sweep bails early: a superset of
 /// the non-dominated set is still valid, and the node-level reduction
-/// keeps one candidate anyway. In-place, over the worker's [`SolPool`]
+/// keeps one candidate anyway. In-place, over the run's [`SolPool`]
 /// scratch.
-fn prune_full<S: Supervisor>(
-    sup: &mut S,
+fn prune_full(
+    gov: &mut Governor,
     sols: &mut Vec<StatSolution>,
     pool: &mut SolPool,
     stats: &mut DpStats,
-) -> Result<(), EngineInterrupt> {
-    let rule = sup.rule();
+) -> Result<(), InsertionError> {
+    let rule = gov.active_rule();
     let t = Instant::now();
     prune_solutions_polled(&*rule, sols, &mut pool.scratch, || {
-        sup.check_time().map(|()| sup.panicking())
+        gov.check_time().map(|()| gov.panicking())
     })?;
     pool.reclaim_pruned();
     stats.prune_time += t.elapsed();

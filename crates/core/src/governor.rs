@@ -544,10 +544,6 @@ pub struct Governor {
     epsilon: f64,
     max_epsilon: f64,
     panic_mode: bool,
-    /// Whether `clock` is the real monotonic clock (false after
-    /// [`Governor::with_clock`]) — the parallel engine refuses to run on
-    /// scripted clocks, whose reads are order-dependent.
-    real_clock: bool,
     /// Soft-time pressure is acted on once per escalation, not per node.
     time_steps_taken: u32,
     mem_steps_taken: u32,
@@ -608,7 +604,6 @@ impl Governor {
             epsilon: base_epsilon,
             max_epsilon: 1e-2,
             panic_mode: false,
-            real_clock: true,
             time_steps_taken: 0,
             mem_steps_taken: 0,
             live_bytes: 0,
@@ -627,7 +622,6 @@ impl Governor {
     #[must_use]
     pub fn with_clock(mut self, clock: Box<dyn Clock>) -> Self {
         self.clock = clock;
-        self.real_clock = false;
         self
     }
 
@@ -643,11 +637,6 @@ impl Governor {
         self
     }
 
-    /// Whether a cancellation source (token or watchdog) is armed.
-    pub(crate) fn cancellable(&self) -> bool {
-        self.cancel.is_some() || self.watchdog.is_some()
-    }
-
     /// Whether the run has observed a cancellation.
     #[must_use]
     pub fn is_cancelled(&self) -> bool {
@@ -658,17 +647,6 @@ impl Governor {
     #[must_use]
     pub fn budget(&self) -> Budget {
         self.budget
-    }
-
-    /// Whether the governor still runs on the real monotonic clock.
-    pub(crate) fn uses_real_clock(&self) -> bool {
-        self.real_clock
-    }
-
-    /// Whether no degradation of any kind has happened yet — the state
-    /// the parallel engine snapshots before forking workers.
-    pub(crate) fn pristine(&self) -> bool {
-        self.events.is_empty() && !self.panic_mode && self.active == 0 && self.poisoned_total == 0
     }
 
     /// The rule the run is currently pruning with.

@@ -25,9 +25,9 @@
 //! * [`faultinject`] — deterministic clock skew and solution poisoning
 //!   for exercising the degradation paths in tests;
 //! * [`pool`] — the std-only parallel execution layer: the
-//!   [`pool::optimize_batch`] worker pool over independent nets and the
-//!   speculative intra-tree scheduler behind [`dp::DpOptions::jobs`],
-//!   both bit-identical to the sequential engine;
+//!   [`pool::optimize_batch`] worker pool over independent nets,
+//!   bit-identical to running them in a serial loop (each net's DP is
+//!   one sequential walk);
 //! * [`cache`] — epoch-scoped per-node solution caching (Merkle content
 //!   signatures + a per-session solution arena) behind the service's
 //!   incremental re-optimization path;

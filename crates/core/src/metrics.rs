@@ -17,21 +17,19 @@ pub struct DpStats {
     /// Wall-clock runtime.
     pub runtime: Duration,
     /// Time spent generating branch-merge combinations (both the linear
-    /// walk and the 4P cross product). Under the parallel engine this is
-    /// the *sum* across workers, so it can exceed `runtime`.
+    /// walk and the 4P cross product).
     pub merge_time: Duration,
     /// Time spent extending solutions along wire segments (the lift
     /// loops, eager or deferred) plus materializing pending lazy-wire
     /// transforms at consumption points. Was folded into `merge_time`
     /// before lazy wire propagation made the split worth watching.
-    /// Summed across workers in parallel runs. Materialization that
-    /// happens inside the buffering arm is charged to `buffer_time`.
+    /// Materialization that happens inside the buffering arm is charged
+    /// to `buffer_time`.
     pub wire_time: Duration,
     /// Time spent in dominance pruning (list pruning plus the quadratic
-    /// cross-product sweep). Summed across workers in parallel runs.
+    /// cross-product sweep).
     pub prune_time: Duration,
-    /// Time spent offering buffers at candidate nodes. Summed across
-    /// workers in parallel runs.
+    /// Time spent offering buffers at candidate nodes.
     pub buffer_time: Duration,
     /// Always 0: the engine has no bound-guided pruning (see DESIGN.md).
     /// Kept only because the end-to-end benchmark reads it.
@@ -44,16 +42,6 @@ pub struct DpStats {
     /// Always 0: the engine has no Li–Shi generation skip (see
     /// DESIGN.md). Kept only because the end-to-end benchmark reads it.
     pub lishi_skipped: usize,
-    /// The `DpOptions::jobs` value the caller asked for (1 = sequential).
-    /// Recorded for bench attribution; cleared by
-    /// [`sans_times`](Self::sans_times) because it is configuration, not
-    /// computation.
-    pub jobs_requested: usize,
-    /// The worker count actually used after clamping to the host's
-    /// available parallelism (unless forced). Cleared by
-    /// [`sans_times`](Self::sans_times) — it is host-dependent while the
-    /// computed result is not.
-    pub jobs_effective: usize,
     /// Pruning-rule fallback steps a governed run took (0 = primary rule
     /// held for the whole run).
     pub rule_fallbacks: usize,
@@ -121,37 +109,7 @@ impl DpStats {
         self.wire_time = Duration::ZERO;
         self.prune_time = Duration::ZERO;
         self.buffer_time = Duration::ZERO;
-        self.jobs_requested = 0;
-        self.jobs_effective = 0;
         self
-    }
-
-    /// Accumulates another run's counters into this one (batch/parallel
-    /// reduction): sums counts and times, maxes the peak list size, and
-    /// ORs the panic flag. `runtime` is maxed, not summed — in a parallel
-    /// reduction it reflects the longest worker.
-    pub fn absorb(&mut self, other: &DpStats) {
-        self.nodes_processed += other.nodes_processed;
-        self.max_solutions_per_node = self
-            .max_solutions_per_node
-            .max(other.max_solutions_per_node);
-        self.solutions_generated += other.solutions_generated;
-        self.solutions_pruned += other.solutions_pruned;
-        self.runtime = self.runtime.max(other.runtime);
-        self.merge_time += other.merge_time;
-        self.wire_time += other.wire_time;
-        self.prune_time += other.prune_time;
-        self.buffer_time += other.buffer_time;
-        self.pruned_by_dominance += other.pruned_by_dominance;
-        self.jobs_requested = self.jobs_requested.max(other.jobs_requested);
-        self.jobs_effective = self.jobs_effective.max(other.jobs_effective);
-        self.rule_fallbacks += other.rule_fallbacks;
-        self.epsilon_tightenings += other.epsilon_tightenings;
-        self.list_truncations += other.list_truncations;
-        self.poisoned_dropped += other.poisoned_dropped;
-        self.panic_completion |= other.panic_completion;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
     }
 }
 

@@ -240,9 +240,9 @@ impl KeyedDominance {
 ///
 /// This trait is sealed in spirit: the three implementations in this
 /// module are the rules the paper studies, and the DP engine treats them
-/// uniformly through it. Rules must be `Send + Sync` so the parallel
-/// engine can consult one rule object from every worker; the three
-/// paper rules are plain `Copy` value types, so this costs nothing.
+/// uniformly through it. Rules must be `Send + Sync` so the batch pool
+/// can share one rule object across its workers; the three paper rules
+/// are plain `Copy` value types, so this costs nothing.
 pub trait PruningRule: fmt::Debug + Send + Sync {
     /// Human-readable rule name (`"2P"`, `"4P"`, `"1P"`).
     fn name(&self) -> &'static str;
@@ -616,7 +616,7 @@ pub fn prune_solutions_in_place(rule: &dyn PruningRule, sols: &mut Vec<StatSolut
 }
 
 /// Recycled scratch for [`prune_solutions_keyed`]: the key table plus the
-/// argsort/permutation/flag buffers. One per DP worker, reused across
+/// argsort/permutation/flag buffers. One per DP run, reused across
 /// every node, so a steady-state prune allocates nothing.
 #[derive(Debug, Default)]
 pub struct PruneScratch {

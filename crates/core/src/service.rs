@@ -1132,13 +1132,7 @@ fn run_envelope(
     if tightened {
         budget = tighten(budget);
     }
-    // Service-level parallelism is across requests; each request's DP
-    // stays sequential (cancellable runs skip the parallel probe
-    // anyway — it never polls the token).
-    let options = DpOptions {
-        jobs: 1,
-        ..DpOptions::default()
-    };
+    let options = DpOptions::default();
     let cascade = fallback_cascade(params.rule.build());
     let sizing = WireSizing::single();
     let mut injector = match fault {

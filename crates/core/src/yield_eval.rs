@@ -155,47 +155,6 @@ impl<'a> YieldEvaluator<'a> {
         }
     }
 
-    /// Parallel [`Self::monte_carlo`]: splits the draws across `threads`
-    /// OS threads with decorrelated seeds. The sample set differs from
-    /// the sequential method's (different RNG streams) but is
-    /// statistically equivalent; the same `(seed, threads)` pair is
-    /// reproducible.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    #[must_use]
-    pub fn monte_carlo_parallel(
-        &self,
-        assignment: &[(NodeId, BufferTypeId)],
-        samples: usize,
-        seed: u64,
-        threads: usize,
-    ) -> Vec<f64> {
-        assert!(threads > 0, "need at least one thread");
-        let chunk = samples.div_ceil(threads);
-        let mut out = Vec::with_capacity(samples);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let count = chunk.min(samples.saturating_sub(t * chunk));
-                    scope.spawn(move || {
-                        // Decorrelate thread streams by a large odd stride.
-                        self.monte_carlo(
-                            assignment,
-                            count,
-                            seed.wrapping_add(0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(t as u64 + 1)),
-                        )
-                    })
-                })
-                .collect();
-            for h in handles {
-                out.extend(h.join().expect("worker thread panicked"));
-            }
-        });
-        out
-    }
-
     /// Classic corner analysis: the root RAT with **every** variation
     /// source pinned at `z` standard deviations (e.g. `z = 3.0` for the
     /// slow corner, `-3.0` for the fast corner, `0.0` for typical).
@@ -363,33 +322,6 @@ mod tests {
             mc_var.sqrt(),
             model_sigma
         );
-    }
-
-    #[test]
-    fn parallel_mc_matches_sequential_statistics() {
-        let (tree, model) = setup(20, 8);
-        let r = optimize_with_rule(
-            &tree,
-            &model,
-            VariationMode::WithinDie,
-            Arc::new(TwoParam::default()),
-            &DpOptions::default(),
-        )
-        .expect("opt");
-        let ye = YieldEvaluator::new(&tree, &model, VariationMode::WithinDie);
-        let seq = ye.monte_carlo(&r.assignment, 3000, 7);
-        let par = ye.monte_carlo_parallel(&r.assignment, 3000, 7, 4);
-        assert_eq!(par.len(), 3000);
-        let (ms, vs) = sample_moments(&seq);
-        let (mp, vp) = sample_moments(&par);
-        assert!(
-            (ms - mp).abs() < 3.0 * (vs / 3000.0).sqrt() + 1.0,
-            "{ms} vs {mp}"
-        );
-        assert!((vs.sqrt() - vp.sqrt()).abs() / vs.sqrt() < 0.1);
-        // Reproducibility of the parallel variant.
-        let par2 = ye.monte_carlo_parallel(&r.assignment, 3000, 7, 4);
-        assert_eq!(par, par2);
     }
 
     #[test]

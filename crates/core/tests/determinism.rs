@@ -1,15 +1,16 @@
-//! Bit-for-bit determinism of the parallel engine.
+//! Bit-for-bit determinism of the batch pool, and pinned results.
 //!
-//! The contract (see `pool` module docs): for every pruning rule and
-//! any `jobs` count, batch and intra-tree parallel results — winning
-//! RAT form, assignment, wire widths, `DpStats` counters, degradation
-//! events — are identical to the sequential engine's, bit for bit.
+//! The contract (see `pool` module docs): for every pruning rule, strict
+//! or governed, degraded or not, and any `jobs` count, a batch's results
+//! — winning RAT form, assignment, wire widths, `DpStats` counters,
+//! degradation events, errors — are identical to the same requests run
+//! in a serial loop, bit for bit.
 
 use std::sync::Arc;
 use std::time::Duration;
 use varbuf_core::dp::{
-    fallback_cascade, optimize_governed, optimize_governed_detailed, optimize_with_rule,
-    optimize_with_sizing, DpOptions, GovernedResult, RunControls, StatResult, WireSizing,
+    fallback_cascade, optimize_governed_detailed, optimize_with_sizing, DpOptions, GovernedResult,
+    RunControls, StatResult, WireSizing,
 };
 use varbuf_core::governor::Budget;
 use varbuf_core::pool::{optimize_batch, BatchRequest};
@@ -101,172 +102,84 @@ fn assert_same_degradation(label: &str, seq: &GovernedResult, par: &GovernedResu
 }
 
 #[test]
-fn strict_parallel_is_bit_identical_for_all_rules() {
+fn batch_is_bit_identical_to_serial_loop_and_order_preserving() {
+    // 2P nets of three sizes, then 1P and 4P at the sizes each can
+    // digest; every net runs strict and governed.
+    let mut nets: Vec<(Arc<dyn PruningRule>, RoutingTree)> = SEEDS
+        .iter()
+        .enumerate()
+        .map(|(i, &seed)| {
+            let tree = generate_benchmark(&BenchmarkSpec::random("det-batch", 24 + 8 * i, seed));
+            (Arc::new(TwoParam::default()) as Arc<dyn PruningRule>, tree)
+        })
+        .collect();
     for (name, rule, sinks) in rule_suite() {
-        for seed in SEEDS {
-            let tree = generate_benchmark(&BenchmarkSpec::random("det-strict", sinks, seed));
-            let model = model_for(&tree);
-            let run = |jobs: usize| {
-                optimize_with_rule(
-                    &tree,
-                    &model,
-                    VariationMode::WithinDie,
-                    Arc::clone(&rule),
-                    &DpOptions {
-                        jobs,
-                        // Force the fan-out so single-thread hosts still
-                        // exercise the parallel engine under test.
-                        jobs_force: true,
-                        ..DpOptions::default()
-                    },
-                )
-                .expect("strict run")
-            };
-            let seq = run(1);
-            let par = run(4);
-            assert_bit_identical(&format!("{name}/seed{seed:x}/strict"), &seq, &par);
+        if name != "2P" {
+            for seed in SEEDS {
+                let tree = generate_benchmark(&BenchmarkSpec::random("det-batch", sinks, seed));
+                nets.push((Arc::clone(&rule), tree));
+            }
         }
     }
-}
-
-#[test]
-fn governed_parallel_is_bit_identical_for_all_rules() {
-    for (name, rule, sinks) in rule_suite() {
-        for seed in SEEDS {
-            let tree = generate_benchmark(&BenchmarkSpec::random("det-gov", sinks, seed));
-            let model = model_for(&tree);
-            let run = |jobs: usize| {
-                optimize_governed(
-                    &tree,
-                    &model,
-                    VariationMode::WithinDie,
-                    Arc::clone(&rule),
-                    &DpOptions {
-                        jobs,
-                        // Force the fan-out so single-thread hosts still
-                        // exercise the parallel engine under test.
-                        jobs_force: true,
-                        ..DpOptions::default()
-                    },
-                    &Budget::unlimited(),
-                )
-                .expect("governed run")
-            };
-            let seq = run(1);
-            let par = run(4);
-            assert_same_degradation(&format!("{name}/seed{seed:x}/governed"), &seq, &par);
-        }
-    }
-}
-
-#[test]
-fn governed_under_pressure_matches_including_degradation_counters() {
-    // A tight solution budget forces the degradation ladder: the
-    // speculative parallel phase must detect the pressure, abandon
-    // itself, and reproduce the sequential run — including every
-    // recorded trigger/action pair — bit for bit.
-    let budget = Budget {
+    // Every rule again under a tight solution budget, which forces the
+    // degradation ladder: the events must match too.
+    let pressure = Budget {
         soft_solutions: 6,
         hard_solutions: 24,
         ..Budget::unlimited()
     };
-    for (name, rule, sinks) in rule_suite() {
-        for seed in SEEDS {
-            let tree = generate_benchmark(&BenchmarkSpec::random("det-press", sinks, seed));
-            let model = model_for(&tree);
-            let run = |jobs: usize| {
-                optimize_governed(
-                    &tree,
-                    &model,
-                    VariationMode::WithinDie,
-                    Arc::clone(&rule),
-                    &DpOptions {
-                        jobs,
-                        // Force the fan-out so single-thread hosts still
-                        // exercise the parallel engine under test.
-                        jobs_force: true,
-                        ..DpOptions::default()
-                    },
-                    &budget,
-                )
-                .expect("governed run")
-            };
-            let seq = run(1);
-            let par = run(4);
-            let label = format!("{name}/seed{seed:x}/pressure");
-            assert_same_degradation(&label, &seq, &par);
-            assert!(
-                seq.result.stats.degraded(),
-                "{label}: budget was meant to force degradation"
-            );
-        }
-    }
-}
-
-#[test]
-fn strict_capacity_error_is_deterministic_across_jobs() {
-    // The 4P cross product on a bigger tree breaches a tight cap; the
-    // parallel engine must surface the same first-in-postorder breach
-    // the sequential engine hits.
-    let tree = generate_benchmark(&BenchmarkSpec::random("det-cap", 100, 11));
-    let model = model_for(&tree);
-    let run = |jobs: usize| -> InsertionError {
-        optimize_with_rule(
-            &tree,
-            &model,
-            VariationMode::WithinDie,
-            Arc::new(FourParam::default()),
-            &DpOptions {
-                max_solutions_per_node: 150,
-                jobs,
-                jobs_force: true,
-                ..DpOptions::default()
-            },
-        )
-        .expect_err("cap was meant to breach")
-    };
-    let seq = run(1);
-    let par = run(4);
-    assert!(matches!(seq, InsertionError::CapacityExceeded { .. }));
-    assert_eq!(format!("{seq:?}"), format!("{par:?}"), "breach identity");
-}
-
-#[test]
-fn batch_is_bit_identical_to_serial_loop_and_order_preserving() {
-    let trees: Vec<RoutingTree> = SEEDS
-        .iter()
-        .enumerate()
-        .map(|(i, &seed)| generate_benchmark(&BenchmarkSpec::random("det-batch", 24 + 8 * i, seed)))
+    let pressured: Vec<(Arc<dyn PruningRule>, RoutingTree)> = rule_suite()
+        .into_iter()
+        .flat_map(|(_, rule, sinks)| {
+            SEEDS.map(|seed| {
+                let tree = generate_benchmark(&BenchmarkSpec::random("det-press", sinks, seed));
+                (Arc::clone(&rule), tree)
+            })
+        })
         .collect();
-    let models: Vec<ProcessModel> = trees.iter().map(model_for).collect();
+    // A 4P cross product on a bigger tree that breaches a tight strict
+    // cap.
+    let breaching = generate_benchmark(&BenchmarkSpec::random("det-cap", 100, 11));
+    let models: Vec<ProcessModel> = nets.iter().map(|(_, t)| model_for(t)).collect();
+    let pressured_models: Vec<ProcessModel> = pressured.iter().map(|(_, t)| model_for(t)).collect();
+    let breaching_model = model_for(&breaching);
+
     let mut requests = Vec::new();
-    for (tree, model) in trees.iter().zip(&models) {
+    for ((rule, tree), model) in nets.iter().zip(&models) {
         for strict in [false, true] {
-            let mut req = BatchRequest::new(
-                tree,
-                model,
-                VariationMode::WithinDie,
-                Arc::new(TwoParam::default()),
-            );
+            let mut req =
+                BatchRequest::new(tree, model, VariationMode::WithinDie, Arc::clone(rule));
             req.strict = strict;
             requests.push(req);
         }
     }
-    // One deliberately failing request: batch must report errors in
-    // place without disturbing its neighbors' slots.
-    let mut failing = BatchRequest::new(
-        &trees[0],
-        &models[0],
-        VariationMode::WithinDie,
-        Arc::new(FourParam::default()),
-    );
-    failing.strict = true;
-    failing.options = DpOptions {
-        max_solutions_per_node: 10,
-        time_limit: Duration::from_secs(4 * 3600),
-        ..DpOptions::default()
-    };
-    requests.push(failing);
+    let first_pressured = requests.len();
+    for ((rule, tree), model) in pressured.iter().zip(&pressured_models) {
+        let mut req = BatchRequest::new(tree, model, VariationMode::WithinDie, Arc::clone(rule));
+        req.budget = pressure;
+        requests.push(req);
+    }
+    let first_failing = requests.len();
+    // Deliberately failing requests: batch must report errors in place
+    // without disturbing their neighbors' slots.
+    for (tree, model, cap) in [
+        (&nets[0].1, &models[0], 10),
+        (&breaching, &breaching_model, 150),
+    ] {
+        let mut failing = BatchRequest::new(
+            tree,
+            model,
+            VariationMode::WithinDie,
+            Arc::new(FourParam::default()),
+        );
+        failing.strict = true;
+        failing.options = DpOptions {
+            max_solutions_per_node: cap,
+            time_limit: Duration::from_secs(4 * 3600),
+            ..DpOptions::default()
+        };
+        requests.push(failing);
+    }
 
     // Forced fan-out: the host clamp would quietly serialize this on a
     // single-thread machine, and the whole point is to drive the
@@ -284,10 +197,20 @@ fn batch_is_bit_identical_to_serial_loop_and_order_preserving() {
             _ => panic!("batch[{i}]: Ok/Err divergence between jobs=1 and jobs=4"),
         }
     }
-    assert!(
-        serial.last().expect("non-empty").is_err(),
-        "failing request must error in both"
-    );
+    for (i, s) in serial.iter().enumerate().take(first_failing) {
+        let s = s.as_ref().expect("only the capped requests fail");
+        assert_eq!(
+            s.result.stats.degraded(),
+            i >= first_pressured,
+            "batch[{i}]: only the pressured requests degrade"
+        );
+    }
+    for s in &serial[first_failing..] {
+        assert!(
+            matches!(s, Err(InsertionError::CapacityExceeded { .. })),
+            "a capped 4P request must breach: {s:?}"
+        );
+    }
 }
 
 /// A root-RAT result pinned bit for bit on one oracle tree.
@@ -405,19 +328,15 @@ fn results_where_bound_pruning_fired_are_pinned() {
             &DpOptions::default(),
         )
         .expect("strict run");
-        // The governed engine with the parallel fan-out forced: the same
-        // pin must hold on every path the filter used to arm on.
+        // The governed engine: the same pin must hold on every path the
+        // filter used to arm on.
         let governed = optimize_governed_detailed(
             &tree,
             &model,
             pin.mode,
             fallback_cascade(Arc::clone(&rule)),
             &sizing,
-            &DpOptions {
-                jobs: 4,
-                jobs_force: true,
-                ..DpOptions::default()
-            },
+            &DpOptions::default(),
             &Budget::unlimited(),
             RunControls::default(),
         )

@@ -31,11 +31,12 @@ const EDITS_PER_SCRIPT: usize = 12;
 /// (name, signature tag, rule, tree sizes) — one row of the fuzz matrix.
 type RuleCase = (&'static str, u64, Arc<dyn PruningRule>, [usize; 2]);
 
-/// Rule × tree-size matrix. 4P runs one net below the engine's
-/// `guard_4p_sinks` threshold (its unconstrained cross-product merge
-/// is exact there) and one above it, where both the cold and replayed
-/// paths deterministically substitute 2P via the guarded fallback —
-/// byte identity must hold across that substitution too.
+/// Rule × tree-size matrix. 4P runs one net at or below the engine's
+/// 4P blowup-guard threshold of 12 sinks (its unconstrained
+/// cross-product merge is exact there) and one above it, where both
+/// the cold and replayed paths deterministically substitute 2P via the
+/// guarded fallback — byte identity must hold across that substitution
+/// too.
 fn rules() -> Vec<RuleCase> {
     vec![
         ("2p", 2, Arc::new(TwoParam::default()) as _, [24, 48]),

@@ -14,8 +14,8 @@
 //! discrete outputs (assignment, widths, survivor counts) must still
 //! agree exactly.
 //!
-//! This suite replays the repo's 336-case verification matrix (rules ×
-//! governance × jobs × seeds × spatial kinds × variation modes, plus a
+//! This suite replays the repo's 168-case verification matrix (rules ×
+//! governance × seeds × spatial kinds × variation modes, plus a
 //! wire-sizing subset) on *subdivided* trees — multi-segment chains,
 //! the case the deferral exists for — with `use_lazy_wire` on and off,
 //! asserting:
@@ -76,7 +76,6 @@ impl Gov {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_case(
     tree: &RoutingTree,
     model: &ProcessModel,
@@ -84,13 +83,9 @@ fn run_case(
     rule: &Arc<dyn PruningRule>,
     sizing: &WireSizing,
     gov: Gov,
-    jobs: usize,
     use_lazy_wire: bool,
 ) -> StatResult {
     let options = DpOptions {
-        jobs,
-        // Forced so single-thread hosts still cover the parallel engine.
-        jobs_force: true,
         use_lazy_wire,
         ..DpOptions::default()
     };
@@ -216,7 +211,6 @@ fn rule_suite() -> Vec<(&'static str, Arc<dyn PruningRule>, usize)> {
 }
 
 const GOVS: [Gov; 3] = [Gov::Strict, Gov::Governed, Gov::Pressured];
-const JOBS: [usize; 2] = [1, 4];
 const KINDS: [SpatialKind; 2] = [SpatialKind::Homogeneous, SpatialKind::Heterogeneous];
 const MODES: [VariationMode; 2] = [VariationMode::DieToDie, VariationMode::WithinDie];
 
@@ -226,8 +220,8 @@ fn lazy_wire_matches_eager_across_the_verification_matrix() {
     let single = WireSizing::single();
     let sized = WireSizing::default_three();
 
-    // 288 unsized cases: 4 rules × 3 governance levels × 2 jobs ×
-    // 3 seeds × 2 spatial kinds × 2 variation modes, all on subdivided
+    // 144 unsized cases: 4 rules × 3 governance levels × 3 seeds ×
+    // 2 spatial kinds × 2 variation modes, all on subdivided
     // (multi-segment) trees.
     for (rule_name, rule, sinks) in rule_suite() {
         for &seed in &SEEDS {
@@ -237,30 +231,25 @@ fn lazy_wire_matches_eager_across_the_verification_matrix() {
                 let model = ProcessModel::paper_defaults(tree.bounding_box(), kind);
                 for mode in MODES {
                     for gov in GOVS {
-                        for jobs in JOBS {
-                            let label = format!(
-                                "{rule_name}/seed{seed:x}/{kind:?}/{mode:?}/{}/jobs{jobs}",
-                                gov.label()
-                            );
-                            let on = run_case(&tree, &model, mode, &rule, &single, gov, jobs, true);
-                            let off =
-                                run_case(&tree, &model, mode, &rule, &single, gov, jobs, false);
-                            assert_equal_objective(&label, &on, &off);
-                            if matches!(gov, Gov::Pressured) {
-                                // A degradable run disarms the deferral:
-                                // both runs took the eager path, so even
-                                // the coefficients must agree bitwise.
-                                assert_byte_identical(&label, &on, &off);
-                            }
-                            cases += 1;
+                        let label =
+                            format!("{rule_name}/seed{seed:x}/{kind:?}/{mode:?}/{}", gov.label());
+                        let on = run_case(&tree, &model, mode, &rule, &single, gov, true);
+                        let off = run_case(&tree, &model, mode, &rule, &single, gov, false);
+                        assert_equal_objective(&label, &on, &off);
+                        if matches!(gov, Gov::Pressured) {
+                            // A degradable run disarms the deferral:
+                            // both runs took the eager path, so even
+                            // the coefficients must agree bitwise.
+                            assert_byte_identical(&label, &on, &off);
                         }
+                        cases += 1;
                     }
                 }
             }
         }
     }
 
-    // 48 sized cases: the 2P rule re-run with the three-width sizing
+    // 24 sized cases: the 2P rule re-run with the three-width sizing
     // table over 2 seeds. Sizing multiplies the per-segment kernel
     // count, so this is where a broken deferral/materialization pairing
     // would show first.
@@ -272,25 +261,20 @@ fn lazy_wire_matches_eager_across_the_verification_matrix() {
             let model = ProcessModel::paper_defaults(tree.bounding_box(), kind);
             for mode in MODES {
                 for gov in GOVS {
-                    for jobs in JOBS {
-                        let label = format!(
-                            "2P-sized/seed{seed:x}/{kind:?}/{mode:?}/{}/jobs{jobs}",
-                            gov.label()
-                        );
-                        let on = run_case(&tree, &model, mode, &two_p, &sized, gov, jobs, true);
-                        let off = run_case(&tree, &model, mode, &two_p, &sized, gov, jobs, false);
-                        assert_equal_objective(&label, &on, &off);
-                        if matches!(gov, Gov::Pressured) {
-                            assert_byte_identical(&label, &on, &off);
-                        }
-                        cases += 1;
+                    let label = format!("2P-sized/seed{seed:x}/{kind:?}/{mode:?}/{}", gov.label());
+                    let on = run_case(&tree, &model, mode, &two_p, &sized, gov, true);
+                    let off = run_case(&tree, &model, mode, &two_p, &sized, gov, false);
+                    assert_equal_objective(&label, &on, &off);
+                    if matches!(gov, Gov::Pressured) {
+                        assert_byte_identical(&label, &on, &off);
                     }
+                    cases += 1;
                 }
             }
         }
     }
 
-    assert_eq!(cases, 336, "oracle matrix must cover exactly 336 cases");
+    assert_eq!(cases, 168, "oracle matrix must cover exactly 168 cases");
 }
 
 /// On unit chains (no subdivision — one segment per Steiner edge) a
@@ -314,22 +298,11 @@ fn term_keyed_rules_on_unit_chains_are_byte_identical() {
             let model =
                 ProcessModel::paper_defaults(tree.bounding_box(), SpatialKind::Heterogeneous);
             for mode in MODES {
-                for jobs in JOBS {
-                    let label = format!("{rule_name}/seed{seed:x}/{mode:?}/jobs{jobs}");
-                    let single = WireSizing::single();
-                    let on = run_case(&tree, &model, mode, &rule, &single, Gov::Strict, jobs, true);
-                    let off = run_case(
-                        &tree,
-                        &model,
-                        mode,
-                        &rule,
-                        &single,
-                        Gov::Strict,
-                        jobs,
-                        false,
-                    );
-                    assert_byte_identical(&label, &on, &off);
-                }
+                let label = format!("{rule_name}/seed{seed:x}/{mode:?}");
+                let single = WireSizing::single();
+                let on = run_case(&tree, &model, mode, &rule, &single, Gov::Strict, true);
+                let off = run_case(&tree, &model, mode, &rule, &single, Gov::Strict, false);
+                assert_byte_identical(&label, &on, &off);
             }
         }
     }
@@ -350,8 +323,8 @@ fn lazy_wire_engages_on_subdivided_chains() {
             .subdivided(PITCH_UM);
         let model = ProcessModel::paper_defaults(tree.bounding_box(), SpatialKind::Heterogeneous);
         for mode in MODES {
-            let on = run_case(&tree, &model, mode, &rule, &single, Gov::Strict, 1, true);
-            let off = run_case(&tree, &model, mode, &rule, &single, Gov::Strict, 1, false);
+            let on = run_case(&tree, &model, mode, &rule, &single, Gov::Strict, true);
+            let off = run_case(&tree, &model, mode, &rule, &single, Gov::Strict, false);
             if on.root_rat.variance().to_bits() != off.root_rat.variance().to_bits() {
                 any_bit_differs = true;
             }

@@ -99,8 +99,6 @@ fn subcommand(name: &str) -> Option<Subcommand> {
                 ("--budget-solutions", true),
                 ("--budget-time", true),
                 ("--budget-mem", true),
-                ("--jobs", true),
-                ("--jobs-force", false),
                 ("--no-lazy-wire", false),
             ],
         ),
@@ -177,11 +175,7 @@ usage:
   varbuf opt FILE [--mode nom|d2d|wid] [--spatial homog|hetero]
                   [--rule 2p|4p|1p] [--p THRESH] [--sizing] [--mc SAMPLES]
                   [--degrade] [--budget-solutions N] [--budget-time SECS]
-                  [--budget-mem MB] [--jobs N] [--jobs-force]
-                  [--no-lazy-wire]
-      --jobs N: worker threads for the DP (0 = all cores); results are
-                bit-identical to --jobs 1. Requests beyond the host's
-                available parallelism are clamped unless --jobs-force.
+                  [--budget-mem MB] [--no-lazy-wire]
       --no-lazy-wire: disable lazy wire propagation (deferred affine
                 wire transforms materialized at merges, buffers and the
                 winner); solution counts and decisions are identical,
@@ -453,17 +447,8 @@ fn cmd_opt(args: &[String]) -> Result<Outcome, String> {
     if let Some(p) = parse_p(args)? {
         options.rule = TwoParam::try_new(p, p).map_err(|e| e.to_string())?;
     }
-    if let Some(v) = flag_value(args, "--jobs") {
-        let n: usize = v
-            .parse()
-            .map_err(|_| "--jobs needs an integer".to_owned())?;
-        options.dp.jobs = if n == 0 { default_jobs() } else { n };
-    }
     if has_flag(args, "--no-lazy-wire") {
         options.dp.use_lazy_wire = false;
-    }
-    if has_flag(args, "--jobs-force") {
-        options.dp.jobs_force = true;
     }
     let degrade = has_flag(args, "--degrade")
         || has_flag(args, "--budget-solutions")

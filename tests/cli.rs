@@ -452,12 +452,14 @@ fn unknown_and_retired_flags_exit_one_naming_the_flag() {
     assert!(ok);
     for (args, flag) in [
         // Retired with their layers (bound-guided pruning, the Li–Shi
-        // skip): an error, not a no-op.
+        // skip, the speculative intra-tree tier): an error, not a no-op.
         (&["opt", tree, "--no-bounds"][..], "--no-bounds"),
         (&["opt", tree, "--no-lishi"], "--no-lishi"),
+        (&["opt", tree, "--jobs", "2"], "--jobs"),
+        (&["opt", tree, "--jobs-force"], "--jobs-force"),
         // A typo of a real flag must not run with the default.
         (&["opt", tree, "--no-lazy-wrie"], "--no-lazy-wrie"),
-        // Flags are per subcommand: `--jobs` belongs to opt and serve.
+        // Flags are per subcommand: `--jobs` belongs to serve.
         (&["skew", tree, "--jobs", "2"], "--jobs"),
         (&["info", tree, "-x"], "-x"),
         (&["gen", "r1", "--subdivde", "500"], "--subdivde"),
