@@ -8,7 +8,10 @@
 #   5. service smoke     (varbuf serve over a scripted request mix with
 #                         injected panics in a flat and a hierarchical
 #                         run: the service must contain both crashes and
-#                         shut down cleanly)
+#                         shut down cleanly; then one edit/opt/cts mix
+#                         through varbuf serve and varbuf serve
+#                         --no-cache: the cached replay must print the
+#                         cache-off run's `ok opt` lines exactly)
 #   6. smoke bench       (scaling bench, shrunk via VARBUF_BENCH_SMOKE;
 #                         every net's DP is one sequential walk, so the
 #                         statistical and the deterministic side of each
@@ -56,6 +59,17 @@ grep -q '^err internal'      <<<"$SERVE_OUT" || { echo "serve smoke: contained p
 grep -q '^err poisoned'      <<<"$SERVE_OUT" || { echo "serve smoke: poisoned-session error missing" >&2; exit 1; }
 grep -q 'panics=2'           <<<"$SERVE_OUT" || { echo "serve smoke: stats missed a contained panic (the hierarchical cts run must fire its fault too)" >&2; exit 1; }
 grep -q '^ok bye$' <<<"$(tail -1 <<<"$SERVE_OUT")" || { echo "serve smoke: no clean shutdown" >&2; exit 1; }
+# Cache parity: every edit kind, flat and hierarchical opts; the cached
+# session must answer every opt exactly as the cache-off one does.
+SERVE_MIX=$'open random:128:5\nopt s0.0\nedit rat s0.0 9 -35.5\nopt s0.0\nedit wire s0.0 13 1200\nopt s0.0\nedit sink s0.0 15 14.5\nopt s0.0\ncts s0.0 cut-nodes=64\nedit rat s0.0 12 -80\ncts s0.0 cut-nodes=64\nedit wire s0.0 7 400\nopt s0.0\nstats\nquit\n'
+WARM_OUT=$(./target/debug/varbuf serve <<<"$SERVE_MIX" 2>/dev/null)
+COLD_OUT=$(./target/debug/varbuf serve --no-cache <<<"$SERVE_MIX" 2>/dev/null)
+echo "$WARM_OUT" | sed 's/^/    /'
+WARM_OPTS=$(grep '^ok opt' <<<"$WARM_OUT" || true)
+COLD_OPTS=$(grep '^ok opt' <<<"$COLD_OUT" || true)
+[ "$(grep -c '^ok opt' <<<"$WARM_OPTS")" -eq 7 ] || { echo "serve parity: expected 7 ok opt lines" >&2; exit 1; }
+grep -q 'cache_hits=[1-9]' <<<"$WARM_OUT" || { echo "serve parity: the cached session replayed nothing" >&2; exit 1; }
+[ "$WARM_OPTS" = "$COLD_OPTS" ] || { echo "serve parity: cached and cache-off opt lines differ" >&2; diff <(echo "$COLD_OPTS") <(echo "$WARM_OPTS") >&2; exit 1; }
 
 echo "==> smoke bench (VARBUF_BENCH_SMOKE=1 cargo bench --bench scaling)"
 SMOKE_JSON=target/BENCH_dp.smoke.json

@@ -12,12 +12,21 @@
 //!   `v → root` and nothing else. [`NodeSigs::update_path`] recomputes
 //!   that path and returns it — the dirty set for the next run.
 //! * [`SolutionCache`] — a per-session arena mapping node index →
-//!   `(signature, pruned solution list)` under a run-wide signature
+//!   `(signature, cached list)` under a run-wide signature
 //!   ([`run_signature`]: rule, mode, epsilon, sizing widths, lazy wire,
 //!   cut plan, model epoch). A lookup hits only when both the run
 //!   signature and the node's content signature match, so replayed
 //!   lists are byte-identical to what a cold run would have produced at
 //!   that node.
+//!
+//! A node's entry is its list as its parent reads it: lifted through
+//! the node's parent edge (which its signature covers), pruned, and,
+//! when the parent merges, with its deferred wire landed. The root has
+//! no parent, so its entry is its own list, materialized as winner
+//! selection reads it. Entries are [`CachedList`]s behind an `Arc` that
+//! the cache and the engine walk share: a store keeps the walk's list
+//! by handle and a replay hands the handle back, so neither copies a
+//! solution.
 //!
 //! Model-level inputs (buffer library, variation budgets) are *not* part
 //! of the node signatures — the service bumps a `model_epoch` instead,
@@ -26,6 +35,7 @@
 
 use crate::hier::HierOptions;
 use crate::solution::StatSolution;
+use std::sync::Arc;
 use varbuf_rctree::{NodeId, NodeKind, RoutingTree};
 
 /// `splitmix64` finalizer — the same mixer the in-tree RNG uses; good
@@ -170,12 +180,25 @@ pub fn run_signature(
     fold(acc, model_epoch)
 }
 
+/// One node's cached list, as the engine walk hands it to the node's
+/// parent (see the module docs for what it holds at the root).
+#[derive(Debug, Clone)]
+pub struct CachedList {
+    /// The list, shared by handle between the cache and the walk that
+    /// replays it.
+    pub list: Arc<Vec<StatSolution>>,
+    /// At a cut node, the bytes its spliced frontier charged while
+    /// parked, before its parent lifted it, so a replay parks what a
+    /// cold run parks; 0 at every other node.
+    pub parked: usize,
+}
+
 /// One cached node entry: the content signature the list was computed
-/// under, plus the pruned list itself.
+/// under, plus the list itself.
 #[derive(Debug)]
 struct Entry {
     sig: u64,
-    list: Vec<StatSolution>,
+    cached: CachedList,
 }
 
 /// Arena of cached per-node solution lists for one session.
@@ -213,18 +236,19 @@ impl SolutionCache {
         }
     }
 
-    /// The pruned list cached for node `id`, if its content signature
-    /// still matches.
+    /// The list cached for node `id`, if its content signature still
+    /// matches.
     #[must_use]
-    pub fn lookup(&self, id: NodeId, sig: u64) -> Option<&[StatSolution]> {
+    pub fn lookup(&self, id: NodeId, sig: u64) -> Option<&CachedList> {
         match self.entries.get(id.index())? {
-            Some(e) if e.sig == sig => Some(&e.list),
+            Some(e) if e.sig == sig => Some(&e.cached),
             _ => None,
         }
     }
 
-    /// Stores (a clone of) `list` for node `id` under `sig`.
-    pub fn store(&mut self, id: NodeId, sig: u64, list: &[StatSolution]) {
+    /// Stores `cached` for node `id` under `sig`, keeping its handle
+    /// (the list is not copied).
+    pub fn store(&mut self, id: NodeId, sig: u64, cached: CachedList) {
         if id.index() >= self.entries.len() {
             return;
         }
@@ -232,10 +256,7 @@ impl SolutionCache {
         if slot.is_none() {
             self.live += 1;
         }
-        *slot = Some(Entry {
-            sig,
-            list: list.to_vec(),
-        });
+        *slot = Some(Entry { sig, cached });
     }
 
     /// Drops the entry for node `id`, if any.
@@ -291,6 +312,13 @@ mod tests {
         t
     }
 
+    fn empty() -> CachedList {
+        CachedList {
+            list: Arc::default(),
+            parked: 0,
+        }
+    }
+
     #[test]
     fn sigs_are_deterministic_and_content_addressed() {
         let t = chain_tree(4);
@@ -343,7 +371,7 @@ mod tests {
         let mut cache = SolutionCache::new();
         let rs = run_signature(2, 1, 0.0, 1, true, None, 0);
         cache.begin_run(rs, t.len());
-        cache.store(t.root(), sigs.get(t.root()), &[]);
+        cache.store(t.root(), sigs.get(t.root()), empty());
         assert_eq!(cache.live_entries(), 1);
         cache.begin_run(rs, t.len());
         assert_eq!(cache.live_entries(), 1, "same signature keeps entries");
@@ -361,11 +389,45 @@ mod tests {
         let mut cache = SolutionCache::new();
         cache.begin_run(1, t.len());
         let id = t.root();
-        cache.store(id, sigs.get(id), &[]);
+        cache.store(id, sigs.get(id), empty());
         assert!(cache.lookup(id, sigs.get(id)).is_some());
         assert!(cache.lookup(id, sigs.get(id) ^ 1).is_none());
         cache.invalidate(id);
         assert!(cache.lookup(id, sigs.get(id)).is_none());
         assert_eq!(cache.invalidations(), 1);
+    }
+
+    /// A store keeps the caller's handle and a lookup returns it: the
+    /// cache holds the list the walk built, not a copy of it.
+    #[test]
+    fn store_keeps_the_handle() {
+        use varbuf_stats::CanonicalForm;
+        let t = chain_tree(2);
+        let sigs = NodeSigs::build(&t);
+        let mut cache = SolutionCache::new();
+        cache.begin_run(1, t.len());
+        let id = t.root();
+        let list = Arc::new(vec![StatSolution::new(
+            CanonicalForm::constant(1.0),
+            CanonicalForm::constant(-2.0),
+        )]);
+        cache.store(
+            id,
+            sigs.get(id),
+            CachedList {
+                list: Arc::clone(&list),
+                parked: 7,
+            },
+        );
+        let hit = cache.lookup(id, sigs.get(id)).expect("stored");
+        assert!(Arc::ptr_eq(&hit.list, &list));
+        assert_eq!(hit.parked, 7);
+        drop(list);
+        let hit = cache.lookup(id, sigs.get(id)).expect("stored");
+        assert_eq!(
+            Arc::strong_count(&hit.list),
+            1,
+            "the cache holds the only handle"
+        );
     }
 }

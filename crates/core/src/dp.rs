@@ -25,11 +25,11 @@
 //! Cold, incremental ([`optimize_incremental`]) and hierarchical
 //! ([`crate::hier::optimize_hier`]) runs share one postorder walk that
 //! takes two optional inputs: a memo (the session's node signatures and
-//! solution cache), whose hits replay a cached list and skip the whole
-//! subtree, and a cut plan, whose cut nodes splice their lists before
-//! the parent takes them.
+//! solution cache), whose hits hand the parent a cached list in place
+//! and skip the whole subtree, and a cut plan, whose cut nodes splice
+//! their lists before the parent takes them.
 
-use crate::cache::{NodeSigs, SolutionCache};
+use crate::cache::{CachedList, NodeSigs, SolutionCache};
 use crate::error::InsertionError;
 use crate::faultinject::FaultInjector;
 use crate::governor::{
@@ -48,6 +48,7 @@ use crate::prune::{
     TwoParam,
 };
 use crate::solution::StatSolution;
+use std::ops::Deref;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use varbuf_rctree::tree::NodeKind;
@@ -489,11 +490,13 @@ pub fn optimize_governed_detailed(
 /// [`optimize_governed_detailed`] with an epoch-scoped solution cache
 /// and, when `hier` is set, the cut plan of
 /// [`crate::hier::optimize_hier`]: nodes whose content signature still
-/// matches a cached entry replay their list (a clone, re-admitted
-/// through the governor so budget accounting stays coherent) and their
-/// subtrees are never visited; only dirty nodes — the root path of the
-/// session's edits — run the DP. Fresh lists are stored back under the
-/// node's signature, after the splice at a cut node.
+/// matches a cached entry hand their parent the cached list in place
+/// (re-admitted through the governor so budget accounting stays
+/// coherent) and their subtrees are never visited; only dirty nodes —
+/// the root path of the session's edits — run the DP. Each fresh list
+/// is stored back by handle under its node's signature, as its parent
+/// reads it (see [`crate::cache`]): after the splice at a cut node and
+/// the parent's lift.
 ///
 /// Cached replay stays byte-identical to a cold run because the cache
 /// only feeds (and is only fed by) full-fidelity runs. A constraining
@@ -622,6 +625,112 @@ pub(crate) struct Memo<'m> {
     pub(crate) sigs: &'m NodeSigs,
     pub(crate) cache: &'m mut SolutionCache,
     pub(crate) run_sig: u64,
+}
+
+impl Memo<'_> {
+    /// Stores `list` as node `id`'s entry, with the bytes it parked at a
+    /// cut node, and returns it shared with the cache.
+    fn share(&mut self, id: NodeId, list: SolList, parked: usize) -> SolList {
+        let list = match list {
+            SolList::Owned(v) => Arc::new(v),
+            SolList::Shared(v) => v,
+        };
+        self.cache.store(
+            id,
+            self.sigs.get(id),
+            CachedList {
+                list: Arc::clone(&list),
+                parked,
+            },
+        );
+        SolList::Shared(list)
+    }
+}
+
+/// A candidate list as the walk hands it on: owned, or shared by handle
+/// with the session cache. A merge reads a shared list in place and
+/// drops it after; the few steps that write a list (a single-child
+/// parent buffering into its child's list, an admission re-prune or
+/// truncation, a sanitize that drops a candidate, landing deferred
+/// wire) take an owned copy of a shared one first
+/// ([`SolList::to_mut`]).
+enum SolList {
+    Owned(Vec<StatSolution>),
+    Shared(Arc<Vec<StatSolution>>),
+}
+
+impl Deref for SolList {
+    type Target = [StatSolution];
+
+    fn deref(&self) -> &[StatSolution] {
+        match self {
+            SolList::Owned(v) => v,
+            SolList::Shared(v) => v,
+        }
+    }
+}
+
+impl SolList {
+    /// Write access: a shared list is copied first, unless this is its
+    /// last handle.
+    fn to_mut(&mut self) -> &mut Vec<StatSolution> {
+        match self {
+            SolList::Owned(v) => v,
+            SolList::Shared(v) => Arc::make_mut(v),
+        }
+    }
+
+    /// The list as an owned vector, copied only if still shared.
+    fn into_owned(self) -> Vec<StatSolution> {
+        match self {
+            SolList::Owned(v) => v,
+            SolList::Shared(v) => Arc::unwrap_or_clone(v),
+        }
+    }
+
+    /// Returns an owned list to `pool`; a shared one is only dropped.
+    fn recycle(self, pool: &mut SolPool) {
+        if let SolList::Owned(v) = self {
+            pool.put(v);
+        }
+    }
+}
+
+/// A finished list on the walk's stack, waiting for its parent.
+struct Finished {
+    /// A node's own list (shared only where the node passed its child's
+    /// cached list through), or a cache hit's list as its parent reads
+    /// it.
+    list: SolList,
+    /// Whether `list` is a cache hit, already lifted for the parent.
+    lifted: bool,
+    /// The bytes it parks at a cut node, 0 elsewhere.
+    parked: usize,
+}
+
+/// The walk's finished lists: the stack they wait on for their parent,
+/// plus the run's memo (which a parent stores its children's lifted
+/// lists in) and cut plan (which uncounts a parked list as its parent
+/// takes it).
+struct Handoff<'w, 'm> {
+    stack: Vec<Finished>,
+    memo: Option<&'w mut Memo<'m>>,
+    cuts: Option<&'w mut Cuts>,
+}
+
+impl Handoff<'_, '_> {
+    /// Pops the next child's finished list: children finish last-first,
+    /// so a parent takes them in child order.
+    fn take(&mut self) -> Finished {
+        let finished = self
+            .stack
+            .pop()
+            .expect("a child finishes before its parent");
+        if let Some(cuts) = self.cuts.as_deref_mut() {
+            cuts.release(finished.parked);
+        }
+        finished
+    }
 }
 
 /// Immutable per-run context: the run's inputs plus the lazy-wire
@@ -781,7 +890,7 @@ fn run_engine(
     options: &DpOptions,
     governor: &mut Governor,
     faults: Option<&mut FaultInjector>,
-    memo: Option<&mut Memo<'_>>,
+    mut memo: Option<&mut Memo<'_>>,
     hier: Option<&HierOptions>,
 ) -> Result<(StatResult, HierReport), InsertionError> {
     tree.validate()?;
@@ -804,7 +913,7 @@ fn run_engine(
         faults.is_some(),
     );
     let mut cuts = hier.and_then(|h| Cuts::plan(tree, h));
-    let (mut root_list, mut stats) = walk(&ctx, governor, faults, memo, cuts.as_mut())?;
+    let (mut root, mut stats) = walk(&ctx, governor, faults, memo.as_deref_mut(), cuts.as_mut())?;
     stats.runtime = governor.elapsed();
     let report = match cuts {
         Some(c) => c.report(governor.peak_chunk_bytes()),
@@ -813,7 +922,16 @@ fn run_engine(
             ..HierReport::default()
         },
     };
-    Ok((select_winner(tree, options, &mut root_list, stats), report))
+    // Deferred wire still pending on root candidates lands here (the
+    // selection key's σ and the reported root RAT read the terms), and
+    // the root list is stored as selection reads it, so a replay of an
+    // unedited tree reads the cached root list in place.
+    materialize_operand(&mut root, options.sparsify_epsilon, &mut stats);
+    let root = match memo {
+        Some(m) => m.share(tree.root(), root, 0),
+        None => root,
+    };
+    Ok((select_winner(tree, options, &root, stats), report))
 }
 
 /// The engine's one walk. It visits `tree` in
@@ -822,23 +940,28 @@ fn run_engine(
 /// finished lists. Children finish last-first, so a parent pops its
 /// children's lists in child order, and the walk holds one list per
 /// finished subtree whose parent is still open, not a slot per node.
-/// With a memo, a signature hit replays the cached list instead and
-/// skips the whole subtree, so a warm run visits only the dirty path; a
-/// miss stores its fresh list back. With cuts, a cut node's list is
-/// spliced before it is stored and stays parked on the stack. Returns
-/// the root's list and the run's counters.
+/// With a memo, a signature hit pushes the cached list (already lifted
+/// for the parent, shared by handle) instead and skips the whole
+/// subtree, so a warm run visits only the dirty path; a parent stores
+/// each fresh child's lifted list back. With cuts, a cut node's list is
+/// spliced and stays parked on the stack until its parent takes it.
+/// Returns the root's list and the run's counters.
 fn walk(
     ctx: &RunCtx<'_>,
     governor: &mut Governor,
     mut faults: Option<&mut FaultInjector>,
-    mut memo: Option<&mut Memo<'_>>,
-    mut cuts: Option<&mut Cuts>,
-) -> Result<(Vec<StatSolution>, DpStats), InsertionError> {
+    memo: Option<&mut Memo<'_>>,
+    cuts: Option<&mut Cuts>,
+) -> Result<(SolList, DpStats), InsertionError> {
     let tree = ctx.tree;
     let mut stats = DpStats::default();
-    let mut done: Vec<Vec<StatSolution>> = Vec::new();
     let mut pool = SolPool::default();
-    if let Some(m) = memo.as_deref_mut() {
+    let mut lists = Handoff {
+        stack: Vec::new(),
+        memo,
+        cuts,
+    };
+    if let Some(m) = lists.memo.as_deref_mut() {
         m.cache.begin_run(m.run_sig, tree.len());
     }
     // `(node, children done)`: a node goes back on the stack below its
@@ -848,183 +971,130 @@ fn walk(
         let cached = if expanded {
             None
         } else {
-            memo.as_deref()
+            lists
+                .memo
+                .as_deref()
                 .and_then(|m| m.cache.lookup(id, m.sigs.get(id)))
+                .cloned()
         };
-        let sols = if let Some(cached) = cached {
+        let finished = if let Some(hit) = cached {
             governor.check_time()?;
-            let mut list = pool.take(cached.len());
-            list.extend(cached.iter().cloned());
+            let mut list = SolList::Shared(hit.list);
             admit_list(governor, id, &mut list, &mut pool, &mut stats)?;
             governor.note_memory(&list, 0);
             stats.max_solutions_per_node = stats.max_solutions_per_node.max(list.len());
-            list
+            if let Some(cuts) = lists.cuts.as_deref_mut() {
+                if cuts.is_cut(id) {
+                    cuts.park(governor, hit.parked);
+                }
+            }
+            Finished {
+                list,
+                lifted: true,
+                parked: hit.parked,
+            }
         } else if !expanded {
             stack.push((id, true));
             stack.extend(tree.node(id).children.iter().map(|&c| (c, false)));
             continue;
         } else {
-            let children: Vec<Vec<StatSolution>> = tree
-                .node(id)
-                .children
-                .iter()
-                .map(|&c| {
-                    let list = done.pop().expect("a child finishes before its parent");
-                    if let Some(cuts) = cuts.as_deref_mut() {
-                        cuts.release(c, &list);
-                    }
-                    list
-                })
-                .collect();
-            let mut sols = process_node(
+            let mut list = process_node(
                 ctx,
                 governor,
                 id,
-                children,
+                &mut lists,
                 faults.as_deref_mut(),
                 &mut pool,
                 &mut stats,
             )?;
-            if let Some(cuts) = cuts.as_deref_mut() {
-                cuts.splice(governor, id, &mut sols, &mut stats);
+            let parked = match lists.cuts.as_deref_mut() {
+                Some(cuts) if cuts.is_cut(id) => cuts.splice(governor, list.to_mut(), &mut stats),
+                _ => 0,
+            };
+            Finished {
+                list,
+                lifted: false,
+                parked,
             }
-            if let Some(m) = memo.as_deref_mut() {
-                m.cache.store(id, m.sigs.get(id), &sols);
-            }
-            sols
         };
-        if let Some(cuts) = cuts.as_deref_mut() {
-            cuts.park(governor, id, &sols);
-        }
-        done.push(sols);
+        lists.stack.push(finished);
     }
-    if memo.is_some() {
+    if lists.memo.is_some() {
         stats.cache_misses = stats.nodes_processed;
         stats.cache_hits = tree.len() - stats.nodes_processed;
     }
-    let root_list = done.pop().expect("the root finishes last");
-    debug_assert!(done.is_empty(), "every other list was taken by its parent");
-    Ok((root_list, stats))
+    let root = lists.stack.pop().expect("the root finishes last").list;
+    debug_assert!(
+        lists.stack.is_empty(),
+        "every other list was taken by its parent"
+    );
+    Ok((root, stats))
 }
 
 /// One node of the DP: builds the node's base list from its children
-/// (taken as owned lists in fixed child order), offers buffers, and
-/// applies the governor's admission/integrity policy. Returns the
+/// (taken off the walk's stack in fixed child order; a fresh child's
+/// list is lifted here, a replayed one arrives lifted), offers buffers,
+/// and applies the governor's admission/integrity policy. Returns the
 /// node's surviving candidate list.
+///
+/// With a memo, each fresh child's lifted list is stored by handle as
+/// the parent reads it, its deferred wire landed first when the parent
+/// merges, and handed to the merge shared, so a later replay of that
+/// child reads the same allocation. A single-child parent buffers into
+/// its child's list, so it works on an owned copy of a shared one.
 ///
 /// The hot path is allocation-free in steady state: wire segments are
 /// computed at the lift, device forms are written into the run's
 /// [`SolPool`] scratch, new solutions are recycled carcasses from the
 /// same pool, and pruning runs over the pool's batched-key scratch.
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
+#[allow(clippy::too_many_lines)]
 fn process_node(
     ctx: &RunCtx<'_>,
     gov: &mut Governor,
     id: NodeId,
-    mut children: Vec<Vec<StatSolution>>,
+    lists: &mut Handoff<'_, '_>,
     faults: Option<&mut FaultInjector>,
     pool: &mut SolPool,
     stats: &mut DpStats,
-) -> Result<Vec<StatSolution>, InsertionError> {
+) -> Result<SolList, InsertionError> {
     gov.check_time()?;
     let node = ctx.tree.node(id);
     stats.nodes_processed += 1;
 
     // 1. Base list for the subtree seen at this node.
-    let mut sols: Vec<StatSolution> = match node.kind {
+    let mut sols: SolList = match node.kind {
         NodeKind::Sink {
             capacitance,
             required_arrival,
-        } => vec![StatSolution::new(
+        } => SolList::Owned(vec![StatSolution::new(
             CanonicalForm::constant(capacitance),
             CanonicalForm::constant(required_arrival),
-        )],
+        )]),
         NodeKind::Internal | NodeKind::Source { .. } => {
-            let mut acc: Option<Vec<StatSolution>> = None;
-            for (slot, &c) in node.children.iter().enumerate() {
-                let child_list = std::mem::take(&mut children[slot]);
-                let widths = ctx.sizing.widths().len();
-                let record_width = widths > 1;
-                let t_lift = Instant::now();
-                let mut lifted = if widths == 1 {
-                    // Single-width lift: the child list is consumed by this
-                    // edge, so each solution is extended where it sits —
-                    // the in-place kernel is bitwise identical to the
-                    // copying one, and the trace Arc stays untouched. The
-                    // freed estimate is taken before the extension so the
-                    // governor sees the same numbers as the copying path.
-                    let freed: usize = child_list.iter().map(solution_footprint).sum();
-                    let mut lifted = child_list;
-                    let seg = &ctx.segment(c, 0);
-                    if ctx.lazy {
-                        // Deferred: fold the segment's mean effects in
-                        // eagerly (bitwise the eager kernel's nominal
-                        // path) and bank its resistance; the O(terms)
-                        // coupling and the epsilon pass run once at the
-                        // next materialization point.
-                        for s in &mut lifted {
-                            wire_defer_stat_in_place(s, seg);
-                        }
-                    } else {
-                        for s in &mut lifted {
-                            wire_extend_stat_in_place(s, seg);
-                            sparsify(s, gov.epsilon());
-                        }
-                    }
-                    stats.wire_time += t_lift.elapsed();
-                    gov.note_memory(&[], freed);
-                    lifted
+            let merges = node.children.len() > 1;
+            let mut acc: Option<SolList> = None;
+            for &c in &node.children {
+                let child = lists.take();
+                let lifted = if child.lifted {
+                    child.list
                 } else {
-                    let mut lifted = pool.take(child_list.len() * widths);
-                    for s in &child_list {
-                        for wi in 0..widths {
-                            let mut out = pool.take_sol();
-                            if ctx.lazy {
-                                wire_defer_stat_into(&mut out, s, &ctx.segment(c, wi));
-                            } else {
-                                wire_extend_stat_into(&mut out, s, &ctx.segment(c, wi));
-                                sparsify(&mut out, gov.epsilon());
+                    let mut lifted = lift(ctx, gov, c, child.list.into_owned(), pool, stats);
+                    match lists.memo.as_deref_mut() {
+                        None => SolList::Owned(lifted),
+                        Some(m) => {
+                            if merges || id == ctx.tree.root() {
+                                // Stored as a merge or winner selection
+                                // reads it, so a replay hands the list
+                                // over as is. No wire lands on a root
+                                // candidate after this lift, so landing it
+                                // here leaves the same bits as at
+                                // selection.
+                                materialize_list(&mut lifted, gov.epsilon(), stats);
                             }
-                            if record_width {
-                                // `out.trace` is a clone of `s.trace`, and
-                                // a field cannot be moved out of the box.
-                                out.trace = crate::trace::Trace::wire(c, wi as u8, s.trace.clone());
-                            }
-                            lifted.push(out);
+                            m.share(c, SolList::Owned(lifted), child.parked)
                         }
                     }
-                    stats.wire_time += t_lift.elapsed();
-                    let freed: usize = child_list.iter().map(solution_footprint).sum();
-                    pool.put(child_list);
-                    gov.note_memory(&[], freed);
-                    lifted
                 };
-                stats.solutions_generated += lifted.len();
-                // Mean-keyed rules prune on nominals alone, which lazy
-                // extension keeps bit-identical to eager (deferral only
-                // touches the RAT's sensitivity terms) — so their keyed
-                // sweep runs on pending solutions as-is. Any rule whose
-                // keys read the terms (percentile keys, and every
-                // CrossProduct dominance check) gets the list
-                // materialized first, which also makes those rules'
-                // whole runs byte-identical to eager.
-                if ctx.lazy {
-                    let term_keyed = {
-                        let rule = gov.active_rule();
-                        !rule.mean_keys() || rule.strategy() == MergeStrategy::CrossProduct
-                    };
-                    if term_keyed {
-                        materialize_list(&mut lifted, gov.epsilon(), stats);
-                    }
-                }
-                let before = lifted.len();
-                let t_prune = Instant::now();
-                prune_solutions_keyed(&*gov.active_rule(), &mut lifted, &mut pool.scratch);
-                pool.reclaim_pruned();
-                stats.prune_time += t_prune.elapsed();
-                stats.solutions_pruned += before - lifted.len();
-                stats.pruned_by_dominance += before - lifted.len();
-
                 acc = Some(match acc {
                     None => lifted,
                     Some(prev) => merge_lists(ctx, gov, prev, lifted, id, pool, stats)?,
@@ -1046,6 +1116,7 @@ fn process_node(
         // the forms are read.
         let mut device = std::mem::take(&mut pool.device);
         {
+            let sols = sols.to_mut();
             let rule = gov.active_rule();
             let forms = device.write(ctx, id);
             for (ty, bt) in ctx.model.library().iter() {
@@ -1103,28 +1174,32 @@ fn process_node(
                     }
                 }
             }
+            sols.append(&mut buffered);
         }
         pool.device = device;
-        sols.append(&mut buffered);
         pool.put(buffered);
         stats.buffer_time += t_buf.elapsed();
         admit_list(gov, id, &mut sols, pool, stats)?;
         let before = sols.len();
-        prune_full(gov, &mut sols, pool, stats)?;
+        prune_full(gov, sols.to_mut(), pool, stats)?;
         stats.solutions_pruned += before - sols.len();
         stats.pruned_by_dominance += before - sols.len();
     }
 
     // 3. Fault-injection hook, then integrity screening.
     if let Some(inj) = faults {
-        inj.on_node(id, &mut sols);
+        inj.on_node(id, sols.to_mut());
     }
     if gov.is_governed() {
-        gov.sanitize(id, &mut sols)?;
+        // Screened first: a clean list shared with the cache (a root
+        // passing its only child's list through) is not copied.
+        if !sols.iter().all(Governor::is_valid) {
+            gov.sanitize(id, sols.to_mut())?;
+        }
         admit_list(gov, id, &mut sols, pool, stats)?;
     }
     if gov.panicking() {
-        keep_best(&*gov.active_rule(), &mut sols);
+        keep_best(&*gov.active_rule(), sols.to_mut());
     }
 
     gov.note_memory(&sols, 0);
@@ -1132,19 +1207,108 @@ fn process_node(
     Ok(sols)
 }
 
+/// Lifts child `c`'s finished list through its parent edge (one copy per
+/// wire width) and prunes it under the active rule: the list its parent
+/// merges, or buffers into at a single-child parent.
+fn lift(
+    ctx: &RunCtx<'_>,
+    gov: &mut Governor,
+    c: NodeId,
+    child_list: Vec<StatSolution>,
+    pool: &mut SolPool,
+    stats: &mut DpStats,
+) -> Vec<StatSolution> {
+    let widths = ctx.sizing.widths().len();
+    let record_width = widths > 1;
+    let t_lift = Instant::now();
+    let mut lifted = if widths == 1 {
+        // Single-width lift: the child list is consumed by this edge, so
+        // each solution is extended where it sits — the in-place kernel
+        // is bitwise identical to the copying one, and the trace Arc
+        // stays untouched. The freed estimate is taken before the
+        // extension so the governor sees the same numbers as the copying
+        // path.
+        let freed: usize = child_list.iter().map(solution_footprint).sum();
+        let mut lifted = child_list;
+        let seg = &ctx.segment(c, 0);
+        if ctx.lazy {
+            // Deferred: fold the segment's mean effects in eagerly
+            // (bitwise the eager kernel's nominal path) and bank its
+            // resistance; the O(terms) coupling and the epsilon pass run
+            // once at the next materialization point.
+            for s in &mut lifted {
+                wire_defer_stat_in_place(s, seg);
+            }
+        } else {
+            for s in &mut lifted {
+                wire_extend_stat_in_place(s, seg);
+                sparsify(s, gov.epsilon());
+            }
+        }
+        stats.wire_time += t_lift.elapsed();
+        gov.note_memory(&[], freed);
+        lifted
+    } else {
+        let mut lifted = pool.take(child_list.len() * widths);
+        for s in &child_list {
+            for wi in 0..widths {
+                let mut out = pool.take_sol();
+                if ctx.lazy {
+                    wire_defer_stat_into(&mut out, s, &ctx.segment(c, wi));
+                } else {
+                    wire_extend_stat_into(&mut out, s, &ctx.segment(c, wi));
+                    sparsify(&mut out, gov.epsilon());
+                }
+                if record_width {
+                    // `out.trace` is a clone of `s.trace`, and a field
+                    // cannot be moved out of the box.
+                    out.trace = crate::trace::Trace::wire(c, wi as u8, s.trace.clone());
+                }
+                lifted.push(out);
+            }
+        }
+        stats.wire_time += t_lift.elapsed();
+        let freed: usize = child_list.iter().map(solution_footprint).sum();
+        pool.put(child_list);
+        gov.note_memory(&[], freed);
+        lifted
+    };
+    stats.solutions_generated += lifted.len();
+    // Mean-keyed rules prune on nominals alone, which lazy extension
+    // keeps bit-identical to eager (deferral only touches the RAT's
+    // sensitivity terms) — so their keyed sweep runs on pending
+    // solutions as-is. Any rule whose keys read the terms (percentile
+    // keys, and every CrossProduct dominance check) gets the list
+    // materialized first, which also makes those rules' whole runs
+    // byte-identical to eager.
+    if ctx.lazy {
+        let term_keyed = {
+            let rule = gov.active_rule();
+            !rule.mean_keys() || rule.strategy() == MergeStrategy::CrossProduct
+        };
+        if term_keyed {
+            materialize_list(&mut lifted, gov.epsilon(), stats);
+        }
+    }
+    let before = lifted.len();
+    let t_prune = Instant::now();
+    prune_solutions_keyed(&*gov.active_rule(), &mut lifted, &mut pool.scratch);
+    pool.reclaim_pruned();
+    stats.prune_time += t_prune.elapsed();
+    stats.solutions_pruned += before - lifted.len();
+    stats.pruned_by_dominance += before - lifted.len();
+    lifted
+}
+
 /// Driver step and winner selection at the root (by the configured
-/// root-selection key).
-///
-/// Takes the list mutably: any deferred wire transforms still pending on
-/// root candidates are materialized (and epsilon-sparsified) here, since
-/// both the selection key's σ and the reported root RAT read the terms.
+/// root-selection key), over a materialized root list: both the
+/// selection key's σ and the reported root RAT read the terms.
 fn select_winner(
     tree: &RoutingTree,
     options: &DpOptions,
-    root_list: &mut [StatSolution],
-    mut stats: DpStats,
+    root_list: &[StatSolution],
+    stats: DpStats,
 ) -> StatResult {
-    materialize_list(root_list, options.sparsify_epsilon, &mut stats);
     let root = tree.root();
     let driver_res = match tree.node(root).kind {
         NodeKind::Source { driver_resistance } => driver_resistance,
@@ -1193,7 +1357,7 @@ fn materialize_solution(s: &mut StatSolution, epsilon: f64) {
 /// [`DpStats::wire_time`] — it is wire work that lazy extension moved
 /// out of the lift loop, not merge or prune work.
 pub(crate) fn materialize_list(sols: &mut [StatSolution], epsilon: f64, stats: &mut DpStats) {
-    if sols.iter().any(|s| s.wire_pending != 0.0) {
+    if has_pending(sols) {
         let t = Instant::now();
         for s in sols.iter_mut() {
             materialize_solution(s, epsilon);
@@ -1202,13 +1366,27 @@ pub(crate) fn materialize_list(sols: &mut [StatSolution], epsilon: f64, stats: &
     }
 }
 
+fn has_pending(sols: &[StatSolution]) -> bool {
+    sols.iter().any(|s| s.wire_pending != 0.0)
+}
+
+/// [`materialize_list`] over a list that may be shared: one with nothing
+/// pending (a cached list stored as its reader reads it) is read as is,
+/// not copied.
+fn materialize_operand(list: &mut SolList, epsilon: f64, stats: &mut DpStats) {
+    if has_pending(list) {
+        materialize_list(list.to_mut(), epsilon, stats);
+    }
+}
+
 /// Offers a node's candidate list to the governor, applying whatever
 /// the verdict requires (re-prune under a fallback rule, spread-
-/// preserving truncation) until the list is admitted.
+/// preserving truncation, on an owned copy of a shared list) until the
+/// list is admitted.
 fn admit_list(
     gov: &mut Governor,
     node: NodeId,
-    sols: &mut Vec<StatSolution>,
+    sols: &mut SolList,
     pool: &mut SolPool,
     stats: &mut DpStats,
 ) -> Result<(), InsertionError> {
@@ -1216,6 +1394,7 @@ fn admit_list(
         match gov.admit(node, sols.len())? {
             Admission::Ok => return Ok(()),
             Admission::Reprune => {
+                let sols = sols.to_mut();
                 let before = sols.len();
                 let t = Instant::now();
                 prune_solutions_keyed(&*gov.active_rule(), sols, &mut pool.scratch);
@@ -1229,6 +1408,7 @@ fn admit_list(
                     // Nothing left to cut; accept as-is rather than spin.
                     return Ok(());
                 }
+                let sols = sols.to_mut();
                 let before = sols.len();
                 let t = Instant::now();
                 truncate_spread(&*gov.active_rule(), sols, n);
@@ -1239,17 +1419,19 @@ fn admit_list(
     }
 }
 
-/// Merges two candidate lists at a branch node.
+/// Merges two candidate lists at a branch node. The merge only reads
+/// its operands: a shared one (a cached list) is read in place and
+/// dropped after, an owned one goes back to the pool.
 #[allow(clippy::too_many_arguments)]
 fn merge_lists(
     ctx: &RunCtx<'_>,
     gov: &mut Governor,
-    mut a: Vec<StatSolution>,
-    mut b: Vec<StatSolution>,
+    mut a: SolList,
+    mut b: SolList,
     node: NodeId,
     pool: &mut SolPool,
     stats: &mut DpStats,
-) -> Result<Vec<StatSolution>, InsertionError> {
+) -> Result<SolList, InsertionError> {
     if a.is_empty() || b.is_empty() {
         // The surviving list keeps its pending transforms; they ride on
         // to the next materialization point untouched.
@@ -1260,8 +1442,8 @@ fn merge_lists(
     // places lazy runs pay the O(terms) wire cost — the others are the
     // buffering arm and winner selection.
     if ctx.lazy {
-        materialize_list(&mut a, gov.epsilon(), stats);
-        materialize_list(&mut b, gov.epsilon(), stats);
+        materialize_operand(&mut a, gov.epsilon(), stats);
+        materialize_operand(&mut b, gov.epsilon(), stats);
     }
     // Admission may switch the rule (re-prune and retry with a linear
     // merge) or shrink the operands; `forced` breaks the loop if a
@@ -1317,7 +1499,7 @@ fn merge_lists(
                     Admission::Ok => {
                         let t = Instant::now();
                         let mut out = pool.take(0);
-                        'rows: for sa in &a {
+                        'rows: for sa in a.iter() {
                             gov.check_time()?;
                             if gov.panicking() {
                                 // A hard breach mid-merge: the pairs formed so
@@ -1329,7 +1511,7 @@ fn merge_lists(
                             // completion bail doesn't pay for rows it never
                             // materializes.
                             out.reserve(b.len());
-                            for sb in &b {
+                            for sb in b.iter() {
                                 let mut m = pool.take_sol();
                                 merge_pair_stat_into(&mut m, sa, sb);
                                 out.push(m);
@@ -1343,9 +1525,9 @@ fn merge_lists(
                         let before = a.len() + b.len();
                         let t = Instant::now();
                         let next = gov.active_rule();
-                        prune_solutions_keyed(&*next, &mut a, &mut pool.scratch);
+                        prune_solutions_keyed(&*next, a.to_mut(), &mut pool.scratch);
                         pool.reclaim_pruned();
-                        prune_solutions_keyed(&*next, &mut b, &mut pool.scratch);
+                        prune_solutions_keyed(&*next, b.to_mut(), &mut pool.scratch);
                         pool.reclaim_pruned();
                         stats.prune_time += t.elapsed();
                         stats.solutions_pruned += before - a.len() - b.len();
@@ -1360,8 +1542,8 @@ fn merge_lists(
                         }
                         let before = a.len() + b.len();
                         let t = Instant::now();
-                        truncate_spread(&*rule, &mut a, keep);
-                        truncate_spread(&*rule, &mut b, keep);
+                        truncate_spread(&*rule, a.to_mut(), keep);
+                        truncate_spread(&*rule, b.to_mut(), keep);
                         stats.prune_time += t.elapsed();
                         stats.solutions_pruned += before - a.len() - b.len();
                     }
@@ -1369,13 +1551,13 @@ fn merge_lists(
             }
         }
     };
-    pool.put(a);
-    pool.put(b);
+    a.recycle(pool);
+    b.recycle(pool);
     let before = merged.len();
     prune_full(gov, &mut merged, pool, stats)?;
     stats.solutions_pruned += before - merged.len();
     stats.pruned_by_dominance += before - merged.len();
-    Ok(merged)
+    Ok(SolList::Owned(merged))
 }
 
 /// Pruning with the engine's wall-clock limit enforced *inside* the
@@ -1807,8 +1989,8 @@ mod tests {
                 root_selection: selection,
                 ..DpOptions::default()
             };
-            let mut list = vec![candidate(1, 1), worse.clone(), candidate(3, 3)];
-            let r = select_winner(&tree, &options, &mut list, DpStats::default());
+            let list = vec![candidate(1, 1), worse.clone(), candidate(3, 3)];
+            let r = select_winner(&tree, &options, &list, DpStats::default());
             assert_eq!(
                 r.assignment,
                 vec![(NodeId(3), BufferTypeId(0))],
@@ -1837,9 +2019,9 @@ mod tests {
     /// `process_node` emits — sink bases, merged branches, buffered
     /// candidate nodes — is mean-ordered: load means non-decreasing and
     /// RAT means non-decreasing (the pruned staircase). Property-tested
-    /// over 3 seeds × 64 random trees: an unconstrained 2P run with an
-    /// empty memo stores every node's list, which is then read back node
-    /// by node.
+    /// over 3 seeds × 64 random trees: an unconstrained 2P run is driven
+    /// node by node in the walk's order, and each emitted list is read
+    /// before its parent takes it.
     #[test]
     fn two_param_node_lists_stay_mean_ordered() {
         let sizing = WireSizing::single();
@@ -1856,25 +2038,30 @@ mod tests {
                     seed.wrapping_add(t.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
                 ));
                 let model = model_for(&tree);
-                let sigs = NodeSigs::build(&tree);
-                let mut cache = SolutionCache::new();
-                optimize_incremental(
+                let mut gov = Governor::governed(
+                    Budget::unlimited(),
+                    vec![Arc::new(TwoParam::default())],
+                    eager.sparsify_epsilon,
+                );
+                let ctx = RunCtx::new(
                     &tree,
                     &model,
                     VariationMode::WithinDie,
-                    vec![Arc::new(TwoParam::default())],
                     &sizing,
                     &eager,
-                    None,
-                    &Budget::unlimited(),
-                    RunControls::default(),
-                    &sigs,
-                    &mut cache,
-                    0,
-                )
-                .expect("unconstrained run");
+                    &gov,
+                    false,
+                );
+                let mut lists = Handoff {
+                    stack: Vec::new(),
+                    memo: None,
+                    cuts: None,
+                };
+                let (mut pool, mut stats) = (SolPool::default(), DpStats::default());
                 for id in tree.postorder() {
-                    let sols = cache.lookup(id, sigs.get(id)).expect("every list stored");
+                    let sols =
+                        process_node(&ctx, &mut gov, id, &mut lists, None, &mut pool, &mut stats)
+                            .expect("unconstrained run");
                     for w in sols.windows(2) {
                         assert!(
                             w[0].load_mean() <= w[1].load_mean(),
@@ -1887,8 +2074,147 @@ mod tests {
                             id.index()
                         );
                     }
+                    lists.stack.push(Finished {
+                        list: sols,
+                        lifted: false,
+                        parked: 0,
+                    });
                 }
+                assert_eq!(lists.stack.len(), 1, "the root's list is left");
             }
+        }
+    }
+
+    /// Warm runs read cached lists in place. A hit hands the walk the
+    /// stored allocation (the root of an unedited tree comes back as the
+    /// cache's own handle), and after warm runs — one over the unedited
+    /// tree, one after a sink edit — every entry off the dirty path keeps
+    /// its handle and the cache holds it alone: no replayed list was
+    /// copied or kept. The edited path's entries are new lists, held by
+    /// the cache alone too.
+    #[test]
+    fn warm_runs_share_cached_lists() {
+        let mut tree = generate_benchmark(&BenchmarkSpec::random("share", 32, 5));
+        let model = model_for(&tree);
+        let sizing = WireSizing::single();
+        let options = DpOptions::default();
+        let cascade = || fallback_cascade(Arc::new(TwoParam::default()));
+        let mut sigs = NodeSigs::build(&tree);
+        let mut cache = SolutionCache::new();
+        let run = |tree: &RoutingTree, sigs: &NodeSigs, cache: &mut SolutionCache| {
+            optimize_incremental(
+                tree,
+                &model,
+                VariationMode::WithinDie,
+                cascade(),
+                &sizing,
+                &options,
+                None,
+                &Budget::unlimited(),
+                RunControls::default(),
+                sigs,
+                cache,
+                0,
+            )
+            .expect("unconstrained run")
+        };
+        // Every node's handle, asserting the cache alone holds each: a
+        // list has as many handles as entries hold it (one, except where
+        // the source passes its only child's list through, and the root
+        // and that child hold one list).
+        let handles = |tree: &RoutingTree, sigs: &NodeSigs, cache: &SolutionCache| {
+            let lists: Vec<_> = tree
+                .postorder()
+                .into_iter()
+                .map(|id| {
+                    let hit = cache.lookup(id, sigs.get(id)).expect("every list stored");
+                    (id, Arc::clone(&hit.list))
+                })
+                .collect();
+            lists
+                .iter()
+                .map(|(id, list)| {
+                    let entries = lists.iter().filter(|(_, l)| Arc::ptr_eq(l, list)).count();
+                    // `lists` holds one more handle per entry.
+                    assert_eq!(Arc::strong_count(list), 2 * entries, "node {}", id.index());
+                    (*id, Arc::as_ptr(list))
+                })
+                .collect::<Vec<_>>()
+        };
+        let cold = run(&tree, &sigs, &mut cache);
+        let stored = handles(&tree, &sigs, &cache);
+        let root = tree.root();
+        let only_child = tree.node(root).children[0];
+        assert_eq!(
+            tree.node(root).children.len(),
+            1,
+            "the source has one child"
+        );
+        assert!(
+            Arc::ptr_eq(
+                &cache.lookup(root, sigs.get(root)).expect("root").list,
+                &cache
+                    .lookup(only_child, sigs.get(only_child))
+                    .expect("child")
+                    .list
+            ),
+            "the root passes its only child's list through"
+        );
+
+        let mut gov = Governor::governed(Budget::unlimited(), cascade(), 0.0);
+        let ctx = RunCtx::new(
+            &tree,
+            &model,
+            VariationMode::WithinDie,
+            &sizing,
+            &options,
+            &gov,
+            false,
+        );
+        let mut memo = Memo {
+            sigs: &sigs,
+            cache: &mut cache,
+            run_sig: 0,
+        };
+        let (root_list, stats) =
+            walk(&ctx, &mut gov, None, Some(&mut memo), None).expect("replay of the root");
+        assert_eq!(stats.cache_hits, tree.len());
+        let SolList::Shared(root_list) = root_list else {
+            panic!("a root hit hands over the cached list")
+        };
+        let entry = cache.lookup(root, sigs.get(root));
+        assert!(Arc::ptr_eq(&root_list, &entry.expect("root stored").list));
+        drop(root_list);
+
+        let warm = run(&tree, &sigs, &mut cache);
+        assert_eq!(warm.result.stats.cache_hits, tree.len());
+        assert_eq!(warm.result.root_rat, cold.result.root_rat);
+        assert_eq!(handles(&tree, &sigs, &cache), stored, "unedited replay");
+
+        // Holding every old handle through the edited run keeps the
+        // path's retired lists alive, so no new list can take one's
+        // address.
+        let held: Vec<_> = tree
+            .postorder()
+            .into_iter()
+            .map(|id| Arc::clone(&cache.lookup(id, sigs.get(id)).expect("stored").list))
+            .collect();
+        let sink = tree.sinks().nth(5).expect("a sixth sink");
+        tree.set_sink(sink, 12.5, -40.0);
+        let path = sigs.update_path(&tree, sink);
+        for &id in &path {
+            cache.invalidate(id);
+        }
+        let edited = run(&tree, &sigs, &mut cache);
+        assert_eq!(edited.result.stats.cache_misses, path.len());
+        drop(held);
+        for ((id, before), (_, after)) in stored.iter().zip(handles(&tree, &sigs, &cache)) {
+            assert_eq!(
+                *before == after,
+                !path.contains(id),
+                "node {}: only the edited path is stored anew",
+                id.index()
+            );
         }
     }
 }

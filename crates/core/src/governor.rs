@@ -887,21 +887,7 @@ impl Governor {
         sols: &mut Vec<StatSolution>,
     ) -> Result<(), InsertionError> {
         let before = sols.len();
-        sols.retain(|s| {
-            if !(s.load.mean().is_finite()
-                && s.rat.mean().is_finite()
-                && s.wire_pending.is_finite())
-            {
-                return false;
-            }
-            if s.load.coeffs_within(Self::SCREEN) && s.rat.coeffs_within(Self::SCREEN) {
-                return true;
-            }
-            // Each variance is one ordered pass over the form's terms:
-            // take it once.
-            let (load_var, rat_var) = (s.load.variance(), s.rat.variance());
-            load_var.is_finite() && rat_var.is_finite() && load_var >= 0.0 && rat_var >= 0.0
-        });
+        sols.retain(Self::is_valid);
         let dropped = before - sols.len();
         if dropped > 0 {
             self.poisoned_total += dropped;
@@ -917,6 +903,23 @@ impl Governor {
             );
         }
         Ok(())
+    }
+
+    /// The validity rule of [`Governor::sanitize`]: whether `s` is
+    /// kept. A list whose every candidate passes is left as it is, so
+    /// the engine screens a list it shares with the session cache before
+    /// taking a copy to sanitize.
+    pub(crate) fn is_valid(s: &StatSolution) -> bool {
+        if !(s.load.mean().is_finite() && s.rat.mean().is_finite() && s.wire_pending.is_finite()) {
+            return false;
+        }
+        if s.load.coeffs_within(Self::SCREEN) && s.rat.coeffs_within(Self::SCREEN) {
+            return true;
+        }
+        // Each variance is one ordered pass over the form's terms: take
+        // it once.
+        let (load_var, rat_var) = (s.load.variance(), s.rat.variance());
+        load_var.is_finite() && rat_var.is_finite() && load_var >= 0.0 && rat_var >= 0.0
     }
 
     /// Updates the live-memory estimate after a node's list is stored.

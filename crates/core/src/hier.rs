@@ -12,8 +12,9 @@
 //!   RAT survivor always included) capped at
 //!   [`HierOptions::frontier_cap`] entries, so what a region exports
 //!   upward is a bounded frontier, not its full candidate list;
-//! * a spliced frontier stays parked in the cut node's list slot until
-//!   its parent takes it, and its bytes are counted while it waits;
+//! * a spliced frontier stays parked on the walk's stack until its
+//!   parent takes it, and its bytes are counted while it waits (a
+//!   replayed cut node counts the bytes its cold run parked);
 //!   when the parked bytes cross the budget's soft memory limit the
 //!   frontier cap halves for subsequent splices, and the high-water
 //!   mark is reported as [`Degradation::peak_chunk_bytes`].
@@ -243,19 +244,21 @@ impl Cuts {
         })
     }
 
-    /// Splices a freshly computed list at cut node `id` (other nodes
-    /// pass through): lands its deferred wire coupling, thins it, and
-    /// frees the dropped footprint from the governor's live estimate.
+    /// Whether `id` is a cut node.
+    pub(crate) fn is_cut(&self, id: NodeId) -> bool {
+        self.mask[id.index()]
+    }
+
+    /// Splices a cut node's freshly computed list and parks it: lands
+    /// its deferred wire coupling, thins it, frees the dropped footprint
+    /// from the governor's live estimate, and counts the rest as parked.
+    /// Returns the parked bytes.
     pub(crate) fn splice(
         &mut self,
         governor: &mut Governor,
-        id: NodeId,
         sols: &mut Vec<StatSolution>,
         stats: &mut DpStats,
-    ) {
-        if !self.mask[id.index()] {
-            return;
-        }
+    ) -> usize {
         // A parked frontier outlives its region's DP, so the epsilon
         // thinning and the parked bytes must both see settled
         // solutions, not pending ones whose RAT terms (and footprint)
@@ -270,27 +273,25 @@ impl Cuts {
         );
         let after: usize = sols.iter().map(solution_footprint).sum();
         governor.note_memory(&[], before - after);
+        self.park(governor, after);
+        after
     }
 
-    /// Counts the list now in cut node `id`'s slot as parked, and halves
-    /// the frontier cap (floor 4) while parked bytes exceed the budget's
-    /// soft memory limit.
-    pub(crate) fn park(&mut self, governor: &mut Governor, id: NodeId, sols: &[StatSolution]) {
-        if !self.mask[id.index()] {
-            return;
-        }
-        self.parked += sols.iter().map(solution_footprint).sum::<usize>();
+    /// Counts `bytes` more as parked in cut-node slots (a fresh splice,
+    /// or a replayed cut node's recorded bytes), and halves the frontier
+    /// cap (floor 4) while parked bytes exceed the budget's soft memory
+    /// limit.
+    pub(crate) fn park(&mut self, governor: &mut Governor, bytes: usize) {
+        self.parked += bytes;
         governor.note_chunk_bytes(self.parked);
         if self.parked > governor.budget().soft_mem_bytes {
             self.cap = (self.cap / 2).max(4);
         }
     }
 
-    /// Uncounts cut node `id`'s parked list as its parent takes it.
-    pub(crate) fn release(&mut self, id: NodeId, sols: &[StatSolution]) {
-        if self.mask[id.index()] {
-            self.parked -= sols.iter().map(solution_footprint).sum::<usize>();
-        }
+    /// Uncounts `bytes` of parked frontier as the parent takes it.
+    pub(crate) fn release(&mut self, bytes: usize) {
+        self.parked -= bytes;
     }
 
     /// The run's decomposition report, given the governor's high-water

@@ -329,3 +329,124 @@ fn run_signature_mismatch_flushes() {
     .expect("cold run succeeds");
     assert_results_identical("post-flush 4p", &cross.result, &cold.result);
 }
+
+/// Chain rows: the same byte-identity check on subdivided nets, whose
+/// candidate chains put single-child parents on every edge. A
+/// single-child parent buffers into its child's lifted list, so a
+/// replay there hands it an owned copy of the cached list, while a
+/// merge parent reads its cached operands in place; both must replay
+/// the cold bits, under 2P and 1P, flat and with cuts, and wire edits
+/// land on chain nodes as well as on Steiner edges.
+#[test]
+fn chain_fuzz_replay_matches_cold() {
+    let options = DpOptions::default();
+    let sizing = WireSizing::single();
+    let budget = Budget::unlimited();
+    let chain_rules: [(&str, u64, Arc<dyn PruningRule>); 2] = [
+        ("2p", 2, Arc::new(TwoParam::default())),
+        ("1p", 1, Arc::new(OneParam::default())),
+    ];
+    let mut cases = 0usize;
+    let mut total_hits = 0usize;
+    let mut parked_runs = 0usize;
+    let mut chain_edits = 0usize;
+    for hier in cut_plans() {
+        for seed in SEEDS {
+            for (rule_name, rule_tag, rule) in &chain_rules {
+                let plan = if hier.is_some() { "cut" } else { "flat" };
+                let name = format!("chain-{seed:x}-{rule_name}-{plan}");
+                let mut tree =
+                    generate_benchmark(&BenchmarkSpec::random(&name, 16, seed)).subdivided(250.0);
+                let chain_links = tree
+                    .iter()
+                    .filter(|(id, n)| *id != tree.root() && n.children.len() == 1)
+                    .count();
+                assert!(
+                    chain_links > tree.len() / 4,
+                    "{name}: {chain_links} chain links"
+                );
+                if let Some(h) = &hier {
+                    assert!(plan_cuts(&tree, h).contains(&true), "{name}: no cuts");
+                }
+                let model =
+                    ProcessModel::paper_defaults(tree.bounding_box(), SpatialKind::Heterogeneous);
+                let mut rng = SplitMix64::new(seed ^ rule_tag);
+                let mut sigs = NodeSigs::build(&tree);
+                let mut cache = SolutionCache::new();
+                let run_sig = run_signature(
+                    *rule_tag,
+                    2, // within-die
+                    options.sparsify_epsilon,
+                    sizing.widths().len(),
+                    options.use_lazy_wire,
+                    hier.as_ref(),
+                    0,
+                );
+                for step in 0..EDITS_PER_SCRIPT {
+                    let edited = random_edit(&mut tree, &mut rng);
+                    // A wire edit on a chain node leaves its only child
+                    // clean: the replay hands that child's cached list to
+                    // a single-child parent.
+                    chain_edits += usize::from(tree.node(edited).children.len() == 1);
+                    for id in sigs.update_path(&tree, edited) {
+                        cache.invalidate(id);
+                    }
+                    let inc = optimize_incremental(
+                        &tree,
+                        &model,
+                        VariationMode::WithinDie,
+                        fallback_cascade(rule.clone()),
+                        &sizing,
+                        &options,
+                        hier.as_ref(),
+                        &budget,
+                        RunControls::default(),
+                        &sigs,
+                        &mut cache,
+                        run_sig,
+                    )
+                    .expect("incremental run succeeds");
+                    let cold = optimize_hier(
+                        &tree,
+                        &model,
+                        VariationMode::WithinDie,
+                        fallback_cascade(rule.clone()),
+                        &sizing,
+                        &options,
+                        hier.as_ref().unwrap_or(&HierOptions::disabled()),
+                        &budget,
+                        RunControls::default(),
+                    )
+                    .expect("cold run succeeds");
+                    let label = format!("{name} step {step}");
+                    assert!(!inc.degradation.degraded(), "{label}: degraded");
+                    assert_results_identical(&label, &inc.result, &cold.result);
+                    // A replayed cut node parks what its cold run parked,
+                    // and a skipped subtree parks nothing, so a warm run
+                    // never parks more than a cold one.
+                    assert!(
+                        inc.degradation.peak_chunk_bytes <= cold.degradation.peak_chunk_bytes,
+                        "{label}: parked bytes"
+                    );
+                    if hier.is_some() {
+                        parked_runs += usize::from(inc.degradation.peak_chunk_bytes > 0);
+                    }
+                    assert_eq!(
+                        inc.result.stats.cache_hits + inc.result.stats.cache_misses,
+                        tree.len(),
+                        "{label}: hit/miss partition"
+                    );
+                    total_hits += inc.result.stats.cache_hits;
+                    cases += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 2 * SEEDS.len() * 2 * EDITS_PER_SCRIPT);
+    assert!(parked_runs > cases / 4, "warm cut runs parked nothing");
+    assert!(chain_edits > 0, "no edit left a chain child clean");
+    assert!(
+        total_hits > cases,
+        "cache never replayed anything ({total_hits} hits over {cases} cases)"
+    );
+}
