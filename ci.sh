@@ -11,7 +11,8 @@
 #                         shut down cleanly; then one edit/opt/cts mix
 #                         through varbuf serve and varbuf serve
 #                         --no-cache: the cached replay must print the
-#                         cache-off run's `ok opt` lines exactly)
+#                         cache-off run's `ok opt` lines exactly; and a
+#                         lone opt over the hard queue budget is served)
 #   6. smoke bench       (scaling bench, shrunk via VARBUF_BENCH_SMOKE;
 #                         every net's DP is one sequential walk, so the
 #                         statistical and the deterministic side of each
@@ -70,6 +71,9 @@ COLD_OPTS=$(grep '^ok opt' <<<"$COLD_OUT" || true)
 [ "$(grep -c '^ok opt' <<<"$WARM_OPTS")" -eq 7 ] || { echo "serve parity: expected 7 ok opt lines" >&2; exit 1; }
 grep -q 'cache_hits=[1-9]' <<<"$WARM_OUT" || { echo "serve parity: the cached session replayed nothing" >&2; exit 1; }
 [ "$WARM_OPTS" = "$COLD_OPTS" ] || { echo "serve parity: cached and cache-off opt lines differ" >&2; diff <(echo "$COLD_OPTS") <(echo "$WARM_OPTS") >&2; exit 1; }
+# Admission: a lone request over the hard queue budget is served, not shed.
+LONE_OUT=$(./target/debug/varbuf serve --queue-soft 50 --queue-hard 100 <<<$'open random:64:3\nopt s0.0\n' 2>/dev/null)
+grep -q '^ok opt' <<<"$LONE_OUT" || { echo "serve smoke: a lone over-budget opt was not served" >&2; echo "$LONE_OUT" >&2; exit 1; }
 
 echo "==> smoke bench (VARBUF_BENCH_SMOKE=1 cargo bench --bench scaling)"
 SMOKE_JSON=target/BENCH_dp.smoke.json

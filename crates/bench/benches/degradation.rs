@@ -1,12 +1,12 @@
-//! Overhead of the resource governor: the same DP run strict (the legacy
-//! path) versus governed with an unlimited budget — the difference is the
+//! Overhead of the resource governor: the same DP run strict versus
+//! governed with an unlimited budget — the difference is the
 //! pure bookkeeping cost of budget checks, memory accounting and
 //! admission control. A third variant runs 4P under a solution budget it
 //! cannot meet, pricing the full fallback cascade.
 
 use std::sync::Arc;
 use varbuf_bench::harness::{black_box, BenchConfig, Bencher};
-use varbuf_core::dp::{optimize_governed, optimize_with_rule, DpOptions};
+use varbuf_core::dp::{optimize_with_rule, run, DpOptions, RunControls, RunRequest};
 use varbuf_core::governor::Budget;
 use varbuf_core::prune::{FourParam, TwoParam};
 use varbuf_rctree::generate::{generate_benchmark, BenchmarkSpec};
@@ -33,17 +33,14 @@ fn main() {
 
         // Governed, unlimited budget: same work plus governor bookkeeping.
         // The gap to strict-2P is the governor's overhead.
-        let unlimited = Budget::unlimited();
         group.bench(&format!("governed-2P-unlimited/{sinks}"), || {
-            optimize_governed(
+            let request = RunRequest::new(
                 black_box(&tree),
                 &model,
                 VariationMode::WithinDie,
                 Arc::new(TwoParam::default()),
-                &opts,
-                &unlimited,
-            )
-            .expect("governed completes")
+            );
+            run(&request, RunControls::default()).expect("governed completes")
         });
 
         // Governed 4P under real pressure: the budget forces the fallback
@@ -53,20 +50,17 @@ fn main() {
             hard_solutions: 600,
             ..Budget::unlimited()
         };
-        let capped = DpOptions {
-            max_solutions_per_node: 150,
-            ..DpOptions::default()
-        };
         group.bench(&format!("governed-4P-pressured/{sinks}"), || {
-            let r = optimize_governed(
-                black_box(&tree),
-                &model,
-                VariationMode::WithinDie,
-                Arc::new(FourParam::default()),
-                &capped,
-                &tight,
-            )
-            .expect("governed absorbs the pressure");
+            let request = RunRequest {
+                budget: tight,
+                ..RunRequest::new(
+                    black_box(&tree),
+                    &model,
+                    VariationMode::WithinDie,
+                    Arc::new(FourParam::default()),
+                )
+            };
+            let r = run(&request, RunControls::default()).expect("governed absorbs the pressure");
             assert!(r.degradation.degraded(), "budget must actually bind");
             r
         });

@@ -20,9 +20,10 @@ use std::time::{Duration, Instant};
 use varbuf_bench::harness::{alloc_counter, black_box, BenchConfig, Bencher, JsonReport};
 use varbuf_bench::KernelOperands;
 use varbuf_core::det::optimize_deterministic;
+use varbuf_core::dp::RunRequest;
 use varbuf_core::governor::Budget;
 use varbuf_core::hier::HierOptions;
-use varbuf_core::pool::{default_jobs, optimize_batch, optimize_batch_forced, BatchRequest};
+use varbuf_core::pool::{default_jobs, optimize_batch, optimize_batch_forced};
 use varbuf_core::prune::TwoParam;
 use varbuf_core::service::{EditOp, OptimizeParams, Request, Response, Service, ServiceConfig};
 use varbuf_core::RequestError;
@@ -37,15 +38,13 @@ use varbuf_variation::{ProcessModel, SpatialKind, VariationMode};
 #[global_allocator]
 static ALLOC: alloc_counter::CountingAlloc = alloc_counter::CountingAlloc;
 
-fn request<'a>(tree: &'a RoutingTree, model: &'a ProcessModel) -> BatchRequest<'a> {
-    let mut req = BatchRequest::new(
+fn request<'a>(tree: &'a RoutingTree, model: &'a ProcessModel) -> RunRequest<'a> {
+    RunRequest::strict(
         tree,
         model,
         VariationMode::WithinDie,
         Arc::new(TwoParam::default()),
-    );
-    req.strict = true;
-    req
+    )
 }
 
 /// Median of `pairs` per-pair `num / den` wall-clock ratios. Each pair
@@ -260,7 +259,7 @@ fn main() {
         .iter()
         .map(|t| ProcessModel::paper_defaults(t.bounding_box(), SpatialKind::Heterogeneous))
         .collect();
-    let reqs: Vec<BatchRequest> = trees
+    let reqs: Vec<RunRequest> = trees
         .iter()
         .zip(&models)
         .map(|(t, m)| request(t, m))
@@ -602,14 +601,16 @@ fn main() {
     ] {
         let tree = generate_htree(&HTreeSpec::with_levels(levels));
         let model = ProcessModel::paper_defaults(tree.bounding_box(), SpatialKind::Heterogeneous);
-        let mut req = BatchRequest::new(
-            &tree,
-            &model,
-            VariationMode::WithinDie,
-            Arc::new(TwoParam::default()),
-        )
-        .with_hier(hier_opts);
-        req.budget = cts_budget;
+        let req = RunRequest {
+            budget: cts_budget,
+            ..RunRequest::new(
+                &tree,
+                &model,
+                VariationMode::WithinDie,
+                Arc::new(TwoParam::default()),
+            )
+            .with_hier(hier_opts)
+        };
         let reqs = vec![req];
         // Probe run: collects the decomposition's ledger peak (the
         // governed report carries it) and asserts the budgeted run

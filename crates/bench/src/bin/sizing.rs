@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 use varbuf_bench::{load, model_for, SUITE};
-use varbuf_core::dp::{optimize_with_rule, optimize_with_sizing, DpOptions, WireSizing};
+use varbuf_core::dp::{optimize_with_rule, run, DpOptions, RunControls, RunRequest, WireSizing};
 use varbuf_core::prune::TwoParam;
 use varbuf_variation::{SpatialKind, VariationMode};
 
@@ -32,17 +32,19 @@ fn main() {
         .expect("completes");
         let t_plain = t0.elapsed().as_secs_f64();
 
-        let sizing = WireSizing::default_three();
+        let request = RunRequest {
+            sizing: WireSizing::default_three(),
+            ..RunRequest::strict(
+                &tree,
+                &model,
+                VariationMode::WithinDie,
+                Arc::new(TwoParam::default()),
+            )
+        };
         let t1 = Instant::now();
-        let sized = optimize_with_sizing(
-            &tree,
-            &model,
-            VariationMode::WithinDie,
-            Arc::new(TwoParam::default()),
-            &sizing,
-            &opts,
-        )
-        .expect("completes");
+        let sized = run(&request, RunControls::default())
+            .expect("completes")
+            .result;
         let t_sized = t1.elapsed().as_secs_f64();
 
         let y_plain = plain.root_rat.percentile(0.05);

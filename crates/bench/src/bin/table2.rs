@@ -14,8 +14,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 use varbuf_bench::{load_raw, model_for, SUITE};
-use varbuf_core::dp::DpOptions;
-use varbuf_core::pool::{default_jobs, optimize_batch, BatchRequest};
+use varbuf_core::dp::RunRequest;
+use varbuf_core::governor::Budget;
+use varbuf_core::pool::{default_jobs, optimize_batch};
 use varbuf_core::prune::{FourParam, TwoParam};
 use varbuf_rctree::generate::{generate_benchmark, BenchmarkSpec};
 use varbuf_variation::{SpatialKind, VariationMode};
@@ -39,27 +40,12 @@ fn main() {
     for name in SUITE {
         let tree = load_raw(name);
         let model = model_for(&tree, SpatialKind::Heterogeneous);
-        let opts4 = DpOptions {
-            max_solutions_per_node: cap,
-            time_limit: limit,
-            ..DpOptions::default()
+        let mode = VariationMode::WithinDie;
+        let two = RunRequest::strict(&tree, &model, mode, Arc::new(TwoParam::default()));
+        let four = RunRequest {
+            budget: Budget::strict(cap, limit),
+            ..RunRequest::strict(&tree, &model, mode, Arc::new(FourParam::default()))
         };
-
-        let mut two = BatchRequest::new(
-            &tree,
-            &model,
-            VariationMode::WithinDie,
-            Arc::new(TwoParam::default()),
-        );
-        two.strict = true;
-        let mut four = BatchRequest::new(
-            &tree,
-            &model,
-            VariationMode::WithinDie,
-            Arc::new(FourParam::default()),
-        );
-        four.strict = true;
-        four.options = opts4;
 
         let mut results = optimize_batch(&[two, four], jobs).into_iter();
         let t2 = results
@@ -92,17 +78,14 @@ fn main() {
     for sinks in [4usize, 6, 9, 12, 16, 24, 32, 48] {
         let tree = generate_benchmark(&BenchmarkSpec::random("cap4p", sinks, 1));
         let model = model_for(&tree, SpatialKind::Heterogeneous);
-        let mut req = BatchRequest::new(
-            &tree,
-            &model,
-            VariationMode::WithinDie,
-            Arc::new(FourParam::default()),
-        );
-        req.strict = true;
-        req.options = DpOptions {
-            max_solutions_per_node: cap,
-            time_limit: limit,
-            ..DpOptions::default()
+        let req = RunRequest {
+            budget: Budget::strict(cap, limit),
+            ..RunRequest::strict(
+                &tree,
+                &model,
+                VariationMode::WithinDie,
+                Arc::new(FourParam::default()),
+            )
         };
         let start = std::time::Instant::now();
         match optimize_batch(&[req], 1).pop().expect("one request") {

@@ -118,8 +118,9 @@ pub fn rat_optimization_row(name: &str, kind: SpatialKind) -> RatRow {
 #[must_use]
 pub fn rat_optimization_row_jobs(name: &str, kind: SpatialKind, jobs: usize) -> RatRow {
     use std::sync::Arc;
+    use varbuf_core::dp::RunRequest;
     use varbuf_core::driver::{optimize_nominal, OptimizeResult};
-    use varbuf_core::pool::{optimize_batch, BatchRequest};
+    use varbuf_core::pool::optimize_batch;
     use varbuf_core::yield_eval::YieldEvaluator;
     use varbuf_variation::VariationMode;
 
@@ -128,13 +129,11 @@ pub fn rat_optimization_row_jobs(name: &str, kind: SpatialKind, jobs: usize) -> 
     let opts = options();
     let nom = optimize_nominal(&tree, &model, &opts).expect("suite optimizations succeed");
     let statistical_modes = [VariationMode::DieToDie, VariationMode::WithinDie];
-    let requests: Vec<BatchRequest> = statistical_modes
+    let requests: Vec<RunRequest> = statistical_modes
         .iter()
-        .map(|&mode| {
-            let mut req = BatchRequest::new(&tree, &model, mode, Arc::new(opts.rule));
-            req.strict = true;
-            req.options = opts.dp;
-            req
+        .map(|&mode| RunRequest {
+            options: opts.dp,
+            ..RunRequest::strict(&tree, &model, mode, Arc::new(opts.rule))
         })
         .collect();
     let mut results = vec![nom];

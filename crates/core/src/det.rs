@@ -10,10 +10,8 @@
 
 use crate::error::InsertionError;
 use crate::metrics::DpStats;
-use crate::ops::{buffer_extend_det, driver_rat_det, merge_pair_det, PendingWire};
+use crate::ops::{buffer_extend_det, driver_rat_det, merge_pair_det, wire_extend_det};
 use crate::solution::DetSolution;
-use crate::trace::Trace;
-use std::sync::Arc;
 use std::time::Instant;
 use varbuf_rctree::tree::NodeKind;
 use varbuf_rctree::{NodeId, RoutingTree};
@@ -77,17 +75,11 @@ pub fn optimize_deterministic(
             NodeKind::Internal | NodeKind::Source { .. } => {
                 let mut acc: Option<Vec<DetSolution>> = None;
                 for &c in &node.children {
-                    // Lift the child's list across its edge, applied as a
-                    // single affine [`PendingWire`] transform. For one
-                    // segment the transform is the eager kernel bit for
-                    // bit (`from_segment` keeps its exact grouping), and
-                    // the same type composes chains of segments in O(1)
-                    // each for subdivision-heavy trees.
+                    // Lift the child's list across its edge.
                     let seg = wire.segment(tree.node(c).edge_length);
-                    let pending = PendingWire::from_segment(&seg);
                     let mut lifted: Vec<DetSolution> = lists[c.index()]
                         .iter()
-                        .map(|s| pending.apply_det(s))
+                        .map(|s| wire_extend_det(s, &seg))
                         .collect();
                     lists[c.index()].clear(); // free memory eagerly
                     stats.solutions_generated += lifted.len();
@@ -225,10 +217,6 @@ pub fn assignment_with_nominal_values(
     }
     Ok(a)
 }
-
-// Keep an explicit reference to Trace so the module docs read naturally.
-#[allow(unused)]
-fn _trace_type_anchor(_: Arc<Trace>) {}
 
 #[cfg(test)]
 mod tests {

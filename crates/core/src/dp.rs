@@ -8,26 +8,26 @@
 //!   by the rule's scalar key; lifting, buffering, merging and pruning are
 //!   all linear walks — Theorem 1's `O(B·N²)`;
 //! * rules with [`MergeStrategy::CrossProduct`] (4P) must form all `n·m`
-//!   pair combinations at merges and prune pairwise in `O(N²)`; the
-//!   engine enforces a per-node solution cap and a wall-clock limit so
-//!   that the blow-up surfaces as a typed error (the "-" rows of
-//!   Table 2) rather than an OOM kill.
+//!   pair combinations at merges and prune pairwise in `O(N²)`; a strict
+//!   run enforces a per-node solution cap and a wall-clock limit (the
+//!   paper's, [`Budget::paper`]) so that the blow-up surfaces as a typed
+//!   error (the "-" rows of Table 2) rather than an OOM kill.
 //!
-//! Every run is mediated by a [`Governor`]: the legacy entry points
-//! ([`optimize_with_rule`], [`optimize_with_sizing`]) use a *strict*
-//! governor over their one rule that turns the first budget breach into
-//! a typed error, while [`optimize_governed`] uses a degrading governor
-//! that walks a pruning-rule fallback cascade, tightens epsilon,
-//! truncates candidate lists, and — past a hard limit — finishes in
-//! panic-completion mode so the caller still gets a valid best-so-far
-//! design plus a [`Degradation`] report.
+//! Every run is one [`RunRequest`] handed to [`run`], which mediates it
+//! by a [`Governor`]: a *strict* request turns the first breach of its
+//! budget's hard limits into a typed error, while a governed one walks a
+//! pruning-rule fallback cascade, tightens epsilon, truncates candidate
+//! lists, and — past a hard limit — finishes in panic-completion mode so
+//! the caller still gets a valid best-so-far design plus a
+//! [`Degradation`] report. [`optimize_with_rule`] is the strict request
+//! of one rule.
 //!
-//! Cold, incremental ([`optimize_incremental`]) and hierarchical
-//! ([`crate::hier::optimize_hier`]) runs share one postorder walk that
-//! takes two optional inputs: a memo (the session's node signatures and
-//! solution cache), whose hits hand the parent a cached list in place
-//! and skip the whole subtree, and a cut plan, whose cut nodes splice
-//! their lists before the parent takes them.
+//! Cold, incremental (a [`Memo`] in [`RunControls::memo`]) and
+//! hierarchical ([`RunRequest::hier`]) runs share one postorder walk
+//! that takes two optional inputs: a memo (the session's node
+//! signatures and solution cache), whose hits hand the parent a cached
+//! list in place and skip the whole subtree, and a cut plan, whose cut
+//! nodes splice their lists before the parent takes them.
 
 use crate::cache::{CachedList, NodeSigs, SolutionCache};
 use crate::error::InsertionError;
@@ -36,7 +36,7 @@ use crate::governor::{
     keep_best, solution_footprint, truncate_spread, Admission, Budget, CancelToken, Clock,
     Degradation, Governor, GuardedFallback,
 };
-use crate::hier::{Cuts, HierOptions, HierReport, HierResult};
+use crate::hier::{Cuts, HierOptions, HierReport};
 use crate::metrics::DpStats;
 use crate::ops::{
     buffer_extend_stat_into, driver_rat_stat, materialize_wire_stat, merge_pair_stat_into,
@@ -87,17 +87,9 @@ impl RootSelection {
     }
 }
 
-/// Engine limits and knobs.
+/// Engine knobs. The limits of a run are its [`RunRequest::budget`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DpOptions {
-    /// Abort with [`InsertionError::CapacityExceeded`] when a node would
-    /// hold more candidates than this (the paper's 2 GB memory cap, in
-    /// solution-count form). Governed runs degrade instead of aborting —
-    /// see [`optimize_governed`].
-    pub max_solutions_per_node: usize,
-    /// Abort with [`InsertionError::TimeLimitExceeded`] past this
-    /// wall-clock budget (the paper's 4-hour cutoff).
-    pub time_limit: Duration,
     /// Drop canonical-form terms below this fraction of the form's σ
     /// after each operation (`0.0` keeps everything).
     pub sparsify_epsilon: f64,
@@ -127,8 +119,6 @@ pub struct DpOptions {
 impl Default for DpOptions {
     fn default() -> Self {
         Self {
-            max_solutions_per_node: 2_000_000,
-            time_limit: Duration::from_secs(4 * 3600),
             sparsify_epsilon: 0.0,
             root_selection: RootSelection::YieldRat(0.95),
             use_lazy_wire: true,
@@ -222,18 +212,101 @@ pub struct StatResult {
     pub stats: DpStats,
 }
 
-/// A governed run's outcome: the (possibly degraded) result plus the
-/// structured report of every budget-driven relaxation.
+/// One optimization run: the net, its model and every knob of the run.
+/// [`run`] takes one; the batch pool fans a slice of them across
+/// workers.
+///
+/// A strict request runs its cascade's first rule alone and turns the
+/// first breach of its budget's hard limits into a typed error; a
+/// governed one degrades within the budget instead. Both report a
+/// [`Degradation`].
+#[derive(Clone)]
+pub struct RunRequest<'a> {
+    /// The net to optimize.
+    pub tree: &'a RoutingTree,
+    /// Process-variation model.
+    pub model: &'a ProcessModel,
+    /// Variation categories the solution forms carry.
+    pub mode: VariationMode,
+    /// Pruning rules in order of decreasing cost, the primary first (see
+    /// [`fallback_cascade`]). A strict run prunes with the primary only.
+    pub cascade: Vec<Arc<dyn PruningRule>>,
+    /// Wire-width choice set.
+    pub sizing: WireSizing,
+    /// Engine knobs: epsilon, root selection and the lazy-wire switch.
+    pub options: DpOptions,
+    /// Resource limits: the degradation thresholds of a governed run,
+    /// the hard caps of a strict one.
+    pub budget: Budget,
+    /// Strict (typed error on breach) vs governed (degrade) policy.
+    pub strict: bool,
+    /// Decomposition knobs: cut nodes splice their frontiers (see
+    /// [`crate::hier`]). `None` runs flat.
+    pub hier: Option<HierOptions>,
+}
+
+impl<'a> RunRequest<'a> {
+    /// A governed request over [`fallback_cascade`]`(rule)` with default
+    /// sizing and options, an unlimited budget and no cuts.
+    #[must_use]
+    pub fn new(
+        tree: &'a RoutingTree,
+        model: &'a ProcessModel,
+        mode: VariationMode,
+        rule: Arc<dyn PruningRule>,
+    ) -> Self {
+        Self {
+            tree,
+            model,
+            mode,
+            cascade: fallback_cascade(rule),
+            sizing: WireSizing::single(),
+            options: DpOptions::default(),
+            budget: Budget::unlimited(),
+            strict: false,
+            hier: None,
+        }
+    }
+
+    /// A strict request of `rule` under the paper's caps
+    /// ([`Budget::paper`]), otherwise as [`RunRequest::new`].
+    #[must_use]
+    pub fn strict(
+        tree: &'a RoutingTree,
+        model: &'a ProcessModel,
+        mode: VariationMode,
+        rule: Arc<dyn PruningRule>,
+    ) -> Self {
+        Self {
+            budget: Budget::paper(),
+            strict: true,
+            ..Self::new(tree, model, mode, rule)
+        }
+    }
+
+    /// Routes this request through the hierarchical engine.
+    #[must_use]
+    pub fn with_hier(mut self, hier: HierOptions) -> Self {
+        self.hier = Some(hier);
+        self
+    }
+}
+
+/// A run's outcome: the design, the report of every budget-driven
+/// relaxation, and what the decomposition did.
 #[derive(Debug, Clone)]
-pub struct GovernedResult {
+pub struct RunResult {
     /// The winning design — valid even when the run degraded.
     pub result: StatResult,
     /// What was relaxed to get there; `degraded() == false` means the
-    /// run finished at full fidelity.
+    /// run finished at full fidelity (always so for a strict run).
     pub degradation: Degradation,
+    /// What the decomposition did (zero unless the cut plan cut).
+    pub hier: HierReport,
 }
 
-/// Runs variation-aware buffer insertion with an explicit pruning rule.
+/// Runs variation-aware buffer insertion with an explicit pruning rule:
+/// the strict run of [`RunRequest::strict`].
 ///
 /// `mode` selects which variation categories the solution forms carry
 /// (D2D = random + inter-die, WID = + spatial).
@@ -244,7 +317,7 @@ pub struct GovernedResult {
 ///   inputs;
 /// * [`InsertionError::CapacityExceeded`] /
 ///   [`InsertionError::TimeLimitExceeded`] when a quadratic rule (4P)
-///   blows past the configured caps.
+///   blows past the paper's caps.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -269,60 +342,11 @@ pub fn optimize_with_rule(
     rule: Arc<dyn PruningRule>,
     options: &DpOptions,
 ) -> Result<StatResult, InsertionError> {
-    optimize_with_sizing(tree, model, mode, rule, &WireSizing::single(), options)
-}
-
-/// [`optimize_with_rule`] extended with simultaneous wire sizing: every
-/// edge additionally chooses a width from `sizing`'s table, recorded in
-/// [`StatResult::wire_widths`].
-///
-/// # Errors
-///
-/// Same as [`optimize_with_rule`]; the enlarged decision space multiplies
-/// candidate counts by at most the width-table size per edge.
-pub fn optimize_with_sizing(
-    tree: &RoutingTree,
-    model: &ProcessModel,
-    mode: VariationMode,
-    rule: Arc<dyn PruningRule>,
-    sizing: &WireSizing,
-    options: &DpOptions,
-) -> Result<StatResult, InsertionError> {
-    optimize_strict(tree, model, mode, rule, sizing, options).map(|g| g.result)
-}
-
-/// The strict run behind [`optimize_with_sizing`] and strict batch
-/// requests: a [`Governor::strict`] over `rule` with the caps of
-/// `options`, reported like a governed run (its [`Degradation`] names
-/// the rule and is never degraded — a breach is an error instead).
-pub(crate) fn optimize_strict(
-    tree: &RoutingTree,
-    model: &ProcessModel,
-    mode: VariationMode,
-    rule: Arc<dyn PruningRule>,
-    sizing: &WireSizing,
-    options: &DpOptions,
-) -> Result<GovernedResult, InsertionError> {
-    let mut governor = Governor::strict(
-        Budget::strict(options.max_solutions_per_node, options.time_limit),
-        rule,
-        options.sparsify_epsilon,
-    );
-    let (result, _) = run_engine(
-        tree,
-        model,
-        mode,
-        sizing,
-        options,
-        &mut governor,
-        None,
-        None,
-        None,
-    )?;
-    Ok(GovernedResult {
-        result,
-        degradation: governor.into_report(),
-    })
+    let request = RunRequest {
+        options: *options,
+        ..RunRequest::strict(tree, model, mode, rule)
+    };
+    run(&request, RunControls::default()).map(|r| r.result)
 }
 
 /// The degradation cascade started from `primary`: the primary rule,
@@ -401,45 +425,15 @@ fn guard_cascade(
     })
 }
 
-/// Runs the DP under a degrading [`Governor`]: budget breaches relax the
-/// run (rule fallback, epsilon tightening, list truncation, panic
-/// completion) instead of aborting it, so even a pathological 4P run
-/// returns a valid buffered design plus a [`Degradation`] report.
-///
-/// # Errors
-///
-/// Only [`InsertionError::InvalidTree`], [`InsertionError::NoSinks`], or
-/// [`InsertionError::PoisonedSolutions`] (every candidate at some node
-/// invalid — nothing valid to recover to). Resource pressure never errors.
-pub fn optimize_governed(
-    tree: &RoutingTree,
-    model: &ProcessModel,
-    mode: VariationMode,
-    primary: Arc<dyn PruningRule>,
-    options: &DpOptions,
-    budget: &Budget,
-) -> Result<GovernedResult, InsertionError> {
-    optimize_governed_detailed(
-        tree,
-        model,
-        mode,
-        fallback_cascade(primary),
-        &WireSizing::single(),
-        options,
-        budget,
-        RunControls::default(),
-    )
-}
-
 /// Per-run execution controls orthogonal to the optimization problem
 /// itself: a replacement clock (fault injection skews it), a fault
-/// injector mutating candidate lists, and the cooperative-cancellation
+/// injector mutating candidate lists, the cooperative-cancellation
 /// pair the service layer arms for every request — an external
 /// [`CancelToken`] plus an optional watchdog deadline measured on the
-/// governor's clock.
+/// governor's clock — and an incremental run's session memo.
 ///
 /// `RunControls::default()` is the plain batch run: real clock, no
-/// faults, no cancellation.
+/// faults, no cancellation, no memo.
 #[derive(Default)]
 pub struct RunControls<'a> {
     /// Replacement wall-clock source (`None` = real monotonic clock).
@@ -451,164 +445,108 @@ pub struct RunControls<'a> {
     /// Watchdog deadline on the governor's clock; overrun cancels the
     /// run into best-so-far completion.
     pub watchdog: Option<Duration>,
+    /// The session memo of an incremental run (`None` = cold run).
+    pub memo: Option<Memo<'a>>,
 }
 
-impl RunControls<'_> {
-    fn has_cancellation(&self) -> bool {
-        self.cancel.is_some() || self.watchdog.is_some()
-    }
-}
-
-/// [`optimize_governed`] with every knob exposed: an explicit fallback
-/// cascade, wire sizing, and the [`RunControls`] for clock replacement,
-/// fault injection, and cooperative cancellation.
+/// An incremental run's memo: the session's node signatures and
+/// solution cache, valid under one run signature.
 ///
-/// # Errors
-///
-/// Same as [`optimize_governed`].
-///
-/// # Panics
-///
-/// Panics if `cascade` is empty.
-#[allow(clippy::too_many_arguments)]
-pub fn optimize_governed_detailed(
-    tree: &RoutingTree,
-    model: &ProcessModel,
-    mode: VariationMode,
-    cascade: Vec<Arc<dyn PruningRule>>,
-    sizing: &WireSizing,
-    options: &DpOptions,
-    budget: &Budget,
-    controls: RunControls<'_>,
-) -> Result<GovernedResult, InsertionError> {
-    run_governed(
-        tree, model, mode, cascade, sizing, options, None, budget, controls, None,
-    )
-    .map(HierResult::into_governed)
-}
-
-/// [`optimize_governed_detailed`] with an epoch-scoped solution cache
-/// and, when `hier` is set, the cut plan of
-/// [`crate::hier::optimize_hier`]: nodes whose content signature still
-/// matches a cached entry hand their parent the cached list in place
-/// (re-admitted through the governor so budget accounting stays
-/// coherent) and their subtrees are never visited; only dirty nodes —
-/// the root path of the session's edits — run the DP. Each fresh list
-/// is stored back by handle under its node's signature, as its parent
-/// reads it (see [`crate::cache`]): after the splice at a cut node and
-/// the parent's lift.
+/// Nodes whose content signature still matches a cached entry hand
+/// their parent the cached list in place (re-admitted through the
+/// governor so budget accounting stays coherent) and their subtrees are
+/// never visited; only dirty nodes — the root path of the session's
+/// edits — run the DP. Each fresh list is stored back by handle under
+/// its node's signature, as its parent reads it (see [`crate::cache`]):
+/// after the splice at a cut node and the parent's lift.
+/// `stats.cache_hits` counts the nodes covered by replayed lists (whole
+/// clean subtrees); `stats.cache_misses` the recomputed dirty nodes.
 ///
 /// Cached replay stays byte-identical to a cold run because the cache
 /// only feeds (and is only fed by) full-fidelity runs. A constraining
 /// budget or a fault injector runs cold without touching the cache,
 /// and a run that degraded, was cancelled, or errored flushes the
 /// cache — its lists may be truncated best-so-far artifacts.
-///
-/// `sigs` must be current for `tree` (see
-/// [`NodeSigs::update_path`](crate::cache::NodeSigs::update_path));
-/// `run_sig` is the [`crate::cache::run_signature`] of the run-wide
-/// inputs, `hier` included. `stats.cache_hits` counts the nodes covered
-/// by replayed lists (whole clean subtrees); `stats.cache_misses` the
-/// recomputed dirty nodes.
+pub struct Memo<'m> {
+    /// Node signatures, current for the run's tree (see
+    /// [`NodeSigs::update_path`]).
+    pub sigs: &'m NodeSigs,
+    /// The session's solution cache.
+    pub cache: &'m mut SolutionCache,
+    /// The [`crate::cache::run_signature`] of the run-wide inputs, the
+    /// cut plan included.
+    pub run_sig: u64,
+}
+
+/// Runs the DP for one request: the engine's one entry point. Builds
+/// the run's [`Governor`] — strict over the cascade's primary rule, or
+/// degrading over the cascade — with the controls' clock and
+/// cancellation pair, then walks the tree with the optional memo and
+/// the request's cut plan. A governed cross-product (4P) primary on a
+/// net over 12 sinks, under a budget with no solution or memory
+/// ceiling, starts at the cascade's first linear-merge rule instead
+/// (noted as [`Degradation::guard`]).
 ///
 /// # Errors
 ///
-/// Same as [`optimize_governed`].
+/// * [`InsertionError::InvalidTree`] / [`InsertionError::NoSinks`] for
+///   bad inputs (and `InvalidTree` for a memo whose signatures do not
+///   cover the tree);
+/// * [`InsertionError::PoisonedSolutions`] when every candidate at some
+///   node of a governed run is invalid — nothing valid to recover to;
+/// * strict runs only: [`InsertionError::CapacityExceeded`],
+///   [`InsertionError::TimeLimitExceeded`] or
+///   [`InsertionError::Cancelled`] at the first breach of the budget's
+///   hard limits or a cancellation. Resource pressure never errors a
+///   governed run.
 ///
 /// # Panics
 ///
-/// Panics if `cascade` is empty.
-#[allow(clippy::too_many_arguments)]
-pub fn optimize_incremental(
-    tree: &RoutingTree,
-    model: &ProcessModel,
-    mode: VariationMode,
-    cascade: Vec<Arc<dyn PruningRule>>,
-    sizing: &WireSizing,
-    options: &DpOptions,
-    hier: Option<&HierOptions>,
-    budget: &Budget,
+/// Panics if the request's cascade is empty.
+pub fn run(
+    request: &RunRequest<'_>,
     controls: RunControls<'_>,
-    sigs: &NodeSigs,
-    cache: &mut SolutionCache,
-    run_sig: u64,
-) -> Result<GovernedResult, InsertionError> {
-    let memo = Memo {
-        sigs,
-        cache,
-        run_sig,
+) -> Result<RunResult, InsertionError> {
+    let RunControls {
+        clock,
+        faults,
+        cancel,
+        watchdog,
+        memo,
+    } = controls;
+    let epsilon = request.options.sparsify_epsilon;
+    let (mut governor, guard) = if request.strict {
+        let rule = Arc::clone(&request.cascade[0]);
+        (Governor::strict(request.budget, rule, epsilon), None)
+    } else {
+        let mut cascade = request.cascade.clone();
+        let guard = guard_cascade(request.tree, &mut cascade, &request.budget);
+        (Governor::governed(request.budget, cascade, epsilon), guard)
     };
-    run_governed(
-        tree,
-        model,
-        mode,
-        cascade,
-        sizing,
-        options,
-        hier,
-        budget,
-        controls,
-        Some(memo),
-    )
-    .map(HierResult::into_governed)
-}
-
-/// The governed run behind every degrading entry point: the
-/// [`guard_cascade`] substitution, a degrading [`Governor`] over the
-/// resulting cascade with the controls' cancellation pair and clock,
-/// then [`run_engine`] with the optional memo and cut plan. The memo is
-/// dropped for fault-injected or budget-constrained runs, and flushed
-/// when the run errors or degrades.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_governed(
-    tree: &RoutingTree,
-    model: &ProcessModel,
-    mode: VariationMode,
-    mut cascade: Vec<Arc<dyn PruningRule>>,
-    sizing: &WireSizing,
-    options: &DpOptions,
-    hier: Option<&HierOptions>,
-    budget: &Budget,
-    controls: RunControls<'_>,
-    memo: Option<Memo<'_>>,
-) -> Result<HierResult, InsertionError> {
-    let guard = guard_cascade(tree, &mut cascade, budget);
-    let mut governor = Governor::governed(*budget, cascade, options.sparsify_epsilon);
-    if controls.has_cancellation() {
-        governor =
-            governor.with_cancellation(controls.cancel.unwrap_or_default(), controls.watchdog);
+    if cancel.is_some() || watchdog.is_some() {
+        governor = governor.with_cancellation(cancel.unwrap_or_default(), watchdog);
     }
-    if let Some(c) = controls.clock {
+    if let Some(c) = clock {
         governor = governor.with_clock(c);
     }
     // Degradable or fault-injected lists are not the unconstrained
     // fixpoint, so those runs neither consume nor produce cache entries.
-    let mut memo = memo.filter(|_| controls.faults.is_none() && !budget.constrains_run());
-    let run = run_engine(
-        tree,
-        model,
-        mode,
-        sizing,
-        options,
-        &mut governor,
-        controls.faults,
-        memo.as_mut(),
-        hier,
-    )
-    .map(|(mut result, hier)| {
-        let mut degradation = governor.into_report();
-        degradation.guard = guard;
-        result.stats.rule_fallbacks = degradation.rule_fallbacks();
-        result.stats.epsilon_tightenings = degradation.epsilon_tightenings();
-        result.stats.list_truncations = degradation.truncations();
-        result.stats.poisoned_dropped = degradation.poisoned_dropped();
-        result.stats.panic_completion = degradation.panic_completion;
-        HierResult {
-            result,
-            degradation,
-            hier,
-        }
-    });
+    let mut memo = memo.filter(|_| faults.is_none() && !request.budget.constrains_run());
+    let run =
+        run_engine(request, &mut governor, faults, memo.as_mut()).map(|(mut result, hier)| {
+            let mut degradation = governor.into_report();
+            degradation.guard = guard;
+            result.stats.rule_fallbacks = degradation.rule_fallbacks();
+            result.stats.epsilon_tightenings = degradation.epsilon_tightenings();
+            result.stats.list_truncations = degradation.truncations();
+            result.stats.poisoned_dropped = degradation.poisoned_dropped();
+            result.stats.panic_completion = degradation.panic_completion;
+            RunResult {
+                result,
+                degradation,
+                hier,
+            }
+        });
     // An errored, cancelled or degraded run may have stored best-so-far
     // lists; they are not the fixpoint, so nothing of it survives.
     if run.as_ref().map_or(true, |r| r.degradation.degraded()) {
@@ -617,14 +555,6 @@ pub(crate) fn run_governed(
         }
     }
     run
-}
-
-/// An incremental run's memo: the session's node signatures and
-/// solution cache, valid under one run signature.
-pub(crate) struct Memo<'m> {
-    pub(crate) sigs: &'m NodeSigs,
-    pub(crate) cache: &'m mut SolutionCache,
-    pub(crate) run_sig: u64,
 }
 
 impl Memo<'_> {
@@ -750,27 +680,20 @@ struct RunCtx<'a> {
 }
 
 impl<'a> RunCtx<'a> {
-    /// Collects the run's inputs and arms lazy wire propagation for a
-    /// run under `governor`, with a fault injector when `faults` is set.
-    fn new(
-        tree: &'a RoutingTree,
-        model: &'a ProcessModel,
-        mode: VariationMode,
-        sizing: &'a WireSizing,
-        options: &DpOptions,
-        governor: &Governor,
-        faults: bool,
-    ) -> Self {
+    /// Collects the request's inputs and arms lazy wire propagation for
+    /// a run under `governor`, with a fault injector when `faults` is
+    /// set.
+    fn new(request: &'a RunRequest<'_>, governor: &Governor, faults: bool) -> Self {
         Self {
-            tree,
-            model,
-            mode,
-            sizing,
+            tree: request.tree,
+            model: request.model,
+            mode: request.mode,
+            sizing: &request.sizing,
             // A degradable run keeps eager wire (pending-aware
             // footprints would shift its degradation schedule's memory
             // estimates), and so does a fault-injected one, so injected
             // lists keep their eager shape.
-            lazy: options.use_lazy_wire
+            lazy: request.options.use_lazy_wire
                 && !(governor.is_governed() && governor.budget().constrains_run())
                 && !faults,
         }
@@ -877,22 +800,17 @@ impl SolPool {
     }
 }
 
-/// The shared DP engine behind every entry point: validates the
-/// inputs, runs [`walk`] with every resource decision delegated to
-/// `governor`, and picks the winner. Returns the design plus the
-/// decomposition report (zero unless `hier` produced cuts).
-#[allow(clippy::too_many_arguments)]
+/// The DP engine behind [`run`]: validates the inputs, runs [`walk`]
+/// with every resource decision delegated to `governor`, and picks the
+/// winner. Returns the design plus the decomposition report (zero
+/// unless the request's cut plan cut).
 fn run_engine(
-    tree: &RoutingTree,
-    model: &ProcessModel,
-    mode: VariationMode,
-    sizing: &WireSizing,
-    options: &DpOptions,
+    request: &RunRequest<'_>,
     governor: &mut Governor,
     faults: Option<&mut FaultInjector>,
     mut memo: Option<&mut Memo<'_>>,
-    hier: Option<&HierOptions>,
 ) -> Result<(StatResult, HierReport), InsertionError> {
+    let tree = request.tree;
     tree.validate()?;
     if tree.sink_count() == 0 {
         return Err(InsertionError::NoSinks);
@@ -903,15 +821,8 @@ fn run_engine(
         ));
     }
 
-    let ctx = RunCtx::new(
-        tree,
-        model,
-        mode,
-        sizing,
-        options,
-        governor,
-        faults.is_some(),
-    );
+    let ctx = RunCtx::new(request, governor, faults.is_some());
+    let hier = request.hier.as_ref();
     let mut cuts = hier.and_then(|h| Cuts::plan(tree, h));
     let (mut root, mut stats) = walk(&ctx, governor, faults, memo.as_deref_mut(), cuts.as_mut())?;
     stats.runtime = governor.elapsed();
@@ -926,6 +837,7 @@ fn run_engine(
     // selection key's σ and the reported root RAT read the terms), and
     // the root list is stored as selection reads it, so a replay of an
     // unedited tree reads the cached root list in place.
+    let options = &request.options;
     materialize_operand(&mut root, options.sparsify_epsilon, &mut stats);
     let root = match memo {
         Some(m) => m.share(tree.root(), root, 0),
@@ -1422,7 +1334,6 @@ fn admit_list(
 /// Merges two candidate lists at a branch node. The merge only reads
 /// its operands: a shared one (a cached list) is read in place and
 /// dropped after, an owned one goes back to the pool.
-#[allow(clippy::too_many_arguments)]
 fn merge_lists(
     ctx: &RunCtx<'_>,
     gov: &mut Governor,
@@ -1727,22 +1638,25 @@ mod tests {
         );
     }
 
+    /// The strict WID run of `rule` under `budget`.
+    fn strict_run(
+        tree: &RoutingTree,
+        rule: Arc<dyn PruningRule>,
+        budget: Budget,
+    ) -> Result<RunResult, InsertionError> {
+        let model = model_for(tree);
+        let request = RunRequest {
+            budget,
+            ..RunRequest::strict(tree, &model, VariationMode::WithinDie, rule)
+        };
+        run(&request, RunControls::default())
+    }
+
     #[test]
     fn four_param_hits_capacity_cap() {
         let tree = generate_benchmark(&BenchmarkSpec::random("cap", 120, 6));
-        let model = model_for(&tree);
-        let tight = DpOptions {
-            max_solutions_per_node: 200,
-            ..DpOptions::default()
-        };
-        let err = optimize_with_rule(
-            &tree,
-            &model,
-            VariationMode::WithinDie,
-            Arc::new(FourParam::default()),
-            &tight,
-        )
-        .unwrap_err();
+        let tight = Budget::strict(200, Duration::MAX);
+        let err = strict_run(&tree, Arc::new(FourParam::default()), tight).unwrap_err();
         assert!(
             matches!(err, InsertionError::CapacityExceeded { .. }),
             "expected capacity error, got {err}"
@@ -1752,19 +1666,8 @@ mod tests {
     #[test]
     fn time_limit_enforced() {
         let tree = generate_benchmark(&BenchmarkSpec::random("time", 200, 6));
-        let model = model_for(&tree);
-        let opts = DpOptions {
-            time_limit: Duration::from_nanos(1),
-            ..DpOptions::default()
-        };
-        let err = optimize_with_rule(
-            &tree,
-            &model,
-            VariationMode::WithinDie,
-            Arc::new(TwoParam::default()),
-            &opts,
-        )
-        .unwrap_err();
+        let budget = Budget::strict(usize::MAX, Duration::from_nanos(1));
+        let err = strict_run(&tree, Arc::new(TwoParam::default()), budget).unwrap_err();
         assert!(matches!(err, InsertionError::TimeLimitExceeded { .. }));
     }
 
@@ -1801,7 +1704,6 @@ mod tests {
 
     #[test]
     fn wire_sizing_never_hurts_and_records_choices() {
-        use crate::dp::{optimize_with_sizing, WireSizing};
         let tree = generate_benchmark(&BenchmarkSpec::random("ws", 30, 4));
         let model = model_for(&tree);
         let plain = optimize_with_rule(
@@ -1815,15 +1717,16 @@ mod tests {
         assert!(plain.wire_widths.is_empty());
 
         let sizing = WireSizing::default_three();
-        let sized = optimize_with_sizing(
-            &tree,
-            &model,
-            VariationMode::WithinDie,
-            Arc::new(TwoParam::default()),
-            &sizing,
-            &DpOptions::default(),
-        )
-        .expect("sized");
+        let request = RunRequest {
+            sizing: sizing.clone(),
+            ..RunRequest::strict(
+                &tree,
+                &model,
+                VariationMode::WithinDie,
+                Arc::new(TwoParam::default()),
+            )
+        };
+        let sized = run(&request, RunControls::default()).expect("sized").result;
         // The sized design space is a superset, so the result should not
         // be meaningfully worse. (The statistical DP prunes on mean and
         // selects on the yield percentile, so it is not exactly optimal
@@ -1848,20 +1751,20 @@ mod tests {
 
     #[test]
     fn sized_result_matches_sized_yield_evaluator() {
-        use crate::dp::{optimize_with_sizing, WireSizing};
         use crate::yield_eval::YieldEvaluator;
         let tree = generate_benchmark(&BenchmarkSpec::random("ws2", 24, 6));
         let model = model_for(&tree);
         let sizing = WireSizing::new(vec![1.0, 2.0]);
-        let sized = optimize_with_sizing(
-            &tree,
-            &model,
-            VariationMode::WithinDie,
-            Arc::new(TwoParam::default()),
-            &sizing,
-            &DpOptions::default(),
-        )
-        .expect("sized");
+        let request = RunRequest {
+            sizing: sizing.clone(),
+            ..RunRequest::strict(
+                &tree,
+                &model,
+                VariationMode::WithinDie,
+                Arc::new(TwoParam::default()),
+            )
+        };
+        let sized = run(&request, RunControls::default()).expect("sized").result;
         let ye = YieldEvaluator::new(&tree, &model, VariationMode::WithinDie);
         let rat = ye.rat_form_sized(&sized.assignment, &sizing.edge_widths(&sized.wire_widths));
         assert!(
@@ -1912,15 +1815,13 @@ mod tests {
             &DpOptions::default(),
         )
         .expect("strict");
-        let governed = optimize_governed(
+        let request = RunRequest::new(
             &tree,
             &model,
             VariationMode::WithinDie,
             Arc::new(TwoParam::default()),
-            &DpOptions::default(),
-            &Budget::unlimited(),
-        )
-        .expect("governed");
+        );
+        let governed = run(&request, RunControls::default()).expect("governed");
         assert!(!governed.degradation.degraded());
         assert_eq!(
             governed.result.root_rat.mean(),
@@ -2024,11 +1925,6 @@ mod tests {
     /// before its parent takes it.
     #[test]
     fn two_param_node_lists_stay_mean_ordered() {
-        let sizing = WireSizing::single();
-        let eager = DpOptions {
-            use_lazy_wire: false,
-            ..DpOptions::default()
-        };
         for seed in [0x9E37_79B9u64, 0x85EB_CA6B, 0xC2B2_AE35] {
             for t in 0..64u64 {
                 let sinks = 4 + (t as usize % 13);
@@ -2038,20 +1934,21 @@ mod tests {
                     seed.wrapping_add(t.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
                 ));
                 let model = model_for(&tree);
-                let mut gov = Governor::governed(
-                    Budget::unlimited(),
-                    vec![Arc::new(TwoParam::default())],
-                    eager.sparsify_epsilon,
-                );
-                let ctx = RunCtx::new(
-                    &tree,
-                    &model,
-                    VariationMode::WithinDie,
-                    &sizing,
-                    &eager,
-                    &gov,
-                    false,
-                );
+                let request = RunRequest {
+                    cascade: vec![Arc::new(TwoParam::default())],
+                    options: DpOptions {
+                        use_lazy_wire: false,
+                        ..DpOptions::default()
+                    },
+                    ..RunRequest::new(
+                        &tree,
+                        &model,
+                        VariationMode::WithinDie,
+                        Arc::new(TwoParam::default()),
+                    )
+                };
+                let mut gov = Governor::governed(Budget::unlimited(), request.cascade.clone(), 0.0);
+                let ctx = RunCtx::new(&request, &gov, false);
                 let mut lists = Handoff {
                     stack: Vec::new(),
                     memo: None,
@@ -2096,27 +1993,20 @@ mod tests {
     fn warm_runs_share_cached_lists() {
         let mut tree = generate_benchmark(&BenchmarkSpec::random("share", 32, 5));
         let model = model_for(&tree);
-        let sizing = WireSizing::single();
-        let options = DpOptions::default();
-        let cascade = || fallback_cascade(Arc::new(TwoParam::default()));
+        let rule = || Arc::new(TwoParam::default());
         let mut sigs = NodeSigs::build(&tree);
         let mut cache = SolutionCache::new();
-        let run = |tree: &RoutingTree, sigs: &NodeSigs, cache: &mut SolutionCache| {
-            optimize_incremental(
-                tree,
-                &model,
-                VariationMode::WithinDie,
-                cascade(),
-                &sizing,
-                &options,
-                None,
-                &Budget::unlimited(),
-                RunControls::default(),
-                sigs,
-                cache,
-                0,
-            )
-            .expect("unconstrained run")
+        let warm = |tree: &RoutingTree, sigs: &NodeSigs, cache: &mut SolutionCache| {
+            let controls = RunControls {
+                memo: Some(Memo {
+                    sigs,
+                    cache,
+                    run_sig: 0,
+                }),
+                ..RunControls::default()
+            };
+            let request = RunRequest::new(tree, &model, VariationMode::WithinDie, rule());
+            run(&request, controls).expect("unconstrained run")
         };
         // Every node's handle, asserting the cache alone holds each: a
         // list has as many handles as entries hold it (one, except where
@@ -2141,7 +2031,7 @@ mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        let cold = run(&tree, &sigs, &mut cache);
+        let cold = warm(&tree, &sigs, &mut cache);
         let stored = handles(&tree, &sigs, &cache);
         let root = tree.root();
         let only_child = tree.node(root).children[0];
@@ -2161,16 +2051,9 @@ mod tests {
             "the root passes its only child's list through"
         );
 
-        let mut gov = Governor::governed(Budget::unlimited(), cascade(), 0.0);
-        let ctx = RunCtx::new(
-            &tree,
-            &model,
-            VariationMode::WithinDie,
-            &sizing,
-            &options,
-            &gov,
-            false,
-        );
+        let request = RunRequest::new(&tree, &model, VariationMode::WithinDie, rule());
+        let mut gov = Governor::governed(Budget::unlimited(), request.cascade.clone(), 0.0);
+        let ctx = RunCtx::new(&request, &gov, false);
         let mut memo = Memo {
             sigs: &sigs,
             cache: &mut cache,
@@ -2186,9 +2069,9 @@ mod tests {
         assert!(Arc::ptr_eq(&root_list, &entry.expect("root stored").list));
         drop(root_list);
 
-        let warm = run(&tree, &sigs, &mut cache);
-        assert_eq!(warm.result.stats.cache_hits, tree.len());
-        assert_eq!(warm.result.root_rat, cold.result.root_rat);
+        let replay = warm(&tree, &sigs, &mut cache);
+        assert_eq!(replay.result.stats.cache_hits, tree.len());
+        assert_eq!(replay.result.root_rat, cold.result.root_rat);
         assert_eq!(handles(&tree, &sigs, &cache), stored, "unedited replay");
 
         // Holding every old handle through the edited run keeps the
@@ -2205,7 +2088,7 @@ mod tests {
         for &id in &path {
             cache.invalidate(id);
         }
-        let edited = run(&tree, &sigs, &mut cache);
+        let edited = warm(&tree, &sigs, &mut cache);
         assert_eq!(edited.result.stats.cache_misses, path.len());
         drop(held);
         for ((id, before), (_, after)) in stored.iter().zip(handles(&tree, &sigs, &cache)) {

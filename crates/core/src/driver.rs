@@ -14,7 +14,8 @@ use varbuf_variation::{BufferTypeId, ProcessModel, VariationMode};
 /// Options shared by the driver entry points.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Options {
-    /// Engine limits passed to the statistical DP.
+    /// Engine knobs passed to the statistical DP (its limits are the
+    /// paper's, see [`crate::governor::Budget::paper`]).
     pub dp: DpOptions,
     /// The 2P thresholds (`p̄_L`, `p̄_T`).
     pub rule: TwoParam,

@@ -19,9 +19,10 @@
 //! * every degradation is recorded as a [`DegradationEvent`] in a
 //!   structured [`Degradation`] report returned alongside the result.
 //!
-//! The legacy strict behavior (breach ⇒ typed error) is the same engine
-//! with a [`Governor::strict`] policy whose soft and hard limits
-//! coincide and whose cascade holds only the caller's rule.
+//! The strict behavior (breach ⇒ typed error) is the same engine with a
+//! [`Governor::strict`] policy whose cascade holds only the request's
+//! primary rule; a strict request's budget is its hard caps
+//! ([`Budget::strict`], the paper's in [`Budget::paper`]).
 
 use crate::error::InsertionError;
 use crate::prune::PruningRule;
@@ -150,8 +151,8 @@ impl Budget {
         }
     }
 
-    /// The strict legacy budget: soft and hard limits coincide at the
-    /// engine caps, so the first breach is already a hard breach.
+    /// Caps for a strict run: soft and hard limits coincide, so the
+    /// first breach is already a hard breach.
     #[must_use]
     pub fn strict(max_solutions_per_node: usize, time_limit: Duration) -> Self {
         Self {
@@ -162,6 +163,13 @@ impl Budget {
             soft_mem_bytes: usize::MAX,
             hard_mem_bytes: usize::MAX,
         }
+    }
+
+    /// The paper's caps (Table 2): 2,000,000 solutions per node, in
+    /// place of its 2 GB memory cap, and its 4-hour cutoff.
+    #[must_use]
+    pub fn paper() -> Self {
+        Self::strict(2_000_000, Duration::from_secs(4 * 3600))
     }
 
     /// Whether any axis of this budget is finite — i.e. resource
@@ -527,7 +535,7 @@ pub fn solution_footprint(s: &StatSolution) -> usize {
 
 /// The resource-governing policy object threaded through the DP.
 ///
-/// Construct with [`Governor::strict`] for the legacy abort-on-breach
+/// Construct with [`Governor::strict`] for the abort-on-breach
 /// behavior or [`Governor::governed`] for graceful degradation, then pass
 /// to the engine. After the run, [`Governor::into_report`] yields the
 /// [`Degradation`] report.
@@ -571,8 +579,8 @@ impl Governor {
     /// non-negative.
     const SCREEN: f64 = 1e100;
 
-    /// The legacy strict policy: `rule` stays active for the whole run
-    /// and the first breach of `budget`'s hard limits is a typed error.
+    /// The strict policy: `rule` stays active for the whole run and the
+    /// first breach of `budget`'s hard limits is a typed error.
     #[must_use]
     pub fn strict(budget: Budget, rule: Arc<dyn PruningRule>, base_epsilon: f64) -> Self {
         Self {

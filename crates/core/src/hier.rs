@@ -17,20 +17,17 @@
 //!   replayed cut node counts the bytes its cold run parked);
 //!   when the parked bytes cross the budget's soft memory limit the
 //!   frontier cap halves for subsequent splices, and the high-water
-//!   mark is reported as [`Degradation::peak_chunk_bytes`].
+//!   mark is reported as [`HierReport::peak_chunk_bytes`].
 //!
 //! The contract with the flat engine: with decomposition disabled
 //! ([`HierOptions::disabled`], or a tree that produces no cuts) the run
-//! is the flat walk of [`crate::dp::optimize_governed_detailed`] and
-//! byte-identical to it; with decomposition on, the root objective is
-//! within an epsilon bounded by the splice parameters (pinned by the
-//! `hier_oracle` suite).
+//! is the flat walk of [`crate::dp::run`] and byte-identical to it; with
+//! decomposition on, the root objective is within an epsilon bounded by
+//! the splice parameters (pinned by the `hier_oracle` suite).
 
-use crate::dp::{
-    materialize_list, run_governed, DpOptions, GovernedResult, RunControls, StatResult, WireSizing,
-};
+use crate::dp::{materialize_list, run, DpOptions, RunControls, RunRequest, RunResult, WireSizing};
 use crate::error::InsertionError;
-use crate::governor::{solution_footprint, truncate_spread, Budget, Degradation, Governor};
+use crate::governor::{solution_footprint, truncate_spread, Budget, Governor};
 use crate::metrics::DpStats;
 use crate::prune::PruningRule;
 use crate::solution::StatSolution;
@@ -101,30 +98,6 @@ pub struct HierReport {
     /// The frontier cap in force at the end of the run (smaller than
     /// the configured cap when memory pressure halved it).
     pub final_frontier_cap: usize,
-}
-
-/// A hierarchical run's outcome: the design, the governed-degradation
-/// report, and the decomposition report.
-#[derive(Debug, Clone)]
-pub struct HierResult {
-    /// The winning design.
-    pub result: StatResult,
-    /// Budget-driven relaxations (as for [`crate::dp::optimize_governed_detailed`]).
-    pub degradation: Degradation,
-    /// What the decomposition itself did.
-    pub hier: HierReport,
-}
-
-impl HierResult {
-    /// Collapses to the flat engine's result shape (the batch pool's
-    /// common currency), keeping the degradation report.
-    #[must_use]
-    pub fn into_governed(self) -> GovernedResult {
-        GovernedResult {
-            result: self.result,
-            degradation: self.degradation,
-        }
-    }
 }
 
 /// Selects cut nodes: a postorder sweep accumulates region weight
@@ -306,15 +279,15 @@ impl Cuts {
     }
 }
 
-/// Hierarchical governed optimization: the engine walk of
-/// [`crate::dp::optimize_governed_detailed`] with the [`plan_cuts`] plan, where
-/// each cut node exports an epsilon-spliced, capped frontier. With
-/// decomposition disabled (or a tree the planner leaves uncut) this is
-/// the flat run — same bytes out.
+/// Hierarchical governed optimization: [`crate::dp::run`] of a governed
+/// request over `cascade` with the [`plan_cuts`] plan, where each cut
+/// node exports an epsilon-spliced, capped frontier. With decomposition
+/// disabled (or a tree the planner leaves uncut) this is the flat run —
+/// same bytes out.
 ///
 /// # Errors
 ///
-/// Same as [`crate::dp::optimize_governed_detailed`].
+/// Same as [`crate::dp::run`].
 ///
 /// # Panics
 ///
@@ -330,19 +303,19 @@ pub fn optimize_hier(
     hier: &HierOptions,
     budget: &Budget,
     controls: RunControls<'_>,
-) -> Result<HierResult, InsertionError> {
-    run_governed(
+) -> Result<RunResult, InsertionError> {
+    let request = RunRequest {
         tree,
         model,
         mode,
         cascade,
-        sizing,
-        options,
-        Some(hier),
-        budget,
-        controls,
-        None,
-    )
+        sizing: sizing.clone(),
+        options: *options,
+        budget: *budget,
+        strict: false,
+        hier: Some(*hier),
+    };
+    run(&request, controls)
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@
 //! * [`dp`] — the variation-aware dynamic program, generic over the
 //!   pruning rule, using the statistical key operations of Section 4.2
 //!   (canonical-form wire/buffer extension, tightness-probability merge);
+//!   every run is one [`dp::RunRequest`] handed to [`dp::run`];
 //! * [`driver`] — the NOM / D2D / WID optimization entry points used by
 //!   the experiments;
 //! * [`yield_eval`] — timing-yield analysis of a *fixed* buffered tree
@@ -20,8 +21,8 @@
 //!   yield at a target, and Monte Carlo cross-validation (Figure 6);
 //! * [`governor`] — soft/hard resource budgets and the graceful-
 //!   degradation policy (pruning-rule fallback cascade, epsilon
-//!   tightening, best-so-far panic completion) behind
-//!   [`dp::optimize_governed`];
+//!   tightening, best-so-far panic completion) that [`dp::run`] applies
+//!   to a governed request;
 //! * [`faultinject`] — deterministic clock skew and solution poisoning
 //!   for exercising the degradation paths in tests;
 //! * [`pool`] — the std-only parallel execution layer: the
@@ -82,12 +83,12 @@ pub mod yield_eval;
 
 pub use cache::{NodeSigs, SolutionCache};
 pub use det::optimize_deterministic;
-pub use dp::{optimize_governed, optimize_incremental, GovernedResult};
+pub use dp::{RunRequest, RunResult};
 pub use driver::{optimize_nominal, optimize_statistical, OptimizeResult, Options};
 pub use error::{InsertionError, RequestError};
 pub use governor::{Budget, Degradation, DegradationEvent, Governor, GuardedFallback};
-pub use hier::{optimize_hier, HierOptions, HierReport, HierResult};
-pub use pool::{default_jobs, optimize_batch, optimize_batch_forced, BatchRequest};
+pub use hier::{optimize_hier, HierOptions, HierReport};
+pub use pool::{default_jobs, optimize_batch, optimize_batch_forced};
 pub use prune::{FourParam, OneParam, PruningRule, TwoParam};
 pub use service::{
     EditOp, LibChoice, OptimizeParams, Request, Response, RuleChoice, Service, ServiceConfig,

@@ -129,88 +129,6 @@ pub fn wire_extend_det(sol: &DetSolution, seg: &WireSegment) -> DetSolution {
     }
 }
 
-/// A composed chain of wire segments as one affine transform on
-/// solutions: applying it performs
-/// `L ← L + c`, `T ← T − r·(L + c/2) − d`
-/// (`L` the load *before* the shift). A single segment is
-/// `{d: 0, r: r_s, c: c_s}` — the `x − 0.0` tail is a bitwise identity,
-/// so a unit-length transform reproduces [`wire_extend_det`] (and the
-/// statistical kernels) exactly. `d` accumulates the cross terms that
-/// composition introduces: folding each segment's `½·r·c` constant into
-/// the `r·(L + c/2)` grouping keeps the degenerate case byte-identical,
-/// at the cost of the slightly less obvious composition rule below.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PendingWire {
-    /// Accumulated constant delay beyond the composed `½·r·c` term, ps.
-    pub d: f64,
-    /// Total segment resistance `Σrᵢ`, kΩ.
-    pub r: f64,
-    /// Total segment capacitance `Σcᵢ`, fF.
-    pub c: f64,
-}
-
-impl PendingWire {
-    /// The do-nothing transform.
-    #[must_use]
-    pub fn identity() -> Self {
-        Self {
-            d: 0.0,
-            r: 0.0,
-            c: 0.0,
-        }
-    }
-
-    /// The transform of one wire segment.
-    #[must_use]
-    pub fn from_segment(seg: &WireSegment) -> Self {
-        Self {
-            d: 0.0,
-            r: seg.resistance,
-            c: seg.capacitance,
-        }
-    }
-
-    /// Whether applying this transform is a no-op.
-    #[must_use]
-    pub fn is_identity(&self) -> bool {
-        self.d == 0.0 && self.r == 0.0 && self.c == 0.0
-    }
-
-    /// Extends the chain by one more segment `s` (applied *after* the
-    /// segments already composed): with `T₁ = T − r·(L + c/2) − d` and
-    /// `L₁ = L + c`, the next segment subtracts `r_s·(L₁ + c_s/2)`;
-    /// regrouping under `r' = r + r_s`, `c' = c + c_s` leaves the
-    /// correction `d' = d + (r_s·c − r·c_s)/2`.
-    pub fn compose(&mut self, seg: &WireSegment) {
-        self.d += 0.5 * (seg.resistance * self.c - self.r * seg.capacitance);
-        self.r += seg.resistance;
-        self.c += seg.capacitance;
-    }
-
-    /// Applies the transform to a deterministic solution. A unit-length
-    /// transform is bit-identical to [`wire_extend_det`].
-    #[must_use]
-    pub fn apply_det(&self, sol: &DetSolution) -> DetSolution {
-        DetSolution {
-            load: sol.load + self.c,
-            rat: sol.rat - self.r * (sol.load + self.c / 2.0) - self.d,
-            trace: sol.trace.clone(),
-        }
-    }
-
-    /// Applies the full transform (means and terms) to a statistical
-    /// solution. A unit-length transform is bit-identical to
-    /// [`wire_extend_stat_in_place`]; the reference the lazy engine path
-    /// (defer + [`materialize_wire_stat`]) is property-tested against.
-    pub fn apply_stat(&self, sol: &mut StatSolution) {
-        let sol: &mut StatFields = sol;
-        sol.rat.add_scaled_assign(&sol.load, -self.r);
-        sol.rat.add_constant(-0.5 * self.r * self.c);
-        sol.rat.add_constant(-self.d);
-        sol.load.add_constant(self.c);
-    }
-}
-
 /// Buffer extension, statistical (eqs. (35)–(36)):
 /// `L' = C_b`, `T' = T − T_b − R_b·L` with `C_b`/`T_b` canonical forms.
 #[must_use]
@@ -419,30 +337,9 @@ mod tests {
         });
     }
 
-    #[test]
-    fn pending_wire_unit_transform_matches_kernels_bitwise() {
-        let seg = wire_seg(617.0);
-        let t = PendingWire::from_segment(&seg);
-        assert!(!t.is_identity());
-        assert!(PendingWire::identity().is_identity());
-
-        let d = DetSolution::new(37.5, -210.25);
-        let eager = wire_extend_det(&d, &seg);
-        let lazy = t.apply_det(&d);
-        assert_eq!(eager.load.to_bits(), lazy.load.to_bits());
-        assert_eq!(eager.rat.to_bits(), lazy.rat.to_bits());
-
-        let mut s = stat(30.0, 2.0, -100.0, 3.0);
-        let mut viat = s.clone();
-        wire_extend_stat_in_place(&mut s, &seg);
-        t.apply_stat(&mut viat);
-        assert_form_bits(&s.load, &viat.load);
-        assert_form_bits(&s.rat, &viat.rat);
-    }
-
-    /// Satellite: pending-transform composition vs the sequential eager
-    /// chain, 3 seeds × lengths {1,2,8,32} × {D2D, WID}-shaped forms,
-    /// within 1e-12 relative.
+    /// Per-segment deferral plus one materialization vs the sequential
+    /// eager chain, 3 seeds × lengths {1,2,8,32} × {D2D, WID}-shaped
+    /// forms, within 1e-12 relative.
     #[test]
     fn deferred_chain_matches_sequential_within_1e12() {
         use varbuf_stats::rng::SplitMix64;
@@ -493,56 +390,16 @@ mod tests {
                     }
                     materialize_wire_stat(&mut lazy);
 
-                    // Composed-transform path.
-                    let mut composed = PendingWire::identity();
-                    for seg in &segs {
-                        composed.compose(seg);
-                    }
-                    let mut viat = base.clone();
-                    composed.apply_stat(&mut viat);
-
-                    for got in [&lazy, &viat] {
-                        close(eager.load.mean(), got.load.mean());
-                        close(eager.rat.mean(), got.rat.mean());
-                        assert_eq!(eager.load.term_count(), got.load.term_count());
-                        assert_eq!(eager.rat.term_count(), got.rat.term_count());
-                        for (x, y) in eager.rat.terms().zip(got.rat.terms()) {
-                            assert_eq!(x.0, y.0);
-                            close(x.1, y.1);
-                        }
+                    close(eager.load.mean(), lazy.load.mean());
+                    close(eager.rat.mean(), lazy.rat.mean());
+                    assert_eq!(eager.load.term_count(), lazy.load.term_count());
+                    assert_eq!(eager.rat.term_count(), lazy.rat.term_count());
+                    for (x, y) in eager.rat.terms().zip(lazy.rat.terms()) {
+                        assert_eq!(x.0, y.0);
+                        close(x.1, y.1);
                     }
                 }
             }
-        }
-    }
-
-    /// Det-side exact-equality variant: with dyadic segment values every
-    /// intermediate is exactly representable, so composition must agree
-    /// with the sequential chain bit for bit, not just to 1e-12.
-    #[test]
-    fn pending_wire_det_composition_exact_on_dyadic_chains() {
-        let segs = [
-            (0.125, 2.0),
-            (0.25, 4.0),
-            (0.5, 1.0),
-            (0.0625, 8.0),
-            (1.0, 0.5),
-        ]
-        .map(|(resistance, capacitance)| WireSegment {
-            length: 1.0,
-            resistance,
-            capacitance,
-        });
-        for take in 1..=segs.len() {
-            let mut seq = DetSolution::new(16.0, -64.0);
-            let mut composed = PendingWire::identity();
-            for seg in &segs[..take] {
-                seq = wire_extend_det(&seq, seg);
-                composed.compose(seg);
-            }
-            let lazy = composed.apply_det(&DetSolution::new(16.0, -64.0));
-            assert_eq!(seq.load.to_bits(), lazy.load.to_bits(), "load, len {take}");
-            assert_eq!(seq.rat.to_bits(), lazy.rat.to_bits(), "rat, len {take}");
         }
     }
 

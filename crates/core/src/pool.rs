@@ -4,129 +4,32 @@
 //!
 //! # Threading model and determinism contract
 //!
-//! Independent requests (net + rule + budget) are pulled off a shared
-//! atomic cursor by a fixed worker pool. Result `i` always corresponds
-//! to request `i`, and each request runs the engine's one sequential
-//! walk on the worker that claimed it, so a batch at any `jobs` is
-//! bit-identical to the same requests run in a serial loop — winning
-//! design, root RAT bits, counters and degradation report alike. A
-//! governed request degrades, or a strict one errors, exactly as it
-//! would alone: each run owns its governor, and nothing is shared
-//! between requests but the read-only inputs.
+//! Independent [`RunRequest`]s (net + rule + budget) are pulled off a
+//! shared atomic cursor by a fixed worker pool, and each is one call of
+//! [`crate::dp::run`] on the worker that claimed it. Result `i` always
+//! corresponds to request `i`, and each run is the engine's one
+//! sequential walk, so a batch at any `jobs` is bit-identical to the
+//! same requests run in a serial loop — winning design, root RAT bits,
+//! counters and degradation report alike. A governed request degrades,
+//! or a strict one errors, exactly as it would alone: each run owns its
+//! governor, and nothing is shared between requests but the read-only
+//! inputs.
 //!
 //! This is the engine's one parallelism seam. A forest of clock
-//! subtrees shards across it through [`BatchRequest::with_hier`], and
+//! subtrees shards across it through [`RunRequest::with_hier`], and
 //! the service layer drains consecutive optimize requests through the
 //! same order-preserving pool.
 
-use crate::dp::{
-    fallback_cascade, optimize_strict, run_governed, DpOptions, GovernedResult, RunControls,
-    WireSizing,
-};
+use crate::dp::{run, RunControls, RunRequest, RunResult};
 use crate::error::InsertionError;
-use crate::governor::Budget;
-use crate::hier::HierOptions;
-use crate::prune::PruningRule;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use varbuf_rctree::RoutingTree;
-use varbuf_variation::{ProcessModel, VariationMode};
+use std::sync::Mutex;
 
 /// The machine's available parallelism (`1` when undetectable) — what
 /// `varbuf serve --jobs 0` resolves to.
 #[must_use]
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// One independent optimization request for [`optimize_batch`].
-///
-/// Strict requests (`strict == true`) take their limits from
-/// `options` (the legacy caps) and surface breaches as typed errors;
-/// governed requests degrade within `budget`. Both carry a
-/// [`Degradation`](crate::governor::Degradation) report.
-pub struct BatchRequest<'a> {
-    /// The net to optimize.
-    pub tree: &'a RoutingTree,
-    /// Process-variation model.
-    pub model: &'a ProcessModel,
-    /// Variation categories the solution forms carry.
-    pub mode: VariationMode,
-    /// Primary pruning rule; governed requests start their fallback
-    /// cascade here.
-    pub rule: Arc<dyn PruningRule>,
-    /// Wire-width choice set.
-    pub sizing: WireSizing,
-    /// Engine knobs: caps, epsilon, root selection and the lazy-wire
-    /// switch. Every request runs on one worker whatever the batch's
-    /// `jobs`.
-    pub options: DpOptions,
-    /// Resource budget for governed requests.
-    pub budget: Budget,
-    /// Strict (typed errors on breach) vs governed (degrade) policy.
-    pub strict: bool,
-    /// When set, governed requests route through the hierarchical
-    /// engine ([`crate::hier::optimize_hier`]) with these decomposition
-    /// knobs; strict requests ignore it. This is how a forest of
-    /// clock subtrees shards across the batch pool at full-chip scale.
-    pub hier: Option<HierOptions>,
-}
-
-impl<'a> BatchRequest<'a> {
-    /// A governed request with default sizing, options, and an
-    /// unlimited budget.
-    #[must_use]
-    pub fn new(
-        tree: &'a RoutingTree,
-        model: &'a ProcessModel,
-        mode: VariationMode,
-        rule: Arc<dyn PruningRule>,
-    ) -> Self {
-        Self {
-            tree,
-            model,
-            mode,
-            rule,
-            sizing: WireSizing::single(),
-            options: DpOptions::default(),
-            budget: Budget::unlimited(),
-            strict: false,
-            hier: None,
-        }
-    }
-
-    /// Routes this request through the hierarchical engine.
-    #[must_use]
-    pub fn with_hier(mut self, hier: HierOptions) -> Self {
-        self.hier = Some(hier);
-        self
-    }
-
-    fn run(&self) -> Result<GovernedResult, InsertionError> {
-        if self.strict {
-            return optimize_strict(
-                self.tree,
-                self.model,
-                self.mode,
-                Arc::clone(&self.rule),
-                &self.sizing,
-                &self.options,
-            );
-        }
-        run_governed(
-            self.tree,
-            self.model,
-            self.mode,
-            fallback_cascade(Arc::clone(&self.rule)),
-            &self.sizing,
-            &self.options,
-            self.hier.as_ref(),
-            &self.budget,
-            RunControls::default(),
-            None,
-        )
-        .map(crate::hier::HierResult::into_governed)
-    }
 }
 
 /// Order-preserving parallel map over `0..n`: result `i` is `f(i)`,
@@ -179,9 +82,9 @@ where
 /// machinery regardless.
 #[must_use]
 pub fn optimize_batch(
-    requests: &[BatchRequest<'_>],
+    requests: &[RunRequest<'_>],
     jobs: usize,
-) -> Vec<Result<GovernedResult, InsertionError>> {
+) -> Vec<Result<RunResult, InsertionError>> {
     optimize_batch_forced(requests, jobs.min(default_jobs()))
 }
 
@@ -193,8 +96,10 @@ pub fn optimize_batch(
 /// multi-worker path on any machine.
 #[must_use]
 pub fn optimize_batch_forced(
-    requests: &[BatchRequest<'_>],
+    requests: &[RunRequest<'_>],
     jobs: usize,
-) -> Vec<Result<GovernedResult, InsertionError>> {
-    run_indexed(requests.len(), jobs, |i| requests[i].run())
+) -> Vec<Result<RunResult, InsertionError>> {
+    run_indexed(requests.len(), jobs, |i| {
+        run(&requests[i], RunControls::default())
+    })
 }

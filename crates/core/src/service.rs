@@ -26,7 +26,8 @@
 //!   hard queue budget requests are shed with a deterministic
 //!   retry-after ([`RequestError::Overloaded`]), and between the soft
 //!   and hard budgets requests are *admitted but tightened* — their
-//!   budgets halved so they degrade earlier (degrade-before-drop).
+//!   budgets halved so they degrade earlier (degrade-before-drop). A
+//!   request that finds the queue empty is admitted whatever its cost.
 //!
 //! Requests are submitted in order and drained through the same
 //! order-preserving worker pool as [`crate::pool::optimize_batch`], so a
@@ -39,11 +40,11 @@
 //! byte-compare meaningful.
 
 use crate::cache::{run_signature, NodeSigs, SolutionCache};
-use crate::dp::{fallback_cascade, run_governed, DpOptions, Memo, RunControls, WireSizing};
+use crate::dp::{run, Memo, RunControls, RunRequest};
 use crate::error::{InsertionError, RequestError};
 use crate::faultinject::{FaultInjector, FaultPlan, RequestFault, RequestFaults, SkewedClock};
 use crate::governor::{Budget, CancelToken};
-use crate::hier::{HierOptions, HierResult};
+use crate::hier::HierOptions;
 use crate::prune::{FourParam, OneParam, PruningRule, TwoParam};
 use std::collections::VecDeque;
 use std::fmt;
@@ -60,6 +61,10 @@ use varbuf_variation::{BufferLibrary, ProcessModel, SpatialKind, VariationBudget
 /// guard, not a resource policy (that is the queue budget's job).
 const MAX_SPEC_SINKS: usize = 65_536;
 
+/// Deepest H-tree an `open` spec accepts: `2^16` sinks, the same
+/// [`MAX_SPEC_SINKS`] guard.
+const MAX_SPEC_LEVELS: u32 = MAX_SPEC_SINKS.ilog2();
+
 /// Service-wide policy knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
@@ -69,7 +74,9 @@ pub struct ServiceConfig {
     /// get tightened budgets (degrade-before-drop).
     pub queue_soft_cost: u64,
     /// Queued-cost level above which new optimize requests are shed
-    /// with [`RequestError::Overloaded`].
+    /// with [`RequestError::Overloaded`]. A request that finds nothing
+    /// queued is admitted whatever its cost, so a net larger than the
+    /// budget is served alone instead of refused forever.
     pub queue_hard_cost: u64,
     /// Baseline per-request budget (a request may override it).
     pub budget: Budget,
@@ -775,7 +782,10 @@ impl Service {
         self.next_id += 1;
         let id = self.next_id;
         let cost = self.cost_of(*handle);
-        if self.queued_cost.saturating_add(cost) > self.config.queue_hard_cost {
+        // A request that finds nothing queued is admitted whatever its
+        // cost: shedding it would refuse its net forever.
+        let backlog = self.queued_cost > 0;
+        if backlog && self.queued_cost.saturating_add(cost) > self.config.queue_hard_cost {
             self.stats.shed += 1;
             let retry_after = Duration::from_millis(self.queued_cost / 100 + 1);
             self.queue.push_back(Queued::Ready(Box::new(Response::Error(
@@ -1097,10 +1107,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// `catch_unwind`, and map the outcome to a structured response.
 ///
 /// When the session cache is armed (service-enabled, no fault, an
-/// unconstraining budget), the DP runs as in
-/// [`optimize_incremental`](crate::dp::optimize_incremental), replaying
-/// clean subtrees from the cache — for `cts` requests too, whose cut
-/// plan is part of the run signature.
+/// unconstraining budget), the run carries the session's
+/// [`Memo`], replaying clean subtrees from the cache — for `cts`
+/// requests too, whose cut plan is part of the run signature.
 /// The cache mutex is locked *outside* `catch_unwind` and the closure
 /// only borrows the guard, so a contained panic can neither poison the
 /// mutex nor leave half-written entries live — the still-held guard
@@ -1132,9 +1141,11 @@ fn run_envelope(
     if tightened {
         budget = tighten(budget);
     }
-    let options = DpOptions::default();
-    let cascade = fallback_cascade(params.rule.build());
-    let sizing = WireSizing::single();
+    let request = RunRequest {
+        budget,
+        hier: params.hier,
+        ..RunRequest::new(tree, model, params.mode, params.rule.build())
+    };
     let mut injector = match fault {
         // The injected panic fires on the first node the DP visits.
         Some(RequestFault::Panic) => Some(FaultInjector::new(FaultPlan::panic_at(1))),
@@ -1163,9 +1174,9 @@ fn run_envelope(
             VariationMode::DieToDie => 1,
             VariationMode::WithinDie => 2,
         },
-        options.sparsify_epsilon,
-        sizing.widths().len(),
-        options.use_lazy_wire,
+        request.options.sparsify_epsilon,
+        request.sizing.widths().len(),
+        request.options.use_lazy_wire,
         params.hier.as_ref(),
         session.model_epoch,
     );
@@ -1180,25 +1191,13 @@ fn run_envelope(
             faults: injector.as_mut(),
             cancel: Some(CancelToken::new()),
             watchdog: config.watchdog,
+            memo: cache_guard.as_mut().map(|cache| Memo {
+                sigs: &session.sigs,
+                cache,
+                run_sig,
+            }),
         };
-        let memo = cache_guard.as_mut().map(|cache| Memo {
-            sigs: &session.sigs,
-            cache,
-            run_sig,
-        });
-        run_governed(
-            tree,
-            model,
-            params.mode,
-            cascade,
-            &sizing,
-            &options,
-            params.hier.as_ref(),
-            &budget,
-            controls,
-            memo,
-        )
-        .map(HierResult::into_governed)
+        run(&request, controls)
     }));
     // Any outcome other than a clean completion flushes the cache: a
     // typed error or contained panic may have stored partial entries,
@@ -1309,8 +1308,9 @@ fn parse_spatial(token: Option<&str>) -> Result<SpatialKind, RequestError> {
 /// # Errors
 ///
 /// [`RequestError::Malformed`] for unknown forms or out-of-range sizes
-/// (sinks `1..=65536`, levels `1..=24`) — the same inputs that would
-/// trip generator asserts are typed errors here.
+/// (sinks `1..=65536`, levels `1..=16`, so an H-tree holds at most
+/// 65,536 sinks too) — the same inputs that would trip generator
+/// asserts are typed errors here, before any tree is built.
 pub fn parse_open_spec(spec: &str) -> Result<RoutingTree, RequestError> {
     if let Some(rest) = spec.strip_prefix("random:") {
         let mut parts = rest.split(':');
@@ -1341,9 +1341,9 @@ pub fn parse_open_spec(spec: &str) -> Result<RoutingTree, RequestError> {
         let levels: u32 = rest
             .parse()
             .map_err(|_| malformed(format!("bad level count in `{spec}`")))?;
-        if !(1..=24).contains(&levels) {
+        if !(1..=MAX_SPEC_LEVELS).contains(&levels) {
             return Err(malformed(format!(
-                "H-tree levels must be in 1..=24, got {levels}"
+                "H-tree levels must be in 1..={MAX_SPEC_LEVELS}, got {levels}"
             )));
         }
         return Ok(generate_htree(&HTreeSpec::with_levels(levels)));
@@ -1845,6 +1845,39 @@ mod tests {
         assert_eq!(service.queued_cost(), 0);
     }
 
+    /// A request over the hard budget that arrives at an empty queue is
+    /// served; a second one queued behind it is shed.
+    #[test]
+    fn lone_request_over_the_hard_budget_is_served() {
+        let mut service = Service::new(ServiceConfig {
+            queue_soft_cost: 1,
+            queue_hard_cost: 1,
+            ..ServiceConfig::default()
+        });
+        let h = open_tiny(&mut service);
+        let opt = || Request::Optimize {
+            handle: h,
+            params: OptimizeParams::default(),
+        };
+        assert!(service.cost_of(h) > 1, "the net costs more than the budget");
+        assert!(matches!(
+            service.execute(opt()),
+            Response::Optimized {
+                tightened: false,
+                ..
+            }
+        ));
+        service.submit(opt());
+        service.submit(opt());
+        let responses = service.drain(1);
+        assert!(matches!(responses[0], Response::Optimized { .. }));
+        assert!(matches!(
+            responses[1],
+            Response::Error(RequestError::Overloaded { .. })
+        ));
+        assert_eq!(service.stats().shed, 1);
+    }
+
     #[test]
     fn faults_require_opt_in() {
         let mut service = Service::new(ServiceConfig::default());
@@ -2133,6 +2166,7 @@ mod tests {
             "frobnicate",
             "open random:0",
             "open htree:30",
+            "open htree:17",
             "open random:abc",
             "opt s0.0 mode=nominal",
             "opt s0.0 rule=5p",

@@ -73,8 +73,8 @@ impl<'a> YieldEvaluator<'a> {
     }
 
     /// The canonical form of the root RAT for `assignment` with per-edge
-    /// wire widths (for designs produced by
-    /// [`optimize_with_sizing`](crate::dp::optimize_with_sizing)).
+    /// wire widths (for designs of a wire-sized
+    /// [`RunRequest`](crate::dp::RunRequest)).
     ///
     /// # Panics
     ///

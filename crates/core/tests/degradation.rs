@@ -9,16 +9,16 @@
 //! 2. a hard wall-clock breach (scripted through an injected clock, no
 //!    sleeping) still yields a best-so-far design instead of an error.
 
+mod common;
+
+use common::assert_valid_design;
 use std::sync::Arc;
 use std::time::Duration;
-use varbuf_core::dp::{
-    optimize_governed, optimize_governed_detailed, optimize_with_rule, DpOptions, GovernedResult,
-    RunControls, WireSizing,
-};
+use varbuf_core::dp::{optimize_with_rule, run, DpOptions, RunControls, RunRequest};
 use varbuf_core::faultinject::{FaultInjector, FaultPlan, PoisonKind, SkewedClock, StepClock};
 use varbuf_core::governor::Budget;
-use varbuf_core::prune::{FourParam, TwoParam};
-use varbuf_core::{InsertionError, YieldEvaluator};
+use varbuf_core::prune::{FourParam, PruningRule, TwoParam};
+use varbuf_core::InsertionError;
 use varbuf_rctree::generate::{generate_benchmark, BenchmarkSpec};
 use varbuf_rctree::RoutingTree;
 use varbuf_variation::{ProcessModel, SpatialKind, VariationMode};
@@ -27,20 +27,17 @@ fn model_for(tree: &RoutingTree) -> ProcessModel {
     ProcessModel::paper_defaults(tree.bounding_box(), SpatialKind::Homogeneous)
 }
 
-/// Independently re-evaluates a result's buffer assignment and asserts
-/// the reported root RAT is real — the "valid buffered tree" check.
-fn assert_valid_design(tree: &RoutingTree, model: &ProcessModel, g: &GovernedResult) {
-    assert!(g.result.root_rat.mean().is_finite());
-    assert!(g.result.root_rat.variance().is_finite());
-    let ye = YieldEvaluator::new(tree, model, VariationMode::WithinDie);
-    let independent = ye.rat_form(&g.result.assignment);
-    assert!(
-        (independent.mean() - g.result.root_rat.mean()).abs()
-            < 1e-6 * g.result.root_rat.mean().abs(),
-        "evaluator {} vs DP {}",
-        independent.mean(),
-        g.result.root_rat.mean()
-    );
+/// A governed WID request of `rule` under `budget`.
+fn governed<'a>(
+    tree: &'a RoutingTree,
+    model: &'a ProcessModel,
+    rule: Arc<dyn PruningRule>,
+    budget: Budget,
+) -> RunRequest<'a> {
+    RunRequest {
+        budget,
+        ..RunRequest::new(tree, model, VariationMode::WithinDie, rule)
+    }
 }
 
 #[test]
@@ -49,17 +46,16 @@ fn solution_cap_that_kills_strict_4p_degrades_to_2p_and_completes() {
     // 200-solution cap, 4P. Strict: typed error. Governed: fallback.
     let tree = generate_benchmark(&BenchmarkSpec::random("cap", 120, 6));
     let model = model_for(&tree);
-    let options = DpOptions {
-        max_solutions_per_node: 200,
-        ..DpOptions::default()
+    let request = RunRequest {
+        budget: Budget::strict(200, Duration::MAX),
+        ..RunRequest::strict(
+            &tree,
+            &model,
+            VariationMode::WithinDie,
+            Arc::new(FourParam::default()),
+        )
     };
-    let strict = optimize_with_rule(
-        &tree,
-        &model,
-        VariationMode::WithinDie,
-        Arc::new(FourParam::default()),
-        &options,
-    );
+    let strict = run(&request, RunControls::default());
     assert!(
         matches!(strict, Err(InsertionError::CapacityExceeded { .. })),
         "the strict engine must still abort"
@@ -70,15 +66,9 @@ fn solution_cap_that_kills_strict_4p_degrades_to_2p_and_completes() {
         hard_solutions: 800,
         ..Budget::unlimited()
     };
-    let governed = optimize_governed(
-        &tree,
-        &model,
-        VariationMode::WithinDie,
-        Arc::new(FourParam::default()),
-        &options,
-        &budget,
-    )
-    .expect("the governed engine must complete");
+    let request = governed(&tree, &model, Arc::new(FourParam::default()), budget);
+    let governed =
+        run(&request, RunControls::default()).expect("the governed engine must complete");
 
     assert!(governed.degradation.degraded());
     assert!(governed.degradation.rule_fallbacks() >= 1);
@@ -86,7 +76,7 @@ fn solution_cap_that_kills_strict_4p_degrades_to_2p_and_completes() {
     assert_eq!(governed.degradation.final_rule, "2P");
     assert!(governed.result.stats.rule_fallbacks >= 1);
     assert!(!governed.result.assignment.is_empty());
-    assert_valid_design(&tree, &model, &governed);
+    assert_valid_design("4P fallback", &request, &governed);
     // The report is populated and readable.
     let summary = governed.degradation.summary();
     assert!(summary.contains("4P"), "summary: {summary}");
@@ -105,14 +95,9 @@ fn hard_wall_clock_breach_returns_best_so_far_not_err() {
         hard_time: Duration::from_secs(30),
         ..Budget::unlimited()
     };
-    let governed = optimize_governed_detailed(
-        &tree,
-        &model,
-        VariationMode::WithinDie,
-        varbuf_core::dp::fallback_cascade(Arc::new(TwoParam::default())),
-        &WireSizing::single(),
-        &DpOptions::default(),
-        &budget,
+    let request = governed(&tree, &model, Arc::new(TwoParam::default()), budget);
+    let governed = run(
+        &request,
         RunControls {
             clock: Some(Box::new(clock)),
             ..RunControls::default()
@@ -123,7 +108,7 @@ fn hard_wall_clock_breach_returns_best_so_far_not_err() {
     assert!(governed.degradation.panic_completion);
     assert!(governed.result.stats.panic_completion);
     assert!(governed.degradation.degraded());
-    assert_valid_design(&tree, &model, &governed);
+    assert_valid_design("hard time", &request, &governed);
     // Panic completion keeps one candidate per node from the breach on.
     assert!(governed.result.stats.nodes_processed == tree.len());
 }
@@ -139,14 +124,9 @@ fn frozen_clock_past_hard_limit_still_completes_whole_tree() {
         hard_time: Duration::from_secs(2),
         ..Budget::unlimited()
     };
-    let governed = optimize_governed_detailed(
-        &tree,
-        &model,
-        VariationMode::WithinDie,
-        varbuf_core::dp::fallback_cascade(Arc::new(TwoParam::default())),
-        &WireSizing::single(),
-        &DpOptions::default(),
-        &budget,
+    let request = governed(&tree, &model, Arc::new(TwoParam::default()), budget);
+    let governed = run(
+        &request,
         RunControls {
             clock: Some(Box::new(SkewedClock::frozen(Duration::from_secs(10)))),
             ..RunControls::default()
@@ -155,7 +135,7 @@ fn frozen_clock_past_hard_limit_still_completes_whole_tree() {
     .expect("completes");
     assert!(governed.degradation.panic_completion);
     assert_eq!(governed.result.stats.max_solutions_per_node, 1);
-    assert_valid_design(&tree, &model, &governed);
+    assert_valid_design("frozen clock", &request, &governed);
 }
 
 #[test]
@@ -168,14 +148,9 @@ fn soft_time_pressure_triggers_rule_fallback_not_panic() {
         hard_time: Duration::from_secs(1_000_000),
         ..Budget::unlimited()
     };
-    let governed = optimize_governed_detailed(
-        &tree,
-        &model,
-        VariationMode::WithinDie,
-        varbuf_core::dp::fallback_cascade(Arc::new(FourParam::default())),
-        &WireSizing::single(),
-        &DpOptions::default(),
-        &budget,
+    let request = governed(&tree, &model, Arc::new(FourParam::default()), budget);
+    let governed = run(
+        &request,
         RunControls {
             clock: Some(Box::new(SkewedClock::frozen(Duration::from_secs(5)))),
             ..RunControls::default()
@@ -189,7 +164,7 @@ fn soft_time_pressure_triggers_rule_fallback_not_panic() {
         "one soft-time step"
     );
     assert_eq!(governed.degradation.final_rule, "2P");
-    assert_valid_design(&tree, &model, &governed);
+    assert_valid_design("soft time", &request, &governed);
 }
 
 #[test]
@@ -202,14 +177,14 @@ fn poisoned_solutions_are_dropped_and_reported() {
         PoisonKind::InfiniteVariance,
     ] {
         let mut injector = FaultInjector::new(FaultPlan::poison(3, kind));
-        let governed = optimize_governed_detailed(
+        let request = governed(
             &tree,
             &model,
-            VariationMode::WithinDie,
-            varbuf_core::dp::fallback_cascade(Arc::new(TwoParam::default())),
-            &WireSizing::single(),
-            &DpOptions::default(),
-            &Budget::unlimited(),
+            Arc::new(TwoParam::default()),
+            Budget::unlimited(),
+        );
+        let governed = run(
+            &request,
             RunControls {
                 faults: Some(&mut injector),
                 ..RunControls::default()
@@ -223,7 +198,7 @@ fn poisoned_solutions_are_dropped_and_reported() {
             "every injected poison must be caught ({kind:?})"
         );
         assert!(governed.degradation.degraded());
-        assert_valid_design(&tree, &model, &governed);
+        assert_valid_design(&format!("poison {kind:?}"), &request, &governed);
         // Poison never leaks into the reported result.
         assert!(governed.result.root_rat.mean().is_finite());
     }
@@ -241,14 +216,9 @@ fn padding_pressure_forces_truncation_but_run_completes() {
         hard_solutions: 60,
         ..Budget::unlimited()
     };
-    let governed = optimize_governed_detailed(
-        &tree,
-        &model,
-        VariationMode::WithinDie,
-        varbuf_core::dp::fallback_cascade(Arc::new(TwoParam::new(0.9, 0.9))),
-        &WireSizing::single(),
-        &DpOptions::default(),
-        &budget,
+    let request = governed(&tree, &model, Arc::new(TwoParam::new(0.9, 0.9)), budget);
+    let governed = run(
+        &request,
         RunControls {
             faults: Some(&mut injector),
             ..RunControls::default()
@@ -258,7 +228,7 @@ fn padding_pressure_forces_truncation_but_run_completes() {
     assert!(injector.padded_injected() > 0);
     assert!(governed.degradation.degraded());
     assert!(governed.result.stats.max_solutions_per_node <= 60 + 51);
-    assert_valid_design(&tree, &model, &governed);
+    assert_valid_design("padding", &request, &governed);
 }
 
 #[test]
@@ -270,22 +240,16 @@ fn memory_budget_pressure_degrades_gracefully() {
         hard_mem_bytes: 64 * 1024 * 1024,
         ..Budget::unlimited()
     };
-    let governed = optimize_governed(
-        &tree,
-        &model,
-        VariationMode::WithinDie,
-        Arc::new(FourParam::default()),
-        &DpOptions::default(),
-        &budget,
-    )
-    .expect("memory pressure must be survivable");
+    let request = governed(&tree, &model, Arc::new(FourParam::default()), budget);
+    let governed =
+        run(&request, RunControls::default()).expect("memory pressure must be survivable");
     assert!(governed.degradation.degraded());
     assert!(governed
         .degradation
         .events
         .iter()
         .any(|e| e.to_string().contains("KiB")));
-    assert_valid_design(&tree, &model, &governed);
+    assert_valid_design("memory", &request, &governed);
 }
 
 #[test]
@@ -297,13 +261,12 @@ fn fallback_cascade_never_worse_than_pure_two_param() {
     for seed in [1u64, 5, 9, 23, 41] {
         let tree = generate_benchmark(&BenchmarkSpec::random("prop", 40, seed));
         let model = model_for(&tree);
-        let options = DpOptions::default();
         let pure = optimize_with_rule(
             &tree,
             &model,
             VariationMode::WithinDie,
             Arc::new(TwoParam::default()),
-            &options,
+            &DpOptions::default(),
         )
         .expect("pure 2P");
         // Budget chosen so rule fallback fires well before any
@@ -313,15 +276,8 @@ fn fallback_cascade_never_worse_than_pure_two_param() {
             hard_solutions: 1_000_000,
             ..Budget::unlimited()
         };
-        let governed = optimize_governed(
-            &tree,
-            &model,
-            VariationMode::WithinDie,
-            Arc::new(FourParam::default()),
-            &options,
-            &budget,
-        )
-        .expect("governed");
+        let request = governed(&tree, &model, Arc::new(FourParam::default()), budget);
+        let governed = run(&request, RunControls::default()).expect("governed");
         let y = |f: &varbuf_stats::CanonicalForm| f.percentile(0.05);
         let pure_y = y(&pure.root_rat);
         let gov_y = y(&governed.result.root_rat);
@@ -336,15 +292,13 @@ fn fallback_cascade_never_worse_than_pure_two_param() {
 fn unpressured_governed_run_reports_clean() {
     let tree = generate_benchmark(&BenchmarkSpec::random("clean", 40, 2));
     let model = model_for(&tree);
-    let governed = optimize_governed(
+    let request = governed(
         &tree,
         &model,
-        VariationMode::WithinDie,
         Arc::new(TwoParam::default()),
-        &DpOptions::default(),
-        &Budget::unlimited(),
-    )
-    .expect("clean");
+        Budget::unlimited(),
+    );
+    let governed = run(&request, RunControls::default()).expect("clean");
     assert!(!governed.degradation.degraded());
     assert!(!governed.result.stats.degraded());
     assert_eq!(

@@ -8,12 +8,9 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use varbuf_core::dp::{
-    fallback_cascade, optimize_governed_detailed, optimize_with_sizing, DpOptions, GovernedResult,
-    RunControls, StatResult, WireSizing,
-};
+use varbuf_core::dp::{run, RunControls, RunRequest, RunResult, StatResult, WireSizing};
 use varbuf_core::governor::Budget;
-use varbuf_core::pool::{optimize_batch, BatchRequest};
+use varbuf_core::pool::optimize_batch;
 use varbuf_core::prune::{FourParam, OneParam, PruningRule, TwoParam};
 use varbuf_core::InsertionError;
 use varbuf_rctree::generate::{generate_benchmark, BenchmarkSpec};
@@ -80,10 +77,10 @@ fn assert_bit_identical(label: &str, seq: &StatResult, par: &StatResult) {
     );
 }
 
-fn assert_same_degradation(label: &str, seq: &GovernedResult, par: &GovernedResult) {
+fn assert_same_degradation(label: &str, seq: &RunResult, par: &RunResult) {
     assert_bit_identical(label, &seq.result, &par.result);
     // Event timestamps are wall clock; triggers and actions are not.
-    let strip = |g: &GovernedResult| {
+    let strip = |g: &RunResult| {
         g.degradation
             .events
             .iter()
@@ -146,18 +143,20 @@ fn batch_is_bit_identical_to_serial_loop_and_order_preserving() {
 
     let mut requests = Vec::new();
     for ((rule, tree), model) in nets.iter().zip(&models) {
-        for strict in [false, true] {
-            let mut req =
-                BatchRequest::new(tree, model, VariationMode::WithinDie, Arc::clone(rule));
-            req.strict = strict;
-            requests.push(req);
-        }
+        let governed = RunRequest::new(tree, model, VariationMode::WithinDie, Arc::clone(rule));
+        let strict = RunRequest {
+            budget: Budget::paper(),
+            strict: true,
+            ..governed.clone()
+        };
+        requests.extend([governed, strict]);
     }
     let first_pressured = requests.len();
     for ((rule, tree), model) in pressured.iter().zip(&pressured_models) {
-        let mut req = BatchRequest::new(tree, model, VariationMode::WithinDie, Arc::clone(rule));
-        req.budget = pressure;
-        requests.push(req);
+        requests.push(RunRequest {
+            budget: pressure,
+            ..RunRequest::new(tree, model, VariationMode::WithinDie, Arc::clone(rule))
+        });
     }
     let first_failing = requests.len();
     // Deliberately failing requests: batch must report errors in place
@@ -166,19 +165,15 @@ fn batch_is_bit_identical_to_serial_loop_and_order_preserving() {
         (&nets[0].1, &models[0], 10),
         (&breaching, &breaching_model, 150),
     ] {
-        let mut failing = BatchRequest::new(
-            tree,
-            model,
-            VariationMode::WithinDie,
-            Arc::new(FourParam::default()),
-        );
-        failing.strict = true;
-        failing.options = DpOptions {
-            max_solutions_per_node: cap,
-            time_limit: Duration::from_secs(4 * 3600),
-            ..DpOptions::default()
-        };
-        requests.push(failing);
+        requests.push(RunRequest {
+            budget: Budget::strict(cap, Duration::from_secs(4 * 3600)),
+            ..RunRequest::strict(
+                tree,
+                model,
+                VariationMode::WithinDie,
+                Arc::new(FourParam::default()),
+            )
+        });
     }
 
     // Forced fan-out: the host clamp would quietly serialize this on a
@@ -319,30 +314,21 @@ fn results_where_bound_pruning_fired_are_pinned() {
         };
         let tree = generate_benchmark(&BenchmarkSpec::random(name, pin.sinks, pin.seed));
         let model = ProcessModel::paper_defaults(tree.bounding_box(), pin.kind);
-        let strict = optimize_with_sizing(
-            &tree,
-            &model,
-            pin.mode,
-            Arc::clone(&rule),
-            &sizing,
-            &DpOptions::default(),
-        )
-        .expect("strict run");
+        let governed = RunRequest {
+            sizing,
+            ..RunRequest::new(&tree, &model, pin.mode, rule)
+        };
+        let strict = RunRequest {
+            budget: Budget::paper(),
+            strict: true,
+            ..governed.clone()
+        };
         // The governed engine: the same pin must hold on every path the
         // filter used to arm on.
-        let governed = optimize_governed_detailed(
-            &tree,
-            &model,
-            pin.mode,
-            fallback_cascade(Arc::clone(&rule)),
-            &sizing,
-            &DpOptions::default(),
-            &Budget::unlimited(),
-            RunControls::default(),
-        )
-        .expect("governed run")
-        .result;
-        for (path, r) in [("strict", &strict), ("governed", &governed)] {
+        for (path, request) in [("strict", strict), ("governed", governed)] {
+            let r = &run(&request, RunControls::default())
+                .unwrap_or_else(|e| panic!("{path} run: {e}"))
+                .result;
             let label = format!(
                 "{}/{}/seed{:x}/{:?}/{:?}/{path}",
                 pin.rule, name, pin.seed, pin.kind, pin.mode

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 use varbuf_core::dp::{
-    fallback_cascade, optimize_governed_detailed, DpOptions, RunControls, StatResult, WireSizing,
+    fallback_cascade, run, DpOptions, RunControls, RunRequest, StatResult, WireSizing,
 };
 use varbuf_core::governor::Budget;
 use varbuf_core::hier::{optimize_hier, HierOptions};
@@ -35,18 +35,13 @@ fn run_flat(
     rule: &Arc<dyn PruningRule>,
     options: &DpOptions,
 ) -> StatResult {
-    optimize_governed_detailed(
-        tree,
-        model,
-        VariationMode::WithinDie,
-        fallback_cascade(Arc::clone(rule)),
-        &WireSizing::single(),
-        options,
-        &Budget::unlimited(),
-        RunControls::default(),
-    )
-    .expect("flat governed run")
-    .result
+    let request = RunRequest {
+        options: *options,
+        ..RunRequest::new(tree, model, VariationMode::WithinDie, Arc::clone(rule))
+    };
+    run(&request, RunControls::default())
+        .expect("flat governed run")
+        .result
 }
 
 fn assert_results_identical(label: &str, hier: &StatResult, flat: &StatResult) {
@@ -147,17 +142,8 @@ fn guarded_4p_matches_2p_without_degradation() {
     let (tree, model) = setup(24, SEEDS[1]);
     let options = DpOptions::default();
     let four: Arc<dyn PruningRule> = Arc::new(FourParam::default());
-    let governed = optimize_governed_detailed(
-        &tree,
-        &model,
-        VariationMode::WithinDie,
-        fallback_cascade(Arc::clone(&four)),
-        &WireSizing::single(),
-        &options,
-        &Budget::unlimited(),
-        RunControls::default(),
-    )
-    .expect("guarded 4P run");
+    let request = RunRequest::new(&tree, &model, VariationMode::WithinDie, Arc::clone(&four));
+    let governed = run(&request, RunControls::default()).expect("guarded 4P run");
     let guard = governed
         .degradation
         .guard

@@ -13,11 +13,9 @@
 use std::sync::Arc;
 use varbuf_core::cache::{run_signature, NodeSigs, SolutionCache};
 use varbuf_core::dp::{
-    fallback_cascade, optimize_governed_detailed, optimize_incremental, DpOptions, RunControls,
-    StatResult, WireSizing,
+    run, DpOptions, Memo, RunControls, RunRequest, RunResult, StatResult, WireSizing,
 };
-use varbuf_core::governor::Budget;
-use varbuf_core::hier::{optimize_hier, plan_cuts, HierOptions};
+use varbuf_core::hier::{plan_cuts, HierOptions};
 use varbuf_core::prune::{FourParam, OneParam, PruningRule, TwoParam};
 use varbuf_rctree::generate::{generate_benchmark, BenchmarkSpec};
 use varbuf_rctree::tree::NodeKind;
@@ -43,6 +41,43 @@ fn rules() -> Vec<RuleCase> {
         ("4p", 4, Arc::new(FourParam::default()) as _, [6, 24]),
         ("1p", 1, Arc::new(OneParam::default()) as _, [24, 48]),
     ]
+}
+
+/// The governed within-die request of `rule` under the cut plan `hier`.
+fn request<'a>(
+    tree: &'a RoutingTree,
+    model: &'a ProcessModel,
+    rule: &Arc<dyn PruningRule>,
+    hier: Option<HierOptions>,
+) -> RunRequest<'a> {
+    RunRequest {
+        hier,
+        ..RunRequest::new(tree, model, VariationMode::WithinDie, Arc::clone(rule))
+    }
+}
+
+/// Runs `request` against the session's signatures and cache.
+fn warm(
+    request: &RunRequest<'_>,
+    sigs: &NodeSigs,
+    cache: &mut SolutionCache,
+    run_sig: u64,
+) -> RunResult {
+    let memo = Memo {
+        sigs,
+        cache,
+        run_sig,
+    };
+    let controls = RunControls {
+        memo: Some(memo),
+        ..RunControls::default()
+    };
+    run(request, controls).expect("incremental run succeeds")
+}
+
+/// Runs `request` cold.
+fn cold(request: &RunRequest<'_>) -> RunResult {
+    run(request, RunControls::default()).expect("cold run succeeds")
 }
 
 fn assert_results_identical(label: &str, inc: &StatResult, cold: &StatResult) {
@@ -119,7 +154,6 @@ fn cut_plans() -> [Option<HierOptions>; 2] {
 fn mutation_fuzz_replay_matches_cold() {
     let options = DpOptions::default();
     let sizing = WireSizing::single();
-    let budget = Budget::unlimited();
     let mut cases = 0usize;
     let mut total_hits = 0usize;
     for hier in cut_plans() {
@@ -156,46 +190,9 @@ fn mutation_fuzz_replay_matches_cold() {
                         for id in sigs.update_path(&tree, edited) {
                             cache.invalidate(id);
                         }
-                        let inc = optimize_incremental(
-                            &tree,
-                            &model,
-                            VariationMode::WithinDie,
-                            fallback_cascade(rule.clone()),
-                            &sizing,
-                            &options,
-                            hier.as_ref(),
-                            &budget,
-                            RunControls::default(),
-                            &sigs,
-                            &mut cache,
-                            run_sig,
-                        )
-                        .expect("incremental run succeeds");
-                        let cold = match &hier {
-                            None => optimize_governed_detailed(
-                                &tree,
-                                &model,
-                                VariationMode::WithinDie,
-                                fallback_cascade(rule.clone()),
-                                &sizing,
-                                &options,
-                                &budget,
-                                RunControls::default(),
-                            ),
-                            Some(h) => optimize_hier(
-                                &tree,
-                                &model,
-                                VariationMode::WithinDie,
-                                fallback_cascade(rule.clone()),
-                                &sizing,
-                                &options,
-                                h,
-                                &budget,
-                                RunControls::default(),
-                            )
-                            .map(|r| r.into_governed()),
-                        }
-                        .expect("cold run succeeds");
+                        let req = request(&tree, &model, &rule, hier);
+                        let inc = warm(&req, &sigs, &mut cache, run_sig);
+                        let cold = cold(&req);
                         let label = format!("{name} step {step}");
                         assert!(!inc.degradation.degraded(), "{label}: degraded");
                         assert_results_identical(&label, &inc.result, &cold.result);
@@ -227,7 +224,6 @@ fn replay_without_edit_is_all_hits() {
     let model = ProcessModel::paper_defaults(tree.bounding_box(), SpatialKind::Heterogeneous);
     let options = DpOptions::default();
     let sizing = WireSizing::single();
-    let budget = Budget::unlimited();
     let sigs = NodeSigs::build(&tree);
     let mut cache = SolutionCache::new();
     let run_sig = run_signature(
@@ -239,23 +235,9 @@ fn replay_without_edit_is_all_hits() {
         None,
         0,
     );
-    let run = |cache: &mut SolutionCache| {
-        optimize_incremental(
-            &tree,
-            &model,
-            VariationMode::WithinDie,
-            fallback_cascade(Arc::new(TwoParam::default())),
-            &sizing,
-            &options,
-            None,
-            &budget,
-            RunControls::default(),
-            &sigs,
-            cache,
-            run_sig,
-        )
-        .expect("run succeeds")
-    };
+    let two: Arc<dyn PruningRule> = Arc::new(TwoParam::default());
+    let req = request(&tree, &model, &two, None);
+    let run = |cache: &mut SolutionCache| warm(&req, &sigs, cache, run_sig);
     let first = run(&mut cache);
     assert_eq!(first.result.stats.cache_hits, 0);
     assert_eq!(first.result.stats.cache_misses, tree.len());
@@ -274,7 +256,6 @@ fn run_signature_mismatch_flushes() {
     let model = ProcessModel::paper_defaults(tree.bounding_box(), SpatialKind::Heterogeneous);
     let options = DpOptions::default();
     let sizing = WireSizing::single();
-    let budget = Budget::unlimited();
     let sigs = NodeSigs::build(&tree);
     let mut cache = SolutionCache::new();
     let sig_a = run_signature(
@@ -296,37 +277,20 @@ fn run_signature_mismatch_flushes() {
         0,
     );
     assert_ne!(sig_a, sig_b);
-    let run = |cache: &mut SolutionCache, rule: Arc<dyn PruningRule>, sig: u64| {
-        optimize_incremental(
-            &tree,
-            &model,
-            VariationMode::WithinDie,
-            fallback_cascade(rule),
-            &sizing,
-            &options,
-            None,
-            &budget,
-            RunControls::default(),
-            &sigs,
-            cache,
-            sig,
-        )
-        .expect("run succeeds")
-    };
-    run(&mut cache, Arc::new(TwoParam::default()), sig_a);
-    let cross = run(&mut cache, Arc::new(FourParam::default()), sig_b);
+    let (two, four): (Arc<dyn PruningRule>, Arc<dyn PruningRule>) = (
+        Arc::new(TwoParam::default()),
+        Arc::new(FourParam::default()),
+    );
+    warm(
+        &request(&tree, &model, &two, None),
+        &sigs,
+        &mut cache,
+        sig_a,
+    );
+    let four = request(&tree, &model, &four, None);
+    let cross = warm(&four, &sigs, &mut cache, sig_b);
     assert_eq!(cross.result.stats.cache_hits, 0, "foreign lists replayed");
-    let cold = optimize_governed_detailed(
-        &tree,
-        &model,
-        VariationMode::WithinDie,
-        fallback_cascade(Arc::new(FourParam::default())),
-        &sizing,
-        &options,
-        &budget,
-        RunControls::default(),
-    )
-    .expect("cold run succeeds");
+    let cold = cold(&four);
     assert_results_identical("post-flush 4p", &cross.result, &cold.result);
 }
 
@@ -341,7 +305,6 @@ fn run_signature_mismatch_flushes() {
 fn chain_fuzz_replay_matches_cold() {
     let options = DpOptions::default();
     let sizing = WireSizing::single();
-    let budget = Budget::unlimited();
     let chain_rules: [(&str, u64, Arc<dyn PruningRule>); 2] = [
         ("2p", 2, Arc::new(TwoParam::default())),
         ("1p", 1, Arc::new(OneParam::default())),
@@ -391,33 +354,9 @@ fn chain_fuzz_replay_matches_cold() {
                     for id in sigs.update_path(&tree, edited) {
                         cache.invalidate(id);
                     }
-                    let inc = optimize_incremental(
-                        &tree,
-                        &model,
-                        VariationMode::WithinDie,
-                        fallback_cascade(rule.clone()),
-                        &sizing,
-                        &options,
-                        hier.as_ref(),
-                        &budget,
-                        RunControls::default(),
-                        &sigs,
-                        &mut cache,
-                        run_sig,
-                    )
-                    .expect("incremental run succeeds");
-                    let cold = optimize_hier(
-                        &tree,
-                        &model,
-                        VariationMode::WithinDie,
-                        fallback_cascade(rule.clone()),
-                        &sizing,
-                        &options,
-                        hier.as_ref().unwrap_or(&HierOptions::disabled()),
-                        &budget,
-                        RunControls::default(),
-                    )
-                    .expect("cold run succeeds");
+                    let req = request(&tree, &model, rule, hier);
+                    let inc = warm(&req, &sigs, &mut cache, run_sig);
+                    let cold = cold(&req);
                     let label = format!("{name} step {step}");
                     assert!(!inc.degradation.degraded(), "{label}: degraded");
                     assert_results_identical(&label, &inc.result, &cold.result);

@@ -33,10 +33,7 @@
 //! nothing).
 
 use std::sync::Arc;
-use varbuf_core::dp::{
-    fallback_cascade, optimize_governed_detailed, optimize_with_sizing, DpOptions, RunControls,
-    StatResult, WireSizing,
-};
+use varbuf_core::dp::{run, DpOptions, RunControls, RunRequest, StatResult, WireSizing};
 use varbuf_core::governor::Budget;
 use varbuf_core::prune::{FourParam, OneParam, PruningRule, TwoParam};
 use varbuf_rctree::generate::{generate_benchmark, BenchmarkSpec};
@@ -57,7 +54,7 @@ const REL_TOL: f64 = 1e-9;
 
 #[derive(Clone, Copy)]
 enum Gov {
-    /// `optimize_with_sizing`: hard caps, no degradation — lazy armed.
+    /// Strict under the paper's caps, no degradation — lazy armed.
     Strict,
     /// Governed with `Budget::unlimited()` — cannot degrade, lazy armed.
     Governed,
@@ -85,36 +82,33 @@ fn run_case(
     gov: Gov,
     use_lazy_wire: bool,
 ) -> StatResult {
-    let options = DpOptions {
-        use_lazy_wire,
-        ..DpOptions::default()
+    let base = RunRequest {
+        sizing: sizing.clone(),
+        options: DpOptions {
+            use_lazy_wire,
+            ..DpOptions::default()
+        },
+        ..RunRequest::new(tree, model, mode, Arc::clone(rule))
     };
-    match gov {
-        Gov::Strict => optimize_with_sizing(tree, model, mode, Arc::clone(rule), sizing, &options)
-            .expect("strict run"),
-        Gov::Governed | Gov::Pressured => {
-            let budget = match gov {
-                Gov::Pressured => Budget {
-                    soft_solutions: 6,
-                    hard_solutions: 24,
-                    ..Budget::unlimited()
-                },
-                _ => Budget::unlimited(),
-            };
-            optimize_governed_detailed(
-                tree,
-                model,
-                mode,
-                fallback_cascade(Arc::clone(rule)),
-                sizing,
-                &options,
-                &budget,
-                RunControls::default(),
-            )
-            .expect("governed run")
-            .result
-        }
-    }
+    let request = match gov {
+        Gov::Strict => RunRequest {
+            budget: Budget::paper(),
+            strict: true,
+            ..base
+        },
+        Gov::Governed => base,
+        Gov::Pressured => RunRequest {
+            budget: Budget {
+                soft_solutions: 6,
+                hard_solutions: 24,
+                ..Budget::unlimited()
+            },
+            ..base
+        },
+    };
+    run(&request, RunControls::default())
+        .expect("unerrored run")
+        .result
 }
 
 /// The equal-objective contract: identical decisions and counts,

@@ -6,7 +6,6 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use varbuf::core::dp::{optimize_with_rule, DpOptions};
 use varbuf::prelude::*;
 
 fn main() {
@@ -17,12 +16,8 @@ fn main() {
 
     let tree = generate_benchmark(&BenchmarkSpec::random("ablation", sinks, 3));
     let model = ProcessModel::paper_defaults(tree.bounding_box(), SpatialKind::Homogeneous);
-    let opts = DpOptions {
-        // Modest caps so the 4P blow-up fails fast instead of hanging.
-        max_solutions_per_node: 50_000,
-        time_limit: Duration::from_secs(60),
-        ..DpOptions::default()
-    };
+    // Modest caps so the 4P blow-up fails fast instead of hanging.
+    let caps = Budget::strict(50_000, Duration::from_secs(60));
 
     println!(
         "{} sinks, {} candidates — WID variation\n",
@@ -40,7 +35,11 @@ fn main() {
         ("4P", Arc::new(FourParam::default())),
     ];
     for (name, rule) in rules {
-        match optimize_with_rule(&tree, &model, VariationMode::WithinDie, rule, &opts) {
+        let request = RunRequest {
+            budget: caps,
+            ..RunRequest::strict(&tree, &model, VariationMode::WithinDie, rule)
+        };
+        match run(&request, RunControls::default()).map(|r| r.result) {
             Ok(r) => println!(
                 "{:<6} {:>9.2}s {:>12.1} {:>10} {:>14}",
                 name,

@@ -24,14 +24,17 @@ fn main() -> Result<(), InsertionError> {
     let plain = optimize_statistical(&tree, &model, VariationMode::WithinDie, &options)?;
 
     let sizing = WireSizing::default_three();
-    let sized = optimize_with_sizing(
-        &tree,
-        &model,
-        VariationMode::WithinDie,
-        Arc::new(options.rule),
-        &sizing,
-        &options.dp,
-    )?;
+    let request = RunRequest {
+        sizing: sizing.clone(),
+        options: options.dp,
+        ..RunRequest::strict(
+            &tree,
+            &model,
+            VariationMode::WithinDie,
+            Arc::new(options.rule),
+        )
+    };
+    let sized = run(&request, RunControls::default())?.result;
 
     let y = |rat: &CanonicalForm| rat.percentile(0.05);
     println!(

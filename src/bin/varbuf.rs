@@ -201,7 +201,8 @@ usage:
       `inject` fault-testing commands; --watchdog cancels any request
       past the deadline and returns its best-so-far design; requests
       queued past --queue-hard cost units are shed with a typed
-      `err overloaded` response; --no-cache disables the per-session
+      `err overloaded` response (one that finds the queue empty is
+      always served); --no-cache disables the per-session
       solution cache, so every opt after an `edit` runs cold (results
       are byte-identical either way).
 
@@ -467,17 +468,13 @@ fn cmd_opt(args: &[String]) -> Result<Outcome, String> {
             WireSizing::single()
         };
         let record_widths = sizing.widths().len() > 1;
-        let g = optimize_governed_detailed(
-            &tree,
-            &model,
-            mode,
-            fallback_cascade(rule),
-            &sizing,
-            &options.dp,
-            &budget,
-            RunControls::default(),
-        )
-        .map_err(|e| e.to_string())?;
+        let request = RunRequest {
+            sizing,
+            options: options.dp,
+            budget,
+            ..RunRequest::new(&tree, &model, mode, rule)
+        };
+        let g = run(&request, RunControls::default()).map_err(|e| e.to_string())?;
         if g.degradation.degraded() {
             outcome = Outcome::Degraded;
             print!("{}", g.degradation.summary());
@@ -489,24 +486,33 @@ fn cmd_opt(args: &[String]) -> Result<Outcome, String> {
             r.root_rat.mean(),
             r.root_rat.std_dev()
         );
-        let widths = record_widths.then(|| sizing.edge_widths(&r.wire_widths));
+        let widths = record_widths.then(|| request.sizing.edge_widths(&r.wire_widths));
         (r.assignment, widths, desc)
     } else if has_flag(args, "--sizing") {
-        let sizing = WireSizing::default_three();
-        let r = optimize_with_sizing(&tree, &model, mode, Arc::clone(&rule), &sizing, &options.dp)
-            .map_err(|e| e.to_string())?;
+        let request = RunRequest {
+            sizing: WireSizing::default_three(),
+            options: options.dp,
+            ..RunRequest::strict(&tree, &model, mode, rule)
+        };
+        let r = run(&request, RunControls::default())
+            .map_err(|e| e.to_string())?
+            .result;
         let desc = format!(
             "RAT {:.1} ± {:.2} ps ({} widened edges)",
             r.root_rat.mean(),
             r.root_rat.std_dev(),
             r.wire_widths.iter().filter(|&&(_, w)| w != 0).count()
         );
-        (r.assignment, Some(sizing.edge_widths(&r.wire_widths)), desc)
+        (
+            r.assignment,
+            Some(request.sizing.edge_widths(&r.wire_widths)),
+            desc,
+        )
     } else if flag_value(args, "--rule").is_some_and(|r| r != "2p") {
         if matches!(mode, VariationMode::Nominal) {
             return Err("--rule applies to statistical modes (d2d or wid)".to_owned());
         }
-        let r = optimize_with_rule(&tree, &model, mode, Arc::clone(&rule), &options.dp)
+        let r = optimize_with_rule(&tree, &model, mode, rule, &options.dp)
             .map_err(|e| e.to_string())?;
         let desc = format!(
             "RAT {:.1} ± {:.2} ps",
@@ -756,19 +762,11 @@ fn cmd_cts(args: &[String]) -> Result<Outcome, String> {
             .parse()
             .map_err(|_| "--fanout-cut needs an integer (0 = never by fanout)".to_owned())?;
     }
-    let options = DpOptions::default();
-    let g = optimize_hier(
-        &tree,
-        &model,
-        VariationMode::WithinDie,
-        fallback_cascade(rule),
-        &WireSizing::single(),
-        &options,
-        &hier,
-        &budget,
-        RunControls::default(),
-    )
-    .map_err(|e| e.to_string())?;
+    let request = RunRequest {
+        budget,
+        ..RunRequest::new(&tree, &model, VariationMode::WithinDie, rule).with_hier(hier)
+    };
+    let g = run(&request, RunControls::default()).map_err(|e| e.to_string())?;
     let mut outcome = Outcome::Clean;
     if g.degradation.degraded() {
         outcome = Outcome::Degraded;

@@ -49,16 +49,16 @@ pub mod prelude {
     pub use varbuf_core::criticality::{sink_criticalities, CriticalityReport};
     pub use varbuf_core::design::{Design, DesignNet};
     pub use varbuf_core::dp::{
-        fallback_cascade, optimize_governed, optimize_governed_detailed, optimize_with_rule,
-        optimize_with_sizing, DpOptions, GovernedResult, RootSelection, RunControls, WireSizing,
+        fallback_cascade, optimize_with_rule, run, DpOptions, RootSelection, RunControls,
+        RunRequest, RunResult, WireSizing,
     };
     pub use varbuf_core::driver::{
         optimize_all_modes, optimize_nominal, optimize_statistical, OptimizeResult, Options,
     };
     pub use varbuf_core::faultinject::{RequestFault, RequestFaults};
     pub use varbuf_core::governor::{Budget, CancelToken, Degradation, DegradationEvent};
-    pub use varbuf_core::hier::{optimize_hier, HierOptions, HierReport, HierResult};
-    pub use varbuf_core::pool::{default_jobs, optimize_batch, BatchRequest};
+    pub use varbuf_core::hier::{optimize_hier, HierOptions, HierReport};
+    pub use varbuf_core::pool::{default_jobs, optimize_batch};
     pub use varbuf_core::prune::{FourParam, OneParam, PruningRule, RuleConfigError, TwoParam};
     pub use varbuf_core::service::{
         parse_line, parse_open_spec, Command, OptimizeParams, Request, Response, RuleChoice,

@@ -3,8 +3,9 @@
 //! validation, exercised through the public facade.
 
 use std::sync::Arc;
+use std::time::Duration;
 use varbuf::core::det::assignment_with_nominal_values;
-use varbuf::core::dp::{optimize_with_rule, DpOptions, RootSelection};
+use varbuf::core::dp::{DpOptions, RootSelection};
 use varbuf::prelude::*;
 use varbuf::rctree::elmore::ElmoreEvaluator;
 use varbuf::stats::mc::sample_moments;
@@ -179,17 +180,18 @@ fn governed_facade_survives_budget_the_strict_engine_cannot() {
     // abort is absorbed by the governed engine via rule fallback, and
     // the degraded design still scores sanely under the silicon model.
     let (tree, model) = small_setup(64, 17, SpatialKind::Heterogeneous);
-    let tight = DpOptions {
-        max_solutions_per_node: 150,
-        ..DpOptions::default()
-    };
-    let strict = optimize_with_rule(
+    let four = RunRequest::new(
         &tree,
         &model,
         VariationMode::WithinDie,
         Arc::new(FourParam::default()),
-        &tight,
     );
+    let capped = RunRequest {
+        budget: Budget::strict(150, Duration::MAX),
+        strict: true,
+        ..four.clone()
+    };
+    let strict = run(&capped, RunControls::default());
     assert!(strict.is_err(), "strict 4P must abort under this cap");
 
     let budget = Budget {
@@ -197,15 +199,8 @@ fn governed_facade_survives_budget_the_strict_engine_cannot() {
         hard_solutions: 600,
         ..Budget::unlimited()
     };
-    let governed = optimize_governed(
-        &tree,
-        &model,
-        VariationMode::WithinDie,
-        Arc::new(FourParam::default()),
-        &tight,
-        &budget,
-    )
-    .expect("governed run completes");
+    let governed = run(&RunRequest { budget, ..four }, RunControls::default())
+        .expect("governed run completes");
     assert!(governed.degradation.degraded());
     assert!(governed.degradation.rule_fallbacks() >= 1);
 

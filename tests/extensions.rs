@@ -96,15 +96,16 @@ fn sized_design_matches_sized_elmore_at_nominal() {
         lib.clone(),
     );
     let sizing = WireSizing::default_three();
-    let sized = optimize_with_sizing(
-        &tree,
-        &model,
-        VariationMode::WithinDie,
-        Arc::new(TwoParam::default()),
-        &sizing,
-        &DpOptions::default(),
-    )
-    .expect("sized");
+    let request = RunRequest {
+        sizing: sizing.clone(),
+        ..RunRequest::strict(
+            &tree,
+            &model,
+            VariationMode::WithinDie,
+            Arc::new(TwoParam::default()),
+        )
+    };
+    let sized = run(&request, RunControls::default()).expect("sized").result;
 
     let mut placed = varbuf::rctree::elmore::BufferAssignment::new();
     for &(node, ty) in &sized.assignment {
@@ -142,17 +143,17 @@ fn governed_wire_sizing_degrades_but_keeps_consistent_widths() {
         hard_solutions: 48,
         ..Budget::unlimited()
     };
-    let governed = optimize_governed_detailed(
-        &tree,
-        &model,
-        VariationMode::WithinDie,
-        fallback_cascade(Arc::new(TwoParam::new(0.9, 0.9))),
-        &sizing,
-        &DpOptions::default(),
-        &budget,
-        RunControls::default(),
-    )
-    .expect("governed sizing completes");
+    let request = RunRequest {
+        sizing: sizing.clone(),
+        budget,
+        ..RunRequest::new(
+            &tree,
+            &model,
+            VariationMode::WithinDie,
+            Arc::new(TwoParam::new(0.9, 0.9)),
+        )
+    };
+    let governed = run(&request, RunControls::default()).expect("governed sizing completes");
     assert!(governed.degradation.degraded());
     let r = &governed.result;
     assert!(r
